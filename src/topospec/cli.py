@@ -226,7 +226,8 @@ def _fivepoint_l1(pts: np.ndarray, eps: float):
 
 
 def _run_is_complete(out: Path, digest: str, grid: list[float]) -> bool:
-    """True when a previous run with the same digest already covers the grid.
+    """True when a previous run with the same digest, written by this
+    version of the package, already covers the grid.
 
     The phase-to-energy calibration couples all grid points, so resumption is
     all-or-nothing: a complete matching run is skipped verbatim, anything
@@ -240,7 +241,7 @@ def _run_is_complete(out: Path, digest: str, grid: list[float]) -> bool:
         manifest = json.loads(man_path.read_text())
     except json.JSONDecodeError:
         return False
-    if manifest.get("digest") != digest:
+    if manifest.get("digest") != digest or manifest.get("version") != __version__:
         return False
     have = {line.split(",", 1)[0] for line in rec_path.read_text().splitlines()[1:]}
     from .serialize import fmt

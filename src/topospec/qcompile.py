@@ -122,61 +122,56 @@ _SINGLE = {
 }
 
 
-def _apply_single(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    dim = len(state)
-    idx0 = np.arange(dim)[(np.arange(dim) >> q) & 1 == 0]
-    idx1 = idx0 | (1 << q)
-    a0, a1 = state[idx0], state[idx1]
-    out = state.copy()
-    out[idx0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    out[idx1] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return out
-
-
-def _control_mask(dim: int, controls: tuple[tuple[int, int], ...]) -> np.ndarray:
-    sel = np.ones(dim, dtype=bool)
-    idx = np.arange(dim)
-    for q, pol in controls:
-        sel &= ((idx >> q) & 1) == pol
-    return sel
+def _half(n: int, q: int, bit: int, controls=()) -> tuple:
+    """Index into the (1,)+(2,)*n view that fixes qubit q to bit and each
+    control qubit to its polarity; every other axis stays a full slice, so
+    the result is a view into the state."""
+    idx = [slice(None)] * (n + 1)
+    for c, pol in controls:
+        idx[n - c] = pol
+    idx[n - q] = bit
+    return tuple(idx)
 
 
 def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the gate list to a dense amplitude vector (<= 16 qubits)."""
+    """Apply the gate list to a dense amplitude vector (<= 16 qubits).
+
+    Qubit q is bit q of the amplitude index. Gates act in place on a
+    (2,)*n view of a copy of the state: single-qubit matrices mix the two
+    halves along the target axis, controlled gates index their control axes
+    to the polarities and then swap (CNOT, MCX) or phase (CRZ) the two
+    target halves.
+    """
     if circ.n_qubits > 16:
         raise ResourceLimitError(f"{circ.n_qubits} qubits exceed the dense budget of 16")
-    dim = 1 << circ.n_qubits
-    if len(state) != dim:
+    n = circ.n_qubits
+    if len(state) != 1 << n:
         raise ValueError("state dimension does not match qubit count")
     psi = np.asarray(state, dtype=complex).copy()
-    idx = np.arange(dim)
+    # the leading length-1 axis keeps every half an array view, never a scalar
+    view = psi.reshape((1,) + (2,) * n)
     for g in circ.gates:
-        if g.kind in _SINGLE:
-            psi = _apply_single(psi, _SINGLE[g.kind], g.target)
-        elif g.kind == "RX":
-            psi = _apply_single(psi, _RX(g.theta), g.target)
-        elif g.kind == "RZ":
-            bit = (idx >> g.target) & 1
-            psi = psi * np.exp(-1j * g.theta / 2 * (1 - 2 * bit))
-        elif g.kind == "CNOT":
-            sel = ((idx >> g.control) & 1) == 1
-            flipped = idx[sel] ^ (1 << g.target)
-            out = psi.copy()
-            out[idx[sel]] = psi[flipped]
-            psi = out
-        elif g.kind == "MCX":
-            sel = _control_mask(dim, g.controls)
-            flipped = idx[sel] ^ (1 << g.target)
-            out = psi.copy()
-            out[idx[sel]] = psi[flipped]
-            psi = out
-        elif g.kind == "CRZ":
-            sel = _control_mask(dim, g.controls)
-            bit = (idx >> g.target) & 1
-            phase = np.exp(-1j * g.theta / 2 * (1 - 2 * bit))
-            out = psi.copy()
-            out[sel] = psi[sel] * phase[sel]
-            psi = out
+        if g.kind in _SINGLE or g.kind == "RX":
+            mat = _SINGLE[g.kind] if g.kind in _SINGLE else _RX(g.theta)
+            i0, i1 = _half(n, g.target, 0), _half(n, g.target, 1)
+            a0, a1 = view[i0], view[i1]
+            out0 = mat[0, 0] * a0 + mat[0, 1] * a1
+            view[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
+            view[i0] = out0
+        elif g.kind in ("CNOT", "MCX"):
+            controls = ((g.control, 1),) if g.kind == "CNOT" else g.controls
+            i0, i1 = _half(n, g.target, 0, controls), _half(n, g.target, 1, controls)
+            a0 = view[i0].copy()
+            view[i0] = view[i1]
+            view[i1] = a0
+        elif g.kind in ("RZ", "CRZ"):
+            # the same phase values as exp(-i theta/2 (1 - 2 bit)) per amplitude;
+            # products are formed out of place, since numpy rounds an in-place
+            # product into a one-element view differently from its array loop
+            phase = np.exp(-1j * g.theta / 2 * np.array([1, -1]))
+            for bit in (0, 1):
+                half = view[_half(n, g.target, bit, g.controls)]
+                half[...] = half * phase[bit]
         else:
             raise ValueError(f"unknown gate kind {g.kind}")
     return psi

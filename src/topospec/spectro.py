@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AliasingConfigError, ResourceLimitError
-from .qcompile import Circuit, Gate, controlled_evolution, simulate
+from .qcompile import controlled_evolution, simulate
 from .serialize import write_csv
 from .susy import PauliHamiltonian
 
@@ -136,29 +136,6 @@ def correlator_exact(
     return CorrelatorSeries(dt=dt, values=vals, shots=0, alpha_scale=alpha)
 
 
-def hadamard_test_circuits(evolution: Circuit) -> tuple[Circuit, Circuit]:
-    """X- and Y-basis ancilla readout circuits around a controlled evolution."""
-    anc = evolution.n_qubits - 1
-    gx = (Gate("H", anc),) + evolution.gates + (Gate("H", anc),)
-    gy = (Gate("H", anc),) + evolution.gates + (Gate("SDG", anc), Gate("H", anc))
-    meta = dict(evolution.metadata)
-    return (
-        Circuit(evolution.n_qubits, gx, {**meta, "readout": "x"}),
-        Circuit(evolution.n_qubits, gy, {**meta, "readout": "y"}),
-    )
-
-
-def _ancilla_expectation(circ: Circuit, state: np.ndarray, shots: int, rng) -> float:
-    psi = simulate(circ, state)
-    anc = circ.n_qubits - 1
-    idx = np.arange(len(psi))
-    p0 = float((np.abs(psi[(idx >> anc) & 1 == 0]) ** 2).sum())
-    p0 = min(max(p0, 0.0), 1.0)
-    if shots > 0:
-        p0 = rng.binomial(shots, p0) / shots
-    return 2 * p0 - 1
-
-
 def correlator_hadamard(
     ham: PauliHamiltonian,
     psi_system: np.ndarray,
@@ -171,12 +148,23 @@ def correlator_hadamard(
 ) -> CorrelatorSeries:
     """One-ancilla Hadamard-test readout of C(t) = <psi| exp(-i H t/alpha) |psi>.
 
-    X-basis ancilla measurement gives Re C and the S-dagger variant gives
-    Im C; shots=0 returns exact expectations, otherwise binomial samples.
-    Trotter steps default to one per radian of the rescaled norm bound.
+    The grid must be t_k = k dt (k = 0..M-1, M >= 2). One controlled step of
+    length dt is compiled once, with ``steps`` Trotter sub-steps (default:
+    one per radian of the rescaled norm bound, ceil(bound dt)); the state
+    (|0>|psi> + |1>|psi>)/sqrt(2) is advanced by it M-1 times, so sample k
+    carries k * steps sub-steps, never fewer than ceil(bound t_k). At every
+    sample the ancilla coherence gives C = 2 <branch0|branch1>: Re C is the
+    X-basis and Im C the S-dagger/Y-basis readout. shots=0 returns exact
+    expectations, otherwise binomial samples of p0 = (1 + Re C)/2 and
+    (1 + Im C)/2, drawn in that order per sample.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    m = len(t_grid)
+    if m < 2:
+        raise ValueError("the Hadamard readout needs at least two samples")
     dt = float(t_grid[1] - t_grid[0])
+    if not dt > 0 or not np.allclose(t_grid, dt * np.arange(m), rtol=1e-9, atol=0.0):
+        raise ValueError("the Hadamard readout needs a uniform grid t_k = k dt with dt > 0")
     n_total = ham.n + 2
     if n_total > 16:
         raise ResourceLimitError(f"{n_total} qubits exceed the simulation budget")
@@ -185,26 +173,30 @@ def correlator_hadamard(
         raise AliasingConfigError(
             f"Nyquist violation: need alpha >= {bound * alpha * dt / math.pi:.6g}"
         )
+    n_sub = steps or max(1, math.ceil(bound * dt))
+    step = controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha)
     rng = np.random.default_rng(seed)
-    dim = 1 << n_total
-    base = np.zeros(dim, dtype=complex)
     sysdim = 1 << ham.n
-    base[:sysdim] = np.asarray(psi_system, dtype=complex)  # work=0, ancilla=0
-    vals = np.zeros(len(t_grid), dtype=complex)
-    for k, t in enumerate(t_grid):
-        if t == 0.0:
-            re, im = 1.0, 0.0
-            if shots > 0:
-                re = 2 * rng.binomial(shots, 1.0) / shots - 1
-                im = 2 * rng.binomial(shots, 0.5) / shots - 1
-            vals[k] = re + 1j * im
-            continue
-        n_steps = steps or max(1, math.ceil(bound * t))
-        evo = controlled_evolution(ham, t, order=order, steps=n_steps, alpha=alpha)
-        cx, cy = hadamard_test_circuits(evo)
-        re = _ancilla_expectation(cx, base, shots, rng)
-        im = _ancilla_expectation(cy, base, shots, rng)
-        vals[k] = re + 1j * im
+    state = np.zeros(1 << n_total, dtype=complex)
+    # ancilla in |+>, work qubit |0>: index = ancilla * 2 sysdim + work * sysdim + system
+    branches = state.reshape(2, 2, sysdim)
+    branches[:, 0, :] = np.asarray(psi_system, dtype=complex) / math.sqrt(2)
+    vals = np.zeros(m, dtype=complex)
+    c = 1.0 + 0.0j  # t = 0 is exact
+    for k in range(m):
+        if k:
+            state = simulate(step, state)
+            branches = state.reshape(2, 2, sysdim)
+            leak = float(np.linalg.norm(branches[:, 1, :]))
+            if leak > 1e-9:
+                raise RuntimeError(
+                    f"work qubit left |0> (amplitude norm {leak:.3g}) after controlled step {k}"
+                )
+            c = 2 * np.vdot(branches[0, 0], branches[1, 0])
+        ps = [min(max((1 + part) / 2, 0.0), 1.0) for part in (c.real, c.imag)]
+        if shots > 0:
+            ps = [rng.binomial(shots, p) / shots for p in ps]
+        vals[k] = (2 * ps[0] - 1) + 1j * (2 * ps[1] - 1)
     return CorrelatorSeries(dt=dt, values=vals, shots=shots, alpha_scale=alpha)
 
 

@@ -11,7 +11,7 @@ from scipy.signal import savgol_filter
 from scipy.stats import pearsonr, spearmanr
 
 from . import dynamics, embedding, persistence, probe, selection, spectro, topograph
-from .errors import UndefinedEntropyError
+from .errors import ConfigError, TopospecError, UndefinedEntropyError
 from .hodge import laplacian_k
 from .serialize import digest_text
 
@@ -264,11 +264,15 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     topological persistence with the estimated spectral gap.
 
     Stage failures mark the record and the sweep continues. Identical configs
-    produce identical records.
+    produce identical records. The curvature diagnostic is a uniform second
+    difference, so a grid of three or more points must be evenly spaced.
     """
     if not grid:
         return [], {"n_pairs": 0, "pearson_r": None, "spearman_rho": None}
     grid = sorted(grid)
+    spacing = np.diff(grid)
+    if len(grid) >= 3 and not (spacing[0] > 0 and np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0)):
+        raise ConfigError(f"rho grid {grid} is not evenly spaced; f_curvature needs a uniform step")
     digest = cfg.digest()
     tau = _resolve_tau(grid, cfg)
     stages = [_pipeline_stage(rho, cfg, tau) for rho in grid]
@@ -332,7 +336,7 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
                 spectro.EstimateConfig(ensemble_dim=n_edges),
             )
             h_spec = spectral_entropy(series)
-        except Exception:
+        except (TopospecError, ValueError, np.linalg.LinAlgError):
             records.append(
                 SweepRecord(
                     rho=st.rho,

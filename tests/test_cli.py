@@ -114,6 +114,27 @@ def test_sweep_writes_and_resumes(tmp_path, capsys):
     assert manifest["grid"] == [38.0, 39.0]
 
 
+def test_sweep_resume_requires_the_same_version(tmp_path):
+    from topospec import __version__
+    from topospec.serialize import write_csv
+
+    out = tmp_path / "out"
+    write_csv(out / "sweep_records.csv", ("rho", "h_spec"), [(38.0, 1.0), (39.0, 1.0)])
+    manifest = {"digest": "abc", "version": __version__, "grid": [38.0, 39.0]}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert cli._run_is_complete(out, "abc", [38.0, 39.0])
+    (out / "manifest.json").write_text(json.dumps({**manifest, "version": "0.0.1"}))
+    assert not cli._run_is_complete(out, "abc", [38.0, 39.0])
+
+
+def test_sweep_rejects_uneven_grid(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["--out", str(out), "sweep", "--grid", "36,37,39"])
+    assert rc == 2
+    assert "[36.0, 37.0, 39.0] is not evenly spaced" in capsys.readouterr().err
+    assert not (out / "sweep_records.csv").exists()
+
+
 def test_bound_check_cli(tmp_path, capsys):
     rc = cli.main(
         ["--out", str(tmp_path / "out"), "--seed", "1", "bound-check", "--clouds", "15", "--points", "7"]

@@ -217,6 +217,123 @@ def test_simulate_qubit_budget():
         simulate(Circuit(17, ()), np.zeros(1 << 17, dtype=complex))
 
 
+_DENSE_1Q = {
+    "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "SDG": np.diag([1, -1j]),
+    "RX": lambda t: np.array(
+        [[math.cos(t / 2), -1j * math.sin(t / 2)], [-1j * math.sin(t / 2), math.cos(t / 2)]]
+    ),
+    "RZ": lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
+}
+
+
+def _kron_op(n, factors):
+    """Kronecker product over qubits n-1..0 (qubit q is bit q of the index)."""
+    out = np.eye(1)
+    for q in reversed(range(n)):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def _dense_gate(g, n):
+    if g.kind in ("H", "X", "SDG"):
+        return _kron_op(n, {g.target: _DENSE_1Q[g.kind]})
+    if g.kind in ("RX", "RZ"):
+        return _kron_op(n, {g.target: _DENSE_1Q[g.kind](g.theta)})
+    controls = ((g.control, 1),) if g.kind == "CNOT" else g.controls
+    proj = {q: np.diag([1 - pol, pol]) for q, pol in controls}
+    target = _DENSE_1Q["X"] if g.kind in ("CNOT", "MCX") else _DENSE_1Q["RZ"](g.theta)
+    # identity off the control condition, the target operator on it
+    return np.eye(1 << n) - _kron_op(n, proj) + _kron_op(n, {**proj, g.target: target})
+
+
+def _simulate_by_index_masks(circ, state):
+    """The index-mask simulator the in-place one replaced: every gate gathers
+    its halves through integer index arrays into copies. Same arithmetic, so
+    the results must agree bit for bit."""
+    dim = 1 << circ.n_qubits
+    idx = np.arange(dim)
+    psi = np.asarray(state, dtype=complex).copy()
+    for g in circ.gates:
+        if g.kind in ("H", "X", "SDG", "RX"):
+            mat = _DENSE_1Q[g.kind](g.theta) if g.kind == "RX" else _DENSE_1Q[g.kind]
+            mat = mat.astype(complex) if g.kind == "X" else mat
+            i0 = idx[(idx >> g.target) & 1 == 0]
+            i1 = i0 | (1 << g.target)
+            a0, a1 = psi[i0], psi[i1]
+            psi = psi.copy()
+            psi[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
+            psi[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
+            continue
+        controls = ((g.control, 1),) if g.kind == "CNOT" else g.controls
+        sel = np.ones(dim, dtype=bool)
+        for q, pol in controls:
+            sel &= ((idx >> q) & 1) == pol
+        out = psi.copy()
+        if g.kind in ("CNOT", "MCX"):
+            out[idx[sel]] = psi[idx[sel] ^ (1 << g.target)]
+        else:
+            phase = np.exp(-1j * g.theta / 2 * (1 - 2 * ((idx >> g.target) & 1)))
+            out[sel] = psi[sel] * phase[sel]
+        psi = out
+    return psi
+
+
+@st.composite
+def _random_circuits(draw):
+    n = draw(st.integers(1, 5))
+    kinds = ["H", "X", "SDG", "RX", "RZ"] + (["CNOT", "MCX", "CRZ"] if n >= 2 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        qs = draw(st.permutations(range(n)))
+        theta = draw(st.floats(-2 * math.pi, 2 * math.pi))
+        if kind in ("H", "X", "SDG"):
+            gates.append(Gate(kind, qs[0]))
+        elif kind in ("RX", "RZ"):
+            gates.append(Gate(kind, qs[0], theta=theta))
+        elif kind == "CNOT":
+            gates.append(Gate(kind, qs[0], control=qs[1]))
+        else:
+            k = draw(st.integers(1, n - 1))
+            pols = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+            gates.append(
+                Gate(
+                    kind,
+                    qs[0],
+                    theta=theta if kind == "CRZ" else None,
+                    controls=tuple(zip(qs[1 : k + 1], pols)),
+                )
+            )
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circ=_random_circuits(), seed=st.integers(0, 10_000))
+def test_simulate_matches_dense_kronecker_reference(circ, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << circ.n_qubits
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    expect = state.astype(complex)
+    for g in circ.gates:
+        expect = _dense_gate(g, circ.n_qubits) @ expect
+    before = state.copy()
+    out = simulate(circ, state)
+    assert np.allclose(out, expect, rtol=0, atol=1e-12 * np.abs(state).sum())
+    assert np.array_equal(out, _simulate_by_index_masks(circ, state))
+    assert np.array_equal(state, before)  # gates act in place on a copy only
+
+
+def test_simulate_bitwise_equal_to_index_masks_on_compiled_circuits():
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(6, 6))
+    circ = controlled_evolution(onehot_hamiltonian((A + A.T) / 2), 0.4, order=2, steps=4)
+    state = rng.normal(size=1 << circ.n_qubits) + 1j * rng.normal(size=1 << circ.n_qubits)
+    out = simulate(circ, state)
+    assert np.array_equal(out.view(np.uint64), _simulate_by_index_masks(circ, state).view(np.uint64))
+
+
 def test_compiled_fidelity_with_enough_steps():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(5, 5))

@@ -6,6 +6,8 @@ import pytest
 from topospec.errors import AliasingConfigError
 from topospec.hodge import laplacian_k, spectrum
 from topospec.probe import diagonal_ensemble_weights, w_state_vector
+from topospec.qcompile import Circuit, Gate, controlled_evolution, simulate
+from topospec import spectro
 from topospec.spectro import (
     CorrelatorSeries,
     EstimateConfig,
@@ -17,6 +19,7 @@ from topospec.spectro import (
     periodogram,
     prony_esprit,
     refine_peaks,
+    secondary_grid,
     zero_mode_test,
 )
 from topospec.susy import onehot_hamiltonian
@@ -90,6 +93,79 @@ def test_hadamard_matches_exact_within_trotter():
     exact = correlator_exact(M, np.ones(3) / math.sqrt(3), tg, alpha=alpha)
     approx = correlator_hadamard(ham, psi, tg, shots=0, order=2, steps=24, alpha=alpha)
     assert np.abs(exact.values - approx.values).max() < 5e-4
+
+
+def _per_sample_reference(ham, psi, t_grid, n_sub, alpha):
+    """The X/Y-basis Hadamard test run as one circuit per sample: sample k
+    compiles controlled_evolution(t_k) with k * n_sub Trotter steps and
+    reads Re C and Im C off the ancilla's P(0)."""
+    n_total = ham.n + 2
+    anc = n_total - 1
+    base = np.zeros(1 << n_total, dtype=complex)
+    base[: 1 << ham.n] = psi
+    out = [1.0]
+    for k, t in enumerate(t_grid[1:], start=1):
+        evo = controlled_evolution(ham, t, order=2, steps=k * n_sub, alpha=alpha)
+        parts = []
+        for tail in ((Gate("H", anc),), (Gate("SDG", anc), Gate("H", anc))):
+            circ = Circuit(n_total, (Gate("H", anc),) + evo.gates + tail)
+            p0 = float((np.abs(simulate(circ, base)[: 1 << (n_total - 1)]) ** 2).sum())
+            parts.append(2 * p0 - 1)
+        out.append(parts[0] + 1j * parts[1])
+    return np.array(out)
+
+
+def test_hadamard_stepped_series_matches_per_sample_circuits():
+    rng = np.random.default_rng(1)
+    A = rng.normal(size=(3, 3))
+    M = (A + A.T) / 2
+    ham = onehot_hamiltonian(M)
+    tg = 0.3 * np.arange(12)
+    psi = w_state_vector(3)
+    alpha, n_sub = 2.0, 2
+    ser = correlator_hadamard(ham, psi, tg, shots=0, order=2, steps=n_sub, alpha=alpha)
+    ref = _per_sample_reference(ham, psi, tg, n_sub, alpha)
+    assert np.abs(ser.values - ref).max() < 1e-10
+    exact = correlator_exact(M, np.ones(3) / math.sqrt(3), tg, alpha=alpha)
+    assert np.abs(exact.values - ser.values).max() < 5e-4
+
+
+@pytest.mark.parametrize(
+    "t_grid",
+    [
+        np.array([0.0, 0.3, 0.7, 0.9]),  # uneven spacing
+        0.3 * np.arange(1, 8),  # does not start at t = 0
+        0.3 * np.arange(8)[::-1],  # decreasing
+        np.array([0.0]),  # a single sample
+        np.array([]),
+    ],
+)
+def test_hadamard_rejects_grids_other_than_k_dt(t_grid):
+    ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
+    with pytest.raises(ValueError, match="Hadamard readout needs"):
+        correlator_hadamard(ham, w_state_vector(2), t_grid)
+
+
+def test_hadamard_accepts_the_secondary_grid():
+    h = np.array([[0.0, 0.5], [0.5, 0.8]])
+    ham = onehot_hamiltonian(h)
+    tg = secondary_grid(0.3 * np.arange(10))
+    ser = correlator_hadamard(ham, w_state_vector(2), tg, steps=4)
+    exact = correlator_exact(h, np.ones(2) / math.sqrt(2), tg)
+    assert ser.dt == tg[1] and np.abs(ser.values - exact.values).max() < 1e-3
+
+
+def test_hadamard_raises_when_the_work_qubit_is_left_set(monkeypatch):
+    real = spectro.controlled_evolution
+
+    def leaky(ham, t, **kwargs):
+        circ = real(ham, t, **kwargs)
+        return Circuit(circ.n_qubits, circ.gates + (Gate("X", ham.n),))
+
+    monkeypatch.setattr(spectro, "controlled_evolution", leaky)
+    ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
+    with pytest.raises(RuntimeError, match="work qubit"):
+        correlator_hadamard(ham, w_state_vector(2), 0.3 * np.arange(4))
 
 
 def test_shot_noise_matches_model():

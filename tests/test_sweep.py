@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from topospec.errors import UndefinedEntropyError
+from topospec import spectro
+from topospec.errors import AliasingConfigError, ConfigError, UndefinedEntropyError
+from topospec.qcompile import Circuit, Gate
 from topospec.spectro import CorrelatorSeries
 from topospec.sweep import (
     SweepConfig,
@@ -129,22 +131,60 @@ def test_sweep_determinism(short_sweep):
     assert report == report2
 
 
+# circuit-simulated correlators through the same pipeline, kept tiny: few
+# samples and a small representative set bound the register size
+TINY_HADAMARD = SweepConfig(
+    t_total=70.0,
+    n_fps=40,
+    k=5,
+    m_samples=16,
+    dt_corr=0.3,
+    lyap_t_total=120.0,
+    mode="hadamard",
+)
+
+
 def test_sweep_hadamard_mode_smoke():
-    # circuit-simulated correlators through the same pipeline, kept tiny:
-    # few samples and a small representative set bound the register size
-    cfg = SweepConfig(
-        t_total=70.0,
-        n_fps=40,
-        k=5,
-        m_samples=16,
-        dt_corr=0.3,
-        lyap_t_total=120.0,
-        mode="hadamard",
-    )
-    records, _ = run_sweep([38.0], cfg)
+    records, _ = run_sweep([38.0], TINY_HADAMARD)
     rec = records[0]
     assert rec.failed_stage is None
     assert rec.beta1_hat is not None and rec.beta1_hat >= 1
+
+
+def test_sweep_records_expected_spectro_errors(monkeypatch):
+    def aliased(*args, **kwargs):
+        raise AliasingConfigError("Nyquist violation")
+
+    monkeypatch.setattr(spectro, "correlator_hadamard", aliased)
+    records, _ = run_sweep([38.0], TINY_HADAMARD)
+    assert records[0].failed_stage == "spectro"
+
+
+def test_sweep_propagates_programming_errors_in_spectro(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("deliberate bug")
+
+    # raised inside correlator_hadamard, at its first controlled step
+    monkeypatch.setattr(spectro, "simulate", broken)
+    with pytest.raises(TypeError, match="deliberate bug"):
+        run_sweep([38.0], TINY_HADAMARD)
+
+
+def test_sweep_propagates_a_failed_work_qubit_check(monkeypatch):
+    real = spectro.controlled_evolution
+
+    def leaky(ham, t, **kwargs):
+        circ = real(ham, t, **kwargs)
+        return Circuit(circ.n_qubits, circ.gates + (Gate("X", ham.n),))
+
+    monkeypatch.setattr(spectro, "controlled_evolution", leaky)
+    with pytest.raises(RuntimeError, match="work qubit"):
+        run_sweep([38.0], TINY_HADAMARD)
+
+
+def test_sweep_rejects_uneven_grid():
+    with pytest.raises(ConfigError, match=r"\[36.0, 37.0, 39.0\]"):
+        run_sweep([36.0, 37.0, 39.0], SweepConfig())
 
 
 def test_sweep_empty_grid():
