@@ -16,49 +16,29 @@ The script scans that window, checks every candidate with the persistence
 module, and prints the one committed in topospec.fixtures.
 """
 
-import itertools
 import sys
 
 import numpy as np
 
+from topospec.embedding import PointCloud
 from topospec.fixtures import FIVE_POINT_CLOUD
-from topospec.hodge import laplacian_at
+from topospec.hodge import complex_at, laplacian_at
 from topospec.persistence import compute_persistence, rips_filtration
 
 
-def counts_at(pts, eps):
-    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    edges = [(i, j) for i, j in itertools.combinations(range(5), 2) if d[i, j] <= eps]
-    es = set(edges)
-    tris = [
-        t
-        for t in itertools.combinations(range(5), 3)
-        if all(tuple(sorted(p)) in es for p in itertools.combinations(t, 2))
-    ]
-    parent = list(range(5))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps = len({find(v) for v in range(5)})
-    return len(edges), len(tris), comps
+def counts_at(filt, diag, eps):
+    """(edges, triangles, connected components) of the Rips complex at eps."""
+    cx = complex_at(filt, eps)
+    return len(cx[1]), len(cx[2]), diag.betti(0, eps)
 
 
 def check(pts) -> bool:
-    if counts_at(pts, 0.8) != (4, 0, 2):
-        return False
-    if counts_at(pts, 0.9) != (6, 1, 1):
-        return False
-    diam = float(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)).max())
-    filt = rips_filtration(pts, eps_max=diam * 1.001)
+    filt = rips_filtration(pts, eps_max=PointCloud(pts).diameter() * 1.001)
     diag = compute_persistence(filt)
+    if counts_at(filt, diag, 0.8) != (4, 0, 2):
+        return False
+    if counts_at(filt, diag, 0.9) != (6, 1, 1):
+        return False
     if [diag.betti(1, e) for e in (0.8, 0.9, 1.0)] != [1, 1, 0]:
         return False
     L, _ = laplacian_at(filt, 0.8, 1)

@@ -8,7 +8,6 @@ digest of the canonicalized text is stamped into every output. Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -17,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, embedding, persistence, probe, selection, spectro, sweep, topograph
+from . import __version__, dynamics, embedding, persistence, probe, spectro, sweep, topograph
 from .errors import ConfigError, TopospecError
 from .fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
-from .hodge import laplacian_k, spectrum, verify_gap_persistence_bound
+from .hodge import complex_at, laplacian_k, spectrum, verify_gap_persistence_bound
 from .qcompile import baseline_qpe_cost
 from .serialize import digest_text, write_csv, write_json
 from .susy import onehot_hamiltonian, susy_hamiltonian, verify_block_equivalence
@@ -209,19 +208,10 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
 
 
 def _fivepoint_l1(pts: np.ndarray, eps: float):
-    n = len(pts)
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    edges = tuple(
-        (i, j) for i, j in itertools.combinations(range(n), 2) if d[i, j] <= eps
-    )
-    es = set(edges)
-    tris = tuple(
-        t
-        for t in itertools.combinations(range(n), 3)
-        if all(tuple(sorted(p)) in es for p in itertools.combinations(t, 2))
-        and max(d[t[0], t[1]], d[t[0], t[2]], d[t[1], t[2]]) <= eps
-    )
-    B1, B2 = topograph.incidence_matrices(n, edges, tris)
+    """Edge Laplacian of the Rips complex at radius eps, with its edge basis."""
+    cx = complex_at(persistence.rips_filtration(pts, eps_max=eps), eps)
+    edges, tris = tuple(cx[1]), tuple(cx[2])
+    B1, B2 = topograph.incidence_matrices(len(pts), edges, tris)
     return laplacian_k(B1, B2 if tris else None), edges
 
 
@@ -308,7 +298,7 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None
         {"digest": digest, "version": __version__, "grid": list(grid), "seed": cfg.seed, "mode": cfg.mode},
     )
     for r in records:
-        status = r.failed_stage or "ok"
+        status = f"pipeline failed at {r.failed_stage}: {r.error}" if r.failed_stage else "ok"
         print(f"rho={r.rho}: ell_max={r.ell_max_h1}, gap={r.delta1_susy_sim} [{status}]")
     print(f"pearson r = {report.get('pearson_r')}")
     failed = [r for r in records if r.failed_stage]
@@ -376,16 +366,23 @@ def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
     return 0 if violations == 0 else 1
 
 
+def _run_to(cfg: RunConfig, rho: float, until: str) -> sweep._StageResult | None:
+    """The shared pipeline at one rho, stopped after stage ``until``; None,
+    with the failure printed, when a stage fails."""
+    stage = sweep._pipeline_stage(rho, cfg.sweep, sweep._resolve_tau([rho], cfg.sweep), until=until)
+    if stage.failed_stage:
+        print(f"pipeline failed at {stage.failed_stage}: {stage.error}")
+        return None
+    return stage
+
+
 def cmd_compile_report(cfg: RunConfig, phase_bits: int = 6, grid_rho: float = 40.0) -> int:
     """Compile-versus-baseline gate accounting on the pipeline's edge-register
     instance at one rho."""
     out = Path(cfg.out)
-    records, _ = run_sweep([grid_rho], cfg.sweep)
-    rec = records[0]
-    if rec.failed_stage:
-        print(f"pipeline failed at stage {rec.failed_stage}")
+    stage = _run_to(cfg, grid_rho, "graph")
+    if stage is None:
         return 1
-    stage = sweep._pipeline_stage(grid_rho, cfg.sweep, sweep._resolve_tau([grid_rho], cfg.sweep))
     ham = onehot_hamiltonian(stage.l1)
     stats = baseline_qpe_cost(ham, phase_bits)
     write_json(
@@ -417,70 +414,37 @@ def cmd_lorenz(cfg: RunConfig, rho: float) -> int:
     return 0
 
 
-def _embedded_cloud(cfg: RunConfig, rho: float):
-    sw = cfg.sweep
-    traj = dynamics.integrate(
-        dynamics.LorenzParams(rho=rho), sw.x0, sw.dt, sw.t_trans, sw.t_total
-    )
-    series = traj.observable(sw.observable)
-    tau = sw.tau or embedding.choose_tau(series, max_lag=min(100, len(series) // 5)).tau
-    emb = embedding.delay_embed(
-        series, embedding.EmbeddingConfig(tau=tau, m=sw.m, observable=sw.observable)
-    )
-    cloud = embedding.PointCloud(emb.points[:: (sw.cloud_stride or tau)])
-    return cloud, tau
-
-
 def cmd_embed(cfg: RunConfig, rho: float) -> int:
-    out = Path(cfg.out)
-    cloud, tau = _embedded_cloud(cfg, rho)
-    cloud.to_csv(out / f"cloud_rho{rho}.csv")
-    print(f"rho={rho}: tau={tau}, cloud {cloud.n} x {cloud.dim}")
+    stage = _run_to(cfg, rho, "cloud")
+    if stage is None:
+        return 1
+    stage.cloud.to_csv(Path(cfg.out) / f"cloud_rho{rho}.csv")
+    print(f"rho={rho}: tau={stage.tau}, cloud {stage.cloud.n} x {stage.cloud.dim}")
     return 0
 
 
 def cmd_ph(cfg: RunConfig, rho: float) -> int:
-    out = Path(cfg.out)
-    cloud, _ = _embedded_cloud(cfg, rho)
-    idx = sweep._farthest_point_indices(cloud.points, cfg.sweep.n_fps, cfg.seed)
-    pts = cloud.points[idx]
-    diam = embedding.PointCloud(pts).diameter()
-    diag = persistence.compute_persistence(
-        persistence.rips_filtration(pts, eps_max=diam * 1.0001)
-    )
-    diag.to_csv(out / f"diagram_rho{rho}.csv")
-    print(f"rho={rho}: ell_max_H1 = {persistence.max_h1_persistence(diag):.4f}")
+    stage = _run_to(cfg, rho, "persistence")
+    if stage is None:
+        return 1
+    stage.diagram.to_csv(Path(cfg.out) / f"diagram_rho{rho}.csv")
+    print(f"rho={rho}: ell_max_H1 = {stage.ell_max:.4f}")
     return 0
 
 
 def cmd_select(cfg: RunConfig, rho: float) -> int:
-    out = Path(cfg.out)
-    sw = cfg.sweep
-    cloud, _ = _embedded_cloud(cfg, rho)
-    idx = sweep._farthest_point_indices(cloud.points, sw.n_fps, cfg.seed)
-    pts = cloud.points[idx]
-    diam = embedding.PointCloud(pts).diameter()
-    diag = persistence.compute_persistence(
-        persistence.rips_filtration(pts, eps_max=diam * 1.0001)
-    )
-    reps = selection.select_representatives(
-        cloud,
-        diag,
-        selection.SelectionConfig(
-            k=sw.k, r=sw.r, alpha=sw.alpha_sel, knn_k=sw.knn_k, bins=sw.bins,
-            lambdas=sw.lambdas, seed=sw.seed,
-        ),
-    )
-    reps.to_json(out / f"representatives_rho{rho}.json")
-    print(f"rho={rho}: selected {list(reps.indices)}")
+    stage = _run_to(cfg, rho, "selection")
+    if stage is None:
+        return 1
+    stage.reps.to_json(Path(cfg.out) / f"representatives_rho{rho}.json")
+    print(f"rho={rho}: selected {list(stage.reps.indices)}")
     return 0
 
 
 def cmd_graph(cfg: RunConfig, rho: float) -> int:
     out = Path(cfg.out)
-    stage = sweep._pipeline_stage(rho, cfg.sweep, sweep._resolve_tau([rho], cfg.sweep))
-    if stage.graph is None:
-        print(f"pipeline failed at {stage.failed_stage}")
+    stage = _run_to(cfg, rho, "graph")
+    if stage is None:
         return 1
     stage.graph.to_json(out / f"graph_rho{rho}.json")
     stage.graph.incidence_to_csv(out / f"b1_rho{rho}.csv", out / f"b2_rho{rho}.csv")
@@ -493,9 +457,8 @@ def cmd_graph(cfg: RunConfig, rho: float) -> int:
 
 def cmd_susy(cfg: RunConfig, rho: float) -> int:
     out = Path(cfg.out)
-    stage = sweep._pipeline_stage(rho, cfg.sweep, sweep._resolve_tau([rho], cfg.sweep))
-    if stage.graph is None:
-        print(f"pipeline failed at {stage.failed_stage}")
+    stage = _run_to(cfg, rho, "graph")
+    if stage is None:
         return 1
     ham = susy_hamiltonian(stage.graph)
     ham.to_jsonl(out / f"susy_rho{rho}.jsonl")
@@ -514,9 +477,8 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
     out = Path(cfg.out)
     sw = cfg.sweep
     spec = cfg.probe_spec
-    stage = sweep._pipeline_stage(rho, cfg.sweep, sweep._resolve_tau([rho], cfg.sweep))
-    if stage.l1 is None:
-        print(f"pipeline failed at {stage.failed_stage}")
+    stage = _run_to(cfg, rho, "graph")
+    if stage is None:
         return 1
     l1 = stage.l1
     n_edges = l1.shape[0]
@@ -525,12 +487,10 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
 
     if spec.kind == "dicke_weighted":
         graph = stage.graph
-        coords = graph.coords
-        from topospec.embedding import PointCloud
-        from topospec.persistence import compute_persistence, rips_filtration
-
-        diam = PointCloud(coords).diameter()
-        diag = compute_persistence(rips_filtration(coords, eps_max=diam * 1.0001))
+        coords = embedding.PointCloud(graph.coords)
+        diag = persistence.compute_persistence(
+            persistence.rips_filtration(coords, eps_max=coords.diameter() * 1.0001)
+        )
         weights = probe.dicke_weights(graph, diag, spec.alpha_bias, spec.beta_bias, spec.eta)
         ham = susy_hamiltonian(graph)
         hdense = ham.dense()

@@ -71,17 +71,6 @@ def lorenz_rhs(s: State, p: LorenzParams) -> State:
     return (p.sigma * (y - x), x * (p.rho - z) - y, x * y - p.beta * z)
 
 
-def lorenz_jacobian(s: State, p: LorenzParams) -> np.ndarray:
-    x, y, z = s
-    return np.array(
-        [
-            [-p.sigma, p.sigma, 0.0],
-            [p.rho - z, -1.0, -x],
-            [y, x, -p.beta],
-        ]
-    )
-
-
 def fixed_points(p: LorenzParams) -> list[State]:
     """Equilibria of the flow: origin, and C+/- when rho > 1."""
     pts: list[State] = [(0.0, 0.0, 0.0)]

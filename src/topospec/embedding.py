@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,24 @@ class EmbeddingConfig:
             raise ValueError("observable must be one of x, y, z")
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and the rows of b."""
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff**2).sum(axis=-1)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """N x m matrix of embedded points; the metric is Euclidean throughout."""
+    """N x m matrix of embedded points; the metric is Euclidean throughout.
+
+    The pairwise geometry is computed on first use and shared by every
+    consumer of the same cloud.
+    """
 
     points: np.ndarray
 
@@ -52,9 +68,22 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @staticmethod
+    def of(cloud: PointCloud | np.ndarray) -> PointCloud:
+        """The cloud itself, so its geometry is shared, or a new cloud over an array."""
+        return cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        """Squared pairwise distances, computed once per cloud (read-only)."""
+        return _read_only(sq_distances(self.points, self.points))
+
+    @cached_property
+    def _dist(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.d2))
+
     def distances(self) -> np.ndarray:
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt((diff**2).sum(axis=-1))
+        return self._dist
 
     def diameter(self) -> float:
         return float(self.distances().max())
@@ -190,8 +219,7 @@ def _fnn_fraction(s: np.ndarray, tau: int, m: int, subsample: int) -> float:
     if n > subsample:
         idx = np.linspace(0, n - 1, subsample).astype(int)
     pts = emb[idx]
-    diff = pts[:, None, :] - emb[None, :, :]
-    d2 = (diff**2).sum(axis=-1)
+    d2 = sq_distances(pts, emb)
     d2[np.arange(len(idx)), idx] = np.inf
     nn = d2.argmin(axis=1)
     rm = np.sqrt(d2[np.arange(len(idx)), nn])

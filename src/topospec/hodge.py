@@ -149,13 +149,6 @@ def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list
     return L, simp_p
 
 
-def betti_at(filt: Filtration, eps: float, p: int, tau0: float | None = None) -> int:
-    L, simp_p = laplacian_at(filt, eps, p)
-    if not simp_p:
-        return 0
-    return spectrum(L, tau0).beta_k
-
-
 # ---------------------------------------------------------------------------
 # persistent Laplacian via Schur complement
 # ---------------------------------------------------------------------------
@@ -295,14 +288,12 @@ def verify_gap_persistence_bound(
     count and face count); the larger enters the bound and both are reported.
     lambda at birth is the smallest eigenvalue above the kernel tolerance.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    if len(pts) > 12:
+    cloud = PointCloud.of(cloud)
+    if cloud.n > 12:
         raise ValueError("bound checker is limited to clouds of <= 12 points")
     if eps_max is None:
-        diff = pts[:, None, :] - pts[None, :, :]
-        eps_max = float(np.sqrt((diff**2).sum(axis=-1)).max()) * 1.0001
-        eps_max = max(eps_max, 1e-12)  # degenerate single-point clouds
-    filt = rips_filtration(pts, eps_max=eps_max)
+        eps_max = max(cloud.diameter() * 1.0001, 1e-12)  # degenerate single-point clouds
+    filt = rips_filtration(cloud, eps_max=eps_max)
     diag = compute_persistence(filt)
     reports: list[BoundReport] = []
     for b, d in diag.in_dim(p, finite_only=True):

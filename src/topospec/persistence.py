@@ -79,10 +79,9 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float, max_dim: int
         raise ValueError("eps_max must be positive")
     if max_dim != 2:
         raise ValueError("only max_dim=2 is supported")
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    n = len(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    cloud = PointCloud.of(cloud)
+    n = cloud.n
+    dist = cloud.distances()
     simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         if dist[i, j] <= eps_max:

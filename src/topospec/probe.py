@@ -164,11 +164,6 @@ def diagonal_ensemble_weights(hmat: np.ndarray, basis_states: np.ndarray) -> np.
     return overlaps.mean(axis=1)
 
 
-def sector_basis_indices(n: int, excited_sets: list[tuple[int, ...]]) -> list[int]:
-    """Computational-basis indices of the given excited-qubit sets."""
-    return [sum(1 << q for q in s) for s in excited_sets]
-
-
 def embed_sector_state(n: int, excited_sets: list[tuple[int, ...]], amplitudes: np.ndarray) -> np.ndarray:
     """Lift a sector-space vector into the full 2^n qubit space."""
     if len(excited_sets) != len(amplitudes):
@@ -177,10 +172,6 @@ def embed_sector_state(n: int, excited_sets: list[tuple[int, ...]], amplitudes: 
     for s, a in zip(excited_sets, amplitudes):
         psi[sum(1 << q for q in s)] = a
     return psi
-
-
-def onehot_sets(n: int) -> list[tuple[int, ...]]:
-    return [(q,) for q in range(n)]
 
 
 def state_to_csv(path, amplitudes: np.ndarray) -> None:

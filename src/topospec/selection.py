@@ -92,12 +92,11 @@ class RepresentativeSet:
 def density_weights(cloud: PointCloud | np.ndarray, alpha: float) -> np.ndarray:
     """Gaussian-kernel density with bandwidth at the 10th percentile of
     pairwise distances; weights are rho^(alpha-1), normalized to sum 1."""
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    n, m = pts.shape
+    cloud = PointCloud.of(cloud)
+    n, m = cloud.points.shape
     if n < 2:
         raise ValueError("need at least 2 points")
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = (diff**2).sum(axis=-1)
+    d2 = cloud.d2
     h = float(np.quantile(np.sqrt(d2[np.triu_indices(n, k=1)]), 0.10))
     if h == 0.0:
         raise DegenerateBandwidthError("10th-percentile bandwidth is zero")
@@ -115,16 +114,14 @@ def candidate_set(
     returned flagged; an empty candidate set raises with a hint to relax the
     thresholds.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    n = len(pts)
+    cloud = PointCloud.of(cloud)
+    n = cloud.n
     finite = diag.in_dim(1, finite_only=True)
     if not finite:
         return np.arange(n), True
     b, d = max(finite, key=lambda bd: bd[1] - bd[0])
     r_mid = 0.5 * (b + d)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    nu = (dist < r_mid).sum(axis=1) - 1  # exclude self
+    nu = (cloud.distances() < r_mid).sum(axis=1) - 1  # exclude self
     n_min = int(0.02 * n)
     n_max = max(n_min + 5, int(0.10 * n))
     keep = np.where((nu > n_min) & (nu < n_max))[0]
@@ -147,23 +144,20 @@ def renyi_entropy(p: np.ndarray, alpha: float) -> float:
     return float(np.log((p**alpha).sum()) / (1.0 - alpha))
 
 
-def _knn_geodesics(pts: np.ndarray, knn_k: int, sources: list[int]) -> np.ndarray:
-    """Shortest-path distances from sources via the symmetrized KNN graph.
+def knn_graph(cloud: PointCloud | np.ndarray, knn_k: int) -> csr_matrix:
+    """Symmetrized k-nearest-neighbor graph with Euclidean edge lengths.
 
-    Unreachable vertices come back as +inf (cross-component distances are
-    infinite by convention).
+    Geodesics are shortest paths on it; unreachable vertices are at +inf
+    (cross-component distances are infinite by convention).
     """
-    n = len(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    cloud = PointCloud.of(cloud)
+    n, dist = cloud.n, cloud.distances()
     k = min(knn_k + 1, n)
     nn = np.argsort(dist, axis=1, kind="stable")[:, 1:k]
     rows = np.repeat(np.arange(n), nn.shape[1])
     cols = nn.ravel()
-    vals = dist[rows, cols]
-    g = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    g = g.maximum(g.T)
-    return dijkstra(g, directed=False, indices=sources)
+    g = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
+    return g.maximum(g.T)
 
 
 def select_topological(
@@ -182,7 +176,6 @@ def select_topological(
       - lam_c * (count of selected angles within dtheta_min of theta_j)
     Ties break toward the lowest index.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     cand = sorted(int(i) for i in candidates)
     if not cand:
         raise SelectionInfeasibleError("empty candidate set")
@@ -197,8 +190,8 @@ def select_topological(
     hist = np.zeros(cfg.bins)
     hist[min(np.searchsorted(bin_edges, angles[start], side="right") - 1, cfg.bins - 1)] += 1
 
-    geo = _knn_geodesics(pts, cfg.knn_k, [start])[0]
-    min_geo = geo.copy()
+    graph = knn_graph(cloud, cfg.knn_k)
+    min_geo = dijkstra(graph, directed=False, indices=start)
 
     while len(selected) < k_topo:
         base_h = renyi_entropy(hist, cfg.alpha)
@@ -226,7 +219,7 @@ def select_topological(
         selected.append(best_j)
         b = min(np.searchsorted(bin_edges, angles[best_j], side="right") - 1, cfg.bins - 1)
         hist[b] += 1
-        min_geo = np.minimum(min_geo, _knn_geodesics(pts, cfg.knn_k, [best_j])[0])
+        min_geo = np.minimum(min_geo, dijkstra(graph, directed=False, indices=best_j))
     return selected
 
 
@@ -238,14 +231,12 @@ def select_global(
 ) -> list[int]:
     """Iteratively add argmax of w_j * (1 + d_min(x_j)) with d_min recomputed
     against the growing selected set; ties break toward the lowest index."""
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    n = len(pts)
     selected = list(already)
     out: list[int] = []
     if k_global == 0:
         return out
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    cloud = PointCloud.of(cloud)
+    n, dist = cloud.n, cloud.distances()
     d_min = dist[:, selected].min(axis=1) if selected else np.full(n, np.inf)
     for _ in range(k_global):
         score = weights * (1.0 + d_min)
@@ -281,12 +272,12 @@ def select_representatives(
     cfg: SelectionConfig,
 ) -> RepresentativeSet:
     """Full two-stage selection: topological candidates then global coverage."""
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    weights = density_weights(pts, cfg.alpha)
-    cand, no_loop = candidate_set(pts, diag)
-    angles = loop_angles(pts, cand)
-    topo = select_topological(pts, cand, weights, angles, cfg)
-    glob = select_global(pts, weights, topo, cfg.k_global)
+    cloud = PointCloud.of(cloud)
+    weights = density_weights(cloud, cfg.alpha)
+    cand, no_loop = candidate_set(cloud, diag)
+    angles = loop_angles(cloud.points, cand)
+    topo = select_topological(cloud, cand, weights, angles, cfg)
+    glob = select_global(cloud, weights, topo, cfg.k_global)
     indices = tuple(topo + glob)
     prov = tuple(["topo"] * len(topo) + ["global"] * len(glob))
     return RepresentativeSet(

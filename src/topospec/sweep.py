@@ -108,6 +108,7 @@ class SweepRecord:
     seed: int = 0
     config_digest: str = ""
     failed_stage: str | None = None
+    error: str | None = None  # "<type>: <message>" of a failed stage; not a CSV column
 
     def as_row(self) -> tuple:
         return (
@@ -143,46 +144,66 @@ class SweepRecord:
         )
 
 
+STAGES = ("cloud", "persistence", "selection", "graph", "lyapunov")
+# what a stage may raise on bad data; anything else is a bug and propagates
+EXPECTED_ERRORS = (TopospecError, ValueError, np.linalg.LinAlgError)
+
+
 @dataclass
 class _StageResult:
     rho: float
+    tau: int
+    # the cloud, diagram and representatives are kept only by a run that
+    # stops at their stage
+    cloud: embedding.PointCloud | None = None
+    diagram: persistence.PersistenceDiagram | None = None
     ell_max: float | None = None
-    l1: np.ndarray | None = None
+    reps: selection.RepresentativeSet | None = None
     graph: topograph.TopoGraph | None = None
+    l1: np.ndarray | None = None
     lambda_max: float | None = None
     failed_stage: str | None = None
+    error: str | None = None
 
 
-def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int) -> _StageResult:
-    """Trajectory -> embedding -> persistence -> selection -> graph -> L1."""
-    res = _StageResult(rho=rho)
+def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapunov") -> _StageResult:
+    """Trajectory -> embedding -> persistence -> selection -> graph -> L1 ->
+    Lyapunov exponent, stopped after the stage named by ``until``.
+
+    A sweep keeps one result per rho, so the cloud (with its pairwise
+    geometry), the diagram and the representatives are returned only by a
+    run that stops at their stage; a full run keeps the graph, L1 and scalars.
+    """
+    if until not in STAGES:
+        raise ValueError(f"unknown pipeline stage {until!r}; expected one of {STAGES}")
+    res = _StageResult(rho=rho, tau=tau)
+    stage = "dynamics"
     try:
         params = dynamics.LorenzParams(rho=rho)
         traj = dynamics.integrate(params, cfg.x0, cfg.dt, cfg.t_trans, cfg.t_total)
         series = traj.observable(cfg.observable)
-    except Exception:
-        res.failed_stage = "dynamics"
-        return res
-    try:
+
+        stage = "embedding"
         emb = embedding.delay_embed(
             series, embedding.EmbeddingConfig(tau=tau, m=cfg.m, observable=cfg.observable)
         )
-        stride = cfg.cloud_stride or tau
-        cloud = embedding.PointCloud(emb.points[::stride])
-    except Exception:
-        res.failed_stage = "embedding"
-        return res
-    try:
+        cloud = embedding.PointCloud(emb.points[:: cfg.cloud_stride or tau])
+        if until == "cloud":
+            res.cloud = cloud
+            return res
+
+        stage = "persistence"
         fps_idx = _farthest_point_indices(cloud.points, cfg.n_fps, cfg.seed)
-        fps_pts = cloud.points[fps_idx]
-        diam = embedding.PointCloud(fps_pts).diameter()
-        filt = persistence.rips_filtration(fps_pts, eps_max=diam * 1.0001)
-        diag = persistence.compute_persistence(filt)
+        fps = embedding.PointCloud(cloud.points[fps_idx])
+        diag = persistence.compute_persistence(
+            persistence.rips_filtration(fps, eps_max=fps.diameter() * 1.0001)
+        )
         res.ell_max = persistence.max_h1_persistence(diag)
-    except Exception:
-        res.failed_stage = "persistence"
-        return res
-    try:
+        if until == "persistence":
+            res.diagram = diag
+            return res
+
+        stage = "selection"
         sel_cfg = selection.SelectionConfig(
             k=cfg.k,
             r=cfg.r,
@@ -193,59 +214,50 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int) -> _StageResult:
             seed=cfg.seed,
         )
         reps = selection.select_representatives(cloud, diag, sel_cfg)
-        coords = reps.coords(cloud)
-    except Exception:
-        res.failed_stage = "selection"
-        return res
-    try:
+        if until == "selection":
+            res.reps = reps
+            return res
+
+        stage = "graph"
         # loop-localized angles carried over from selection; the ring closes
         # over the topological representatives only
-        angles = reps.angles[list(reps.indices)]
         ring_v = np.array([i for i, p in enumerate(reps.provenance) if p == "topo"])
-        graph = topograph.build_graph(
-            coords,
-            angles,
+        graph = res.graph = topograph.build_graph(
+            reps.coords(cloud),
+            reps.angles[list(reps.indices)],
             use_ring=cfg.use_ring,
             eps_quantile=cfg.eps_quantile,
             triangle_mode=cfg.triangle_mode,
             ring_vertices=ring_v,
         )
-        res.graph = graph
         res.l1 = laplacian_k(graph.B1, graph.B2 if len(graph.triangles) else None)
-    except Exception:
-        res.failed_stage = "graph"
-        return res
-    try:
-        lyap = dynamics.lyapunov_max(
-            params, cfg.x0, cfg.lyap_dt, cfg.lyap_t_total, cfg.lyap_renorm
-        )
+        if until == "graph":
+            return res
+
+        stage = "lyapunov"
+        lyap = dynamics.lyapunov_max(params, cfg.x0, cfg.lyap_dt, cfg.lyap_t_total, cfg.lyap_renorm)
         res.lambda_max = lyap.lambda_max
-    except Exception:
-        res.failed_stage = "lyapunov"
+    except EXPECTED_ERRORS as exc:
+        res.failed_stage = stage
+        res.error = f"{type(exc).__name__}: {exc}"
     return res
 
 
 def _farthest_point_indices(pts: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Deterministic farthest-point subsample (start at the seed-th index mod N)."""
+    """Deterministic farthest-point subsample (start at the seed-th index mod N).
+
+    Only the n chosen rows of the distance matrix are ever formed.
+    """
     n_pts = len(pts)
     if n >= n_pts:
         return np.arange(n_pts)
     start = seed % n_pts
     chosen = [start]
-    diff = pts[:, None, :] - pts[None, :, :] if n_pts <= 2000 else None
-    if diff is not None:
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        d_min = dist[:, start].copy()
-        for _ in range(n - 1):
-            nxt = int(d_min.argmax())
-            chosen.append(nxt)
-            d_min = np.minimum(d_min, dist[:, nxt])
-    else:
-        d_min = np.linalg.norm(pts - pts[start], axis=1)
-        for _ in range(n - 1):
-            nxt = int(d_min.argmax())
-            chosen.append(nxt)
-            d_min = np.minimum(d_min, np.linalg.norm(pts - pts[nxt], axis=1))
+    d_min = np.linalg.norm(pts - pts[start], axis=1)
+    for _ in range(n - 1):
+        nxt = int(d_min.argmax())
+        chosen.append(nxt)
+        d_min = np.minimum(d_min, np.linalg.norm(pts - pts[nxt], axis=1))
     return np.array(sorted(chosen))
 
 
@@ -301,7 +313,13 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     for st in stages:
         if st.l1 is None:
             records.append(
-                SweepRecord(rho=st.rho, seed=cfg.seed, config_digest=digest, failed_stage=st.failed_stage)
+                SweepRecord(
+                    rho=st.rho,
+                    seed=cfg.seed,
+                    config_digest=digest,
+                    failed_stage=st.failed_stage,
+                    error=st.error,
+                )
             )
             e0_list.append(np.nan)
             ground_spaces.append(None)
@@ -336,7 +354,7 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
                 spectro.EstimateConfig(ensemble_dim=n_edges),
             )
             h_spec = spectral_entropy(series)
-        except (TopospecError, ValueError, np.linalg.LinAlgError):
+        except EXPECTED_ERRORS as exc:
             records.append(
                 SweepRecord(
                     rho=st.rho,
@@ -345,6 +363,7 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
                     seed=cfg.seed,
                     config_digest=digest,
                     failed_stage="spectro",
+                    error=f"{type(exc).__name__}: {exc}",
                 )
             )
             continue
@@ -360,6 +379,7 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
                 seed=cfg.seed,
                 config_digest=digest,
                 failed_stage=st.failed_stage,
+                error=st.error,
             )
         )
 

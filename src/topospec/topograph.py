@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .embedding import PointCloud
 from .serialize import write_csv
 
 Edge = tuple[int, int]
@@ -131,8 +132,7 @@ def build_edges(
     n = len(coords)
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = PointCloud(coords).distances()
 
     layers: list[tuple[str, list[Edge]]] = []
     layers.append(("mst", _mst_edges(dist)))

@@ -126,15 +126,18 @@ def test_topo_reduces_to_geodesic_fps():
     got = select_topological(pts, cand, weights, angles, cfg)
 
     # direct farthest-point implementation in the geodesic metric
-    from topospec.selection import _knn_geodesics
+    from scipy.sparse.csgraph import dijkstra
 
+    from topospec.selection import knn_graph
+
+    graph = knn_graph(pts, cfg.knn_k)
     start = got[0]
     fps = [start]
-    d_min = _knn_geodesics(pts, cfg.knn_k, [start])[0]
+    d_min = dijkstra(graph, directed=False, indices=[start])[0]
     while len(fps) < cfg.k_topo:
         best = int(np.nanargmax(np.where(np.isin(np.arange(80), fps), -np.inf, d_min)))
         fps.append(best)
-        d_min = np.minimum(d_min, _knn_geodesics(pts, cfg.knn_k, [best])[0])
+        d_min = np.minimum(d_min, dijkstra(graph, directed=False, indices=[best])[0])
     assert got == fps
 
 
