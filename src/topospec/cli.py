@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, embedding, persistence, probe, spectro, sweep, topograph
+from . import __version__, dynamics, embedding, persistence, probe, spectro, sweep
 from .errors import ConfigError, TopospecError
 from .fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
-from .hodge import complex_at, laplacian_k, spectrum, verify_gap_persistence_bound
+from .hodge import laplacian_at, spectrum, verify_gap_persistence_bound
 from .qcompile import baseline_qpe_cost
 from .serialize import digest_text, write_csv, write_json
 from .susy import onehot_hamiltonian, susy_hamiltonian, verify_block_equivalence
@@ -32,7 +31,7 @@ class RunConfig:
 
     seed: int = 0
     out: str = "runs/out"
-    mode: str = "exact"  # exact | hadamard
+    mode: str = "exact"  # exact | hadamard; the sweep's readout mode
     shots: int = 0
     sweep: SweepConfig = None  # type: ignore[assignment]
     probe_spec: probe.ProbeSpec = None  # type: ignore[assignment]
@@ -42,7 +41,7 @@ class RunConfig:
             self.sweep = SweepConfig(seed=self.seed, mode=self.mode, shots=self.shots)
         if self.probe_spec is None:
             self.probe_spec = probe.ProbeSpec()
-        if self.mode not in ("exact", "hadamard"):
+        if self.mode not in spectro.READOUT_MODES:
             raise ConfigError(f"unknown mode {self.mode}")
 
     def digest(self) -> str:
@@ -61,7 +60,8 @@ class RunConfig:
         return "\n".join(lines)
 
 
-_SWEEP_FIELDS = {f.name: f for f in fields(SweepConfig)}
+# the readout mode and shots are run-level settings (run.mode, run.shots)
+_SWEEP_FIELDS = {f.name: f for f in fields(SweepConfig) if f.name not in ("mode", "shots")}
 _PROBE_FIELDS = {f.name: f for f in fields(probe.ProbeSpec)}
 
 
@@ -121,8 +121,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     mode = run_kv.get("mode", "exact")
     shots = int(run_kv.get("shots", 0))
     sweep_kv.setdefault("seed", seed)
-    sweep_kv.setdefault("mode", mode)
-    sweep_kv.setdefault("shots", shots)
     if "x0" in sweep_kv and sweep_kv["x0"] is not None:
         sweep_kv["x0"] = tuple(float(v) for v in sweep_kv["x0"])
     if "lambdas" in sweep_kv and sweep_kv["lambdas"] is not None:
@@ -136,7 +134,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         out=str(run_kv.get("out", "runs/out")),
         mode=mode,
         shots=shots,
-        sweep=SweepConfig(**sweep_kv),
+        sweep=SweepConfig(**sweep_kv, mode=mode, shots=shots),
         probe_spec=probe_spec,
     )
     return cfg
@@ -152,24 +150,19 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     Betti sequence and the radius-0.8 gap against the classical eigenvalues."""
     out = Path(cfg.out)
     digest = cfg.digest()
-    pts = FIVE_POINT_CLOUD
-    m_samples, dt = 256, 0.25
-    t_grid = dt * np.arange(m_samples)
+    dt = 0.25
+    t_grid = dt * np.arange(256)
+    l1s = [
+        laplacian_at(persistence.rips_filtration(FIVE_POINT_CLOUD, eps_max=eps), eps, 1)[0]
+        for eps in FIVE_POINT_RADII
+    ]
+    alpha = max(1.0, spectro.calibrated_alpha(l1s, dt))
     results = []
     all_pass = True
-
-    alpha = 1.0
-    for eps in FIVE_POINT_RADII:
-        l1, edges = _fivepoint_l1(pts, eps)
-        bound = float(np.abs(np.linalg.eigvalsh(l1)).max())
-        alpha = max(alpha, bound * dt / (0.8 * math.pi))
-
-    for eps, beta_expect in zip(FIVE_POINT_RADII, FIVE_POINT_BETTI1):
-        l1, edges = _fivepoint_l1(pts, eps)
+    for eps, beta_expect, l1 in zip(FIVE_POINT_RADII, FIVE_POINT_BETTI1, l1s):
         classical = spectrum(l1)
-        weights = probe.diagonal_ensemble_weights(l1, np.eye(len(edges)))
-        series = spectro.correlator_exact(l1, None, t_grid, alpha=alpha, ensemble_weights=weights)
-        est = spectro.estimate(series, spectro.EstimateConfig(ensemble_dim=len(edges)))
+        series, _, _ = spectro.edge_readout(l1, t_grid, alpha)
+        est = spectro.estimate(series, spectro.EstimateConfig(ensemble_dim=len(l1)))
         gap_ok = True
         if classical.gap is not None and est.gap_hat is not None:
             gap_ok = abs(est.gap_hat - classical.gap) / classical.gap <= eta
@@ -205,14 +198,6 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
             f"gap {r['gap_hat']} vs {r['gap_classical']} -> {'PASS' if r['pass'] else 'FAIL'}"
         )
     return 0 if all_pass else 1
-
-
-def _fivepoint_l1(pts: np.ndarray, eps: float):
-    """Edge Laplacian of the Rips complex at radius eps, with its edge basis."""
-    cx = complex_at(persistence.rips_filtration(pts, eps_max=eps), eps)
-    edges, tris = tuple(cx[1]), tuple(cx[2])
-    B1, B2 = topograph.incidence_matrices(len(pts), edges, tris)
-    return laplacian_k(B1, B2 if tris else None), edges
 
 
 def _run_is_complete(out: Path, digest: str, grid: list[float]) -> bool:
@@ -295,7 +280,7 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None
     write_json(out / "sweep_correlations.json", report)
     write_json(
         out / "manifest.json",
-        {"digest": digest, "version": __version__, "grid": list(grid), "seed": cfg.seed, "mode": cfg.mode},
+        {"digest": digest, "version": __version__, "grid": list(grid), "seed": cfg.seed, "mode": cfg.sweep.mode},
     )
     for r in records:
         status = f"pipeline failed at {r.failed_stage}: {r.error}" if r.failed_stage else "ok"
@@ -480,12 +465,10 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
     stage = _run_to(cfg, rho, "graph")
     if stage is None:
         return 1
-    l1 = stage.l1
-    n_edges = l1.shape[0]
     t_grid = sw.dt_corr * np.arange(sw.m_samples)
-    probe_kind = spec.kind
 
     if spec.kind == "dicke_weighted":
+        hadamard = sw.mode == "hadamard"
         graph = stage.graph
         coords = embedding.PointCloud(graph.coords)
         diag = persistence.compute_persistence(
@@ -495,48 +478,30 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
         ham = susy_hamiltonian(graph)
         hdense = ham.dense()
         psi = probe.dicke_state(graph.n_vertices, weights).astype(complex)
-        bound = float(np.abs(np.linalg.eigvalsh(hdense)).max())
-        alpha = max(1e-12, bound * sw.dt_corr / (0.8 * math.pi))
-        if cfg.mode == "hadamard":
-            alpha = max(alpha, ham.gershgorin_bound() * sw.dt_corr / (0.8 * math.pi))
-        probe.state_to_csv(out / f"qpe_probe_rho{rho}.csv", psi)
-        if cfg.mode == "hadamard":
+        # the circuit route guards aliasing with the Gershgorin bound
+        bound = ham.gershgorin_bound() if hadamard else hdense
+        alpha = max(1e-12, spectro.minimal_alpha(bound, sw.dt_corr, spectro.ALIAS_BAND))
+        if hadamard:
             series = spectro.correlator_hadamard(
-                ham, psi, t_grid, shots=cfg.shots, alpha=alpha, seed=cfg.seed
+                ham, psi, t_grid, shots=sw.shots, alpha=alpha, seed=sw.seed
             )
         elif spec.dephase_samples > 0:
             vals = probe.dephase_average(
-                hdense, psi, t_grid / alpha, spec.dephase_samples, seed=cfg.seed
+                hdense, psi, t_grid / alpha, spec.dephase_samples, seed=sw.seed
             )
             series = spectro.CorrelatorSeries(
                 dt=sw.dt_corr, values=vals, shots=0, alpha_scale=alpha
             )
         else:
             series = spectro.correlator_exact(hdense, psi, t_grid, alpha=alpha)
-        dim = None
+        probe_kind, dim = spec.kind, None
     else:
-        bound = float(np.abs(np.linalg.eigvalsh(l1)).max())
-        alpha = max(1e-12, bound * sw.dt_corr / (0.8 * math.pi))
-        if cfg.mode == "hadamard":
-            ham = onehot_hamiltonian(l1)
-            # the circuit route guards aliasing with the Gershgorin bound
-            alpha = max(alpha, ham.gershgorin_bound() * sw.dt_corr / (0.8 * math.pi))
-            psi = probe.w_state_vector(n_edges)
-            probe.state_to_csv(out / f"qpe_probe_rho{rho}.csv", psi)
-            series = spectro.correlator_hadamard(
-                ham, psi, t_grid, shots=cfg.shots, alpha=alpha, seed=cfg.seed
-            )
-            probe_kind = "w_state"
-        else:
-            weights = probe.diagonal_ensemble_weights(l1, np.eye(n_edges))
-            probe.state_to_csv(
-                out / f"qpe_probe_rho{rho}.csv", probe.uniform_edge_state(n_edges)
-            )
-            series = spectro.correlator_exact(
-                l1, None, t_grid, alpha=alpha, ensemble_weights=weights
-            )
-            probe_kind = "uniform_edge_dephased"
-        dim = n_edges
+        alpha = spectro.calibrated_alpha([stage.l1], sw.dt_corr, sw.mode)
+        series, psi, probe_kind = spectro.edge_readout(
+            stage.l1, t_grid, alpha, sw.mode, sw.shots, sw.seed
+        )
+        dim = stage.l1.shape[0]
+    probe.state_to_csv(out / f"qpe_probe_rho{rho}.csv", psi)
     est = spectro.estimate(series, spectro.EstimateConfig(ensemble_dim=dim), bootstrap=True)
     series.to_csv(out / f"qpe_correlator_rho{rho}.csv")
     write_csv(out / f"qpe_spectrum_rho{rho}.csv", ("omega", "power"), zip(*spectro.periodogram(series)))
@@ -546,7 +511,7 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
             "digest": cfg.digest(),
             "version": __version__,
             "probe": probe_kind,
-            "mode": cfg.mode,
+            "mode": sw.mode,
             **est.as_dict(),
         },
     )

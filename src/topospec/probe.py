@@ -16,14 +16,16 @@ from .topograph import TopoGraph
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    kind: str = "uniform_edge"  # uniform_edge | w_state | dicke_weighted
+    # uniform_edge: the edge-register readout (spectro.edge_readout);
+    # dicke_weighted: the full SUSY Hamiltonian under a weighted Dicke probe
+    kind: str = "uniform_edge"
     alpha_bias: float = 0.0
     beta_bias: float = 0.0
     eta: float = 0.0
     dephase_samples: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("uniform_edge", "w_state", "dicke_weighted"):
+        if self.kind not in ("uniform_edge", "dicke_weighted"):
             raise ValueError(f"unknown probe kind {self.kind}")
         if min(self.alpha_bias, self.beta_bias, self.eta) < 0:
             raise ValueError("bias parameters must be nonnegative")

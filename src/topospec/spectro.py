@@ -1,7 +1,8 @@
-"""Correlator time series (exact and circuit-simulated Hadamard test) and
-spectral estimation: Hann periodograms with quadratic refinement, Prony/
-matrix-pencil cross-checks, zero-mode and alias guards, and aggregated gap
-estimates with bootstrap uncertainty."""
+"""Correlator time series (exact and circuit-simulated Hadamard test), the
+edge-register readout with its one alpha calibration, and spectral
+estimation: Hann periodograms with quadratic refinement, Prony/matrix-pencil
+cross-checks, zero-mode and alias guards, and aggregated gap estimates with
+bootstrap uncertainty."""
 
 from __future__ import annotations
 
@@ -12,9 +13,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AliasingConfigError, ResourceLimitError
+from .probe import diagonal_ensemble_weights, uniform_edge_state, w_state_vector
 from .qcompile import controlled_evolution, simulate
 from .serialize import write_csv
-from .susy import PauliHamiltonian
+from .susy import PauliHamiltonian, onehot_hamiltonian
+
+READOUT_MODES = ("exact", "hadamard")
+ALIAS_BAND = 0.8  # calibrated eigenfrequencies stay below this fraction of Nyquist
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,6 @@ class CorrelatorSeries:
     @property
     def t_grid(self) -> np.ndarray:
         return self.dt * np.arange(self.m)
-
-    @property
-    def nyquist(self) -> float:
-        return math.pi / self.dt
 
     @property
     def delta_omega(self) -> float:
@@ -105,6 +106,49 @@ def minimal_alpha(hmat_or_bound, dt: float, band: float = 1.0) -> float:
     else:
         bound = float(np.abs(np.linalg.eigvalsh(np.asarray(hmat_or_bound))).max())
     return bound * dt / (band * math.pi)
+
+
+def calibrated_alpha(l1s, dt: float, mode: str = "exact") -> float:
+    """One phase-to-energy scale for a set of edge Laplacians: the largest
+    norm bound the readout guards aliasing with (the spectral norm in exact
+    mode, the looser Gershgorin bound of the one-hot Hamiltonian in hadamard
+    mode), floored at 1, placed at ALIAS_BAND of Nyquist."""
+    bound = 1.0
+    for l1 in l1s:
+        if mode == "hadamard":
+            bound = max(bound, onehot_hamiltonian(l1).gershgorin_bound())
+        else:
+            bound = max(bound, float(np.abs(np.linalg.eigvalsh(l1)).max()))
+    return max(minimal_alpha(bound, dt, ALIAS_BAND), 1e-12)
+
+
+def edge_readout(
+    l1: np.ndarray,
+    t_grid: np.ndarray,
+    alpha: float,
+    mode: str = "exact",
+    shots: int = 0,
+    seed: int = 0,
+) -> tuple[CorrelatorSeries, np.ndarray, str]:
+    """The edge-register correlator of an edge Laplacian, with the probe
+    vector and its label.
+
+    exact: the dephased uniform edge probe, i.e. the diagonal ensemble of the
+    edge basis, read from the dense spectrum. hadamard: the W state (the same
+    one-excitation amplitudes 1/sqrt(E)) under the one-hot Hamiltonian,
+    read by the simulated Hadamard test with ``shots`` and ``seed``.
+    """
+    n_edges = l1.shape[0]
+    if mode == "hadamard":
+        ham = onehot_hamiltonian(l1)
+        psi = w_state_vector(n_edges)
+        series = correlator_hadamard(ham, psi, t_grid, shots=shots, alpha=alpha, seed=seed)
+        return series, psi, "w_state"
+    if mode != "exact":
+        raise ValueError(f"unknown readout mode {mode!r}; expected one of {READOUT_MODES}")
+    weights = diagonal_ensemble_weights(l1, np.eye(n_edges))
+    series = correlator_exact(l1, None, t_grid, alpha=alpha, ensemble_weights=weights)
+    return series, uniform_edge_state(n_edges), "uniform_edge_dephased"
 
 
 def correlator_exact(
@@ -220,16 +264,11 @@ def periodogram(series: CorrelatorSeries) -> tuple[np.ndarray, np.ndarray]:
 class PeakPolicy:
     band: tuple[float, float] = (0.0, 0.8)  # fraction of Nyquist
     k_sigma: float = 3.0
-    selection: str = "nearest_to_estimate"  # | min_significant | lowest_nonzero
-    omega_est: float | None = None
-    harmonic_guard: bool = False
-    harmonic_tol: float = 0.05
 
 
 @dataclass(frozen=True)
 class RefinedPeaks:
-    lines: tuple[tuple[float, float], ...]  # (omega_hat, amp_hat), rescaled units
-    selected: tuple[float, float] | None
+    lines: tuple[tuple[float, float], ...]  # (omega_hat, amp_hat), rescaled units, sorted
     threshold: float
     flat_spectrum: bool = False
 
@@ -244,8 +283,7 @@ def refine_peaks(
     search band, refined by three-point quadratic interpolation on amplitude.
 
     A flat spectrum (zero MAD) falls back to mean + 3 std, noted in the
-    result. The selection policy picks a representative line; when no
-    candidate survives, the strongest in-band maximum is the fallback.
+    result.
     """
     amp = np.sqrt(power)
     nyq = math.pi / dt
@@ -278,35 +316,8 @@ def refine_peaks(
         amp_denom = am - 2 * a0 + ap
         a_hat = a0 - (am - ap) ** 2 / (8 * amp_denom) if amp_denom != 0 else a0
         lines.append((float(omegas[i] + delta * dw), float(a_hat)))
-    if policy.harmonic_guard and policy.omega_est:
-        kept = []
-        for w0, a in lines:
-            ratio = w0 / policy.omega_est
-            near_harmonic = abs(ratio - round(ratio)) < policy.harmonic_tol and round(ratio) >= 2
-            if not near_harmonic:
-                kept.append((w0, a))
-        lines = kept
     lines.sort()
-
-    selected = None
-    if lines:
-        if policy.selection == "nearest_to_estimate" and policy.omega_est is not None:
-            selected = min(lines, key=lambda la: abs(la[0] - policy.omega_est))
-        elif policy.selection == "min_significant":
-            selected = min(lines, key=lambda la: la[0])
-        elif policy.selection == "lowest_nonzero":
-            nz = [l for l in lines if l[0] > dw]
-            selected = min(nz, key=lambda la: la[0]) if nz else None
-        else:
-            selected = max(lines, key=lambda la: la[1])
-    if selected is None:
-        band_idx = np.where(in_band)[0]
-        if len(band_idx):
-            i = band_idx[np.argmax(amp[band_idx])]
-            selected = (float(omegas[i]), float(amp[i]))
-    return RefinedPeaks(
-        lines=tuple(lines), selected=selected, threshold=thr, flat_spectrum=flat
-    )
+    return RefinedPeaks(lines=tuple(lines), threshold=thr, flat_spectrum=flat)
 
 
 # ---------------------------------------------------------------------------

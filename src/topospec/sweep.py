@@ -7,10 +7,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import savgol_filter
-from scipy.stats import pearsonr, spearmanr
 
-from . import dynamics, embedding, persistence, probe, selection, spectro, topograph
+from . import dynamics, embedding, persistence, selection, spectro, topograph
 from .errors import ConfigError, TopospecError, UndefinedEntropyError
 from .hodge import laplacian_k
 from .serialize import digest_text
@@ -81,12 +79,17 @@ class SweepConfig:
     m_samples: int = 256
     dt_corr: float = 0.25
     alpha_scale: float | None = None  # None = calibrate once from the sweep
+    # set through run.mode / run.shots (or --mode / --shots) only
     mode: str = "exact"  # exact | hadamard
     shots: int = 0
     # lyapunov
     lyap_t_total: float = 400.0
     lyap_dt: float = 0.005
     lyap_renorm: int = 20
+
+    def __post_init__(self):
+        if self.mode not in spectro.READOUT_MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {spectro.READOUT_MODES}")
 
     def digest(self) -> str:
         fields = sorted(self.__dataclass_fields__)
@@ -290,21 +293,8 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     stages = [_pipeline_stage(rho, cfg, tau) for rho in grid]
 
     alpha = cfg.alpha_scale
-    if alpha is None:
-        # one calibration for the whole sweep; the circuit route guards
-        # aliasing with the looser Gershgorin bound, so scale to that in
-        # hadamard mode
-        bound = 1.0
-        for st in stages:
-            if st.l1 is None:
-                continue
-            if cfg.mode == "hadamard":
-                from .susy import onehot_hamiltonian
-
-                bound = max(bound, onehot_hamiltonian(st.l1).gershgorin_bound())
-            else:
-                bound = max(bound, float(np.abs(np.linalg.eigvalsh(st.l1)).max()))
-        alpha = max(bound * cfg.dt_corr / (0.8 * math.pi), 1e-12)
+    if alpha is None:  # one calibration for the whole sweep
+        alpha = spectro.calibrated_alpha([st.l1 for st in stages if st.l1 is not None], cfg.dt_corr, cfg.mode)
 
     t_grid = cfg.dt_corr * np.arange(cfg.m_samples)
     records: list[SweepRecord] = []
@@ -333,26 +323,9 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
         ground_spaces.append(kernel if kernel.shape[1] else evecs[:, :1])
         e0_list.append(e0)
 
-        n_edges = l1.shape[0]
-        basis = np.eye(n_edges)
-        weights = probe.diagonal_ensemble_weights(l1, basis)
         try:
-            if cfg.mode == "exact":
-                series = spectro.correlator_exact(
-                    l1, None, t_grid, alpha=alpha, ensemble_weights=weights
-                )
-            else:
-                from .susy import onehot_hamiltonian
-
-                ham = onehot_hamiltonian(l1)
-                psi = probe.w_state_vector(n_edges)
-                series = spectro.correlator_hadamard(
-                    ham, psi, t_grid, shots=cfg.shots, alpha=alpha, seed=cfg.seed
-                )
-            est = spectro.estimate(
-                series,
-                spectro.EstimateConfig(ensemble_dim=n_edges),
-            )
+            series, _, _ = spectro.edge_readout(l1, t_grid, alpha, cfg.mode, cfg.shots, cfg.seed)
+            est = spectro.estimate(series, spectro.EstimateConfig(ensemble_dim=l1.shape[0]))
             h_spec = spectral_entropy(series)
         except EXPECTED_ERRORS as exc:
             records.append(
@@ -417,6 +390,8 @@ def correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 
 
     Degenerate (constant) columns yield absent correlations rather than NaN.
     """
+    from scipy.stats import pearsonr, spearmanr
+
     pairs = [
         (r.ell_max_h1, r.delta1_susy_sim)
         for r in records
@@ -462,6 +437,8 @@ def correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 
 def smoothed_columns(records: list[SweepRecord]) -> dict[str, np.ndarray]:
     """Savitzky-Golay (window 5, order 2) smoothed copies of the exported
     observables; raw columns are never smoothed."""
+    from scipy.signal import savgol_filter
+
     cols = {}
     for name in ("h_spec", "ell_max_h1", "gamma", "delta1_susy_sim", "lambda_max"):
         vals = np.array(

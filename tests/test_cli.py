@@ -6,6 +6,11 @@ import pytest
 
 from topospec import cli
 from topospec.errors import ConfigError
+from topospec.sweep import SweepConfig
+
+# keys a config file may not set: the readout mode and shots come only from
+# run.mode / run.shots or --mode / --shots, so the sweep and qpe cannot disagree
+BAD_SWEEP_KEYS = ("sweep.not_a_knob = 3\n", "sweep.mode = hadamard\n", "sweep.mode = bogus\n")
 
 
 def write_fast_config(path: Path, extra: str = "") -> Path:
@@ -22,9 +27,12 @@ def write_fast_config(path: Path, extra: str = "") -> Path:
 
 def test_config_unknown_key_rejected(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("sweep.not_a_knob = 3\n")
-    with pytest.raises(ConfigError):
-        cli.load_config(str(bad))
+    for text in BAD_SWEEP_KEYS + ("sweep.shots = 10\n",):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            cli.load_config(str(bad))
+    with pytest.raises(ConfigError, match="unknown mode"):
+        SweepConfig(mode="bogus")
 
 
 def test_config_unknown_section_rejected(tmp_path):
@@ -48,9 +56,10 @@ def test_config_parsing_and_digest(tmp_path):
 
 def test_cli_exit_code_2_on_bad_config(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("sweep.nope = 1\n")
-    rc = cli.main(["--config", str(bad), "validate-fivepoint"])
-    assert rc == 2
+    for text in ("sweep.nope = 1\n",) + BAD_SWEEP_KEYS:
+        bad.write_text(text)
+        rc = cli.main(["--config", str(bad), "validate-fivepoint"])
+        assert rc == 2, text
 
 
 def test_validate_fivepoint_passes(tmp_path, capsys):
@@ -229,9 +238,11 @@ def test_probe_section_parsed_and_rejected(tmp_path):
     assert cfg.probe_spec.kind == "dicke_weighted"
     assert cfg.probe_spec.eta == 0.5
     bad = tmp_path / "bad.cfg"
-    bad.write_text("probe.kind = nonsense\n")
-    with pytest.raises(ConfigError):
-        cli.load_config(str(bad))
+    # w_state was an alias of uniform_edge: the same 1/sqrt(E) amplitudes
+    for kind in ("nonsense", "w_state"):
+        bad.write_text(f"probe.kind = {kind}\n")
+        with pytest.raises(ConfigError):
+            cli.load_config(str(bad))
 
 
 def test_qpe_dicke_probe_path(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from topospec.errors import AliasingConfigError
-from topospec.hodge import laplacian_k, spectrum
+from topospec.hodge import laplacian_at, laplacian_k, spectrum
+from topospec.persistence import rips_filtration
 from topospec.probe import diagonal_ensemble_weights, w_state_vector
 from topospec.qcompile import Circuit, Gate, controlled_evolution, simulate
 from topospec import spectro
@@ -349,10 +350,9 @@ def test_zero_mode_harmonic_probe_true():
 def test_zero_mode_fivepoint_contractible_is_false():
     # at radius 1.0 the five-point complex has no kernel: low-frequency power
     # falls to sideband levels
-    from topospec.cli import _fivepoint_l1
     from topospec.fixtures import FIVE_POINT_CLOUD
 
-    l1, edges = _fivepoint_l1(FIVE_POINT_CLOUD, 1.0)
+    l1, edges = laplacian_at(rips_filtration(FIVE_POINT_CLOUD, eps_max=1.0), 1.0, 1)
     assert spectrum(l1).beta_k == 0
     tg = 0.25 * np.arange(256)
     weights = diagonal_ensemble_weights(l1, np.eye(len(edges)))
@@ -374,12 +374,11 @@ def test_estimate_c4_beta_and_gap():
 
 
 def test_estimate_beta1_matches_kernel_on_fivepoint():
-    from topospec.cli import _fivepoint_l1
     from topospec.fixtures import FIVE_POINT_CLOUD, FIVE_POINT_RADII
 
     tg = 0.25 * np.arange(256)
     for eps in FIVE_POINT_RADII:
-        l1, edges = _fivepoint_l1(FIVE_POINT_CLOUD, eps)
+        l1, edges = laplacian_at(rips_filtration(FIVE_POINT_CLOUD, eps_max=eps), eps, 1)
         alpha = max(1.0, float(np.abs(np.linalg.eigvalsh(l1)).max()) * 0.25 / (0.8 * math.pi))
         weights = diagonal_ensemble_weights(l1, np.eye(len(edges)))
         ser = correlator_exact(l1, None, tg, alpha=alpha, ensemble_weights=weights)
