@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, dynamics, embedding, persistence, probe, spectro, sweep
 from .errors import ConfigError, TopospecError
 from .fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
-from .hodge import laplacian_at, spectrum, verify_gap_persistence_bound
+from .hodge import BoundReport, laplacian_at, spectrum, verify_gap_persistence_bound
 from .qcompile import baseline_qpe_cost
 from .serialize import digest_text, write_csv, write_json
 from .susy import onehot_hamiltonian, susy_hamiltonian, verify_block_equivalence
@@ -147,7 +147,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     """Run the committed five-point fixture across its three radii; assert the
-    Betti sequence and the radius-0.8 gap against the classical eigenvalues."""
+    Betti sequence and the radius-0.8 gap against the classical eigenvalues.
+
+    The check reads the fixture exactly; a hadamard run.mode is rejected
+    rather than ignored."""
+    if cfg.mode != "exact":
+        raise ConfigError(
+            f"validate-fivepoint reads the fixture exactly; run.mode = {cfg.mode} is not supported"
+        )
     out = Path(cfg.out)
     digest = cfg.digest()
     dt = 0.25
@@ -295,6 +302,7 @@ def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
         raise ConfigError("bound check limited to clouds of <= 12 points")
     rng = np.random.default_rng(cfg.seed)
     out = Path(cfg.out)
+    header = ("cloud",) + tuple(f.name for f in fields(BoundReport))
     rows = []
     violations = 0
     checked = 0
@@ -304,38 +312,8 @@ def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
             checked += 1
             if not rep.holds:
                 violations += 1
-            rows.append(
-                (
-                    c,
-                    rep.birth,
-                    rep.death,
-                    rep.lipschitz,
-                    rep.d_p_max_cofacets,
-                    rep.d_p_max_faces,
-                    rep.lambda_at_birth,
-                    rep.lhs,
-                    rep.rhs,
-                    rep.slack,
-                    rep.holds,
-                )
-            )
-    write_csv(
-        out / "bound_check.csv",
-        (
-            "cloud",
-            "birth",
-            "death",
-            "lipschitz",
-            "d_p_max_cofacets",
-            "d_p_max_faces",
-            "lambda_at_birth",
-            "lhs",
-            "rhs",
-            "slack",
-            "holds",
-        ),
-        rows,
-    )
+            rows.append((c,) + tuple(getattr(rep, k) for k in header[1:]))
+    write_csv(out / "bound_check.csv", header, rows)
     write_json(
         out / "bound_summary.json",
         {

@@ -1,5 +1,9 @@
-"""Hodge Laplacians, spectra, projectors, persistent Laplacians, and the
-gap-persistence bound checker.
+"""Boundary matrices, clique lists, Hodge Laplacians, spectra, projectors,
+persistent Laplacians, and the gap-persistence bound checker.
+
+This module is the one owner of the face and sign rule (`boundary_matrix`)
+and of the sum B_k^T B_k + B_{k+1} B_{k+1}^T (`laplacian_k`); topograph's
+incidence matrices and susy's clique Laplacians are built from them.
 
 All eigensolves are dense symmetric decompositions; desk-scale complexes stay
 well under a few hundred simplices.
@@ -7,6 +11,8 @@ well under a few hundred simplices.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,21 +111,48 @@ def hodge_projectors(
 
 
 # ---------------------------------------------------------------------------
-# simplicial complexes at fixed radius (clique-free, straight from filtration)
+# boundaries, cliques and complexes; the one face and sign rule
 # ---------------------------------------------------------------------------
+
+
+def _faces(simplices: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
+    """Face i of each sorted simplex: vertex i dropped. It enters the
+    boundary with sign (-1)^i."""
+    return [s[:i] + s[i + 1 :] for s in simplices]
 
 
 def boundary_matrix(
     simp_k: list[tuple[int, ...]], simp_km1: list[tuple[int, ...]]
 ) -> np.ndarray:
-    """Signed boundary with the orientation induced by sorted vertex order."""
-    idx = {s: i for i, s in enumerate(simp_km1)}
+    """Signed boundary of k-simplices (all of one dimension) with the
+    orientation induced by sorted vertex order."""
+    idx = {s: r for r, s in enumerate(simp_km1)}
     B = np.zeros((len(simp_km1), len(simp_k)), dtype=float)
-    for j, s in enumerate(simp_k):
-        for pos in range(len(s)):
-            face = s[:pos] + s[pos + 1 :]
-            B[idx[face], j] = (-1.0) ** pos
+    cols = np.arange(len(simp_k))
+    for i in range(len(simp_k[0]) if simp_k else 0):
+        B[[idx[face] for face in _faces(simp_k, i)], cols] = (-1.0) ** i
     return B
+
+
+def cliques(n_vertices: int, edges, size: int) -> list[tuple[int, ...]]:
+    """Vertex sets of the size-cliques of a graph whose edges are (i, j) pairs
+    with i < j, in lexicographic order."""
+    es = set(edges)
+    return [
+        c
+        for c in itertools.combinations(range(n_vertices), size)
+        if all(pair in es for pair in itertools.combinations(c, 2))
+    ]
+
+
+def complex_laplacian(cx: dict[int, list[tuple[int, ...]]], p: int) -> np.ndarray:
+    """Dense L_p of a complex given as sorted simplex lists by dimension; a
+    dimension absent from cx has no simplices."""
+    simp_p = cx.get(p, [])
+    if not simp_p:
+        return np.zeros((0, 0))
+    down = boundary_matrix(simp_p, cx[p - 1]) if p >= 1 else None
+    return laplacian_k(down, boundary_matrix(cx.get(p + 1, []), simp_p))
 
 
 def complex_at(filt: Filtration, eps: float) -> dict[int, list[tuple[int, ...]]]:
@@ -136,17 +169,7 @@ def complex_at(filt: Filtration, eps: float) -> dict[int, list[tuple[int, ...]]]
 def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Dense p-Laplacian of the complex at radius eps, with its p-simplex basis."""
     cx = complex_at(filt, eps)
-    simp_p = cx[p]
-    if not simp_p:
-        return np.zeros((0, 0)), simp_p
-    L = np.zeros((len(simp_p), len(simp_p)))
-    if p >= 1 and cx[p - 1]:
-        Bp = boundary_matrix(simp_p, cx[p - 1])
-        L += Bp.T @ Bp
-    if p + 1 <= 2 and cx[p + 1]:
-        Bp1 = boundary_matrix(cx[p + 1], simp_p)
-        L += Bp1 @ Bp1.T
-    return L, simp_p
+    return complex_laplacian(cx, p), cx[p]
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +191,13 @@ def persistent_laplacian(filt: Filtration, s: float, t: float, p: int) -> Persis
     simp_s = cx_s[p]
     simp_t = cx_t[p]
     ns = len(simp_s)
-    old = [i for i, sp in enumerate(simp_t) if sp in set(simp_s)]
+    in_s = set(simp_s)
+    old = [i for i, sp in enumerate(simp_t) if sp in in_s]
     if len(old) != ns:
         raise ValueError("K_s is not a subcomplex of K_t")
-    new = [i for i in range(len(simp_t)) if i not in set(old)]
+    new = [i for i, sp in enumerate(simp_t) if sp not in in_s]
 
-    if p + 1 <= 2 and cx_t[p + 1]:
-        Bp1 = boundary_matrix(cx_t[p + 1], simp_t)
-        up_t = Bp1 @ Bp1.T
-    else:
-        up_t = np.zeros((len(simp_t), len(simp_t)))
+    up_t = laplacian_k(None, boundary_matrix(cx_t.get(p + 1, []), simp_t))
     A = up_t[np.ix_(old, old)]
     if new:
         Bblk = up_t[np.ix_(old, new)]
@@ -186,9 +206,8 @@ def persistent_laplacian(filt: Filtration, s: float, t: float, p: int) -> Persis
     else:
         up_pers = A
 
-    if p >= 1 and cx_s[p - 1] and ns:
-        Bp_s = boundary_matrix(simp_s, cx_s[p - 1])
-        down_s = Bp_s.T @ Bp_s
+    if p >= 1:
+        down_s = laplacian_k(boundary_matrix(simp_s, cx_s[p - 1]), None)
     else:
         down_s = np.zeros((ns, ns))
     mat = up_pers + down_s
@@ -212,20 +231,6 @@ class BoundReport:
     rhs: float
     slack: float
     holds: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "birth": self.birth,
-            "death": self.death,
-            "lipschitz": self.lipschitz,
-            "d_p_max_cofacets": self.d_p_max_cofacets,
-            "d_p_max_faces": self.d_p_max_faces,
-            "lambda_at_birth": self.lambda_at_birth,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-        }
 
 
 def _padded_norm_diff(La: np.ndarray, basis_a, Lb: np.ndarray, basis_b) -> float:
@@ -266,15 +271,9 @@ def _d_p_max(filt: Filtration, eps: float, p: int) -> tuple[int, int]:
     (p-1)-simplices, faces per p-simplex)."""
     cx = complex_at(filt, eps)
     simp_p = cx[p]
-    simp_pm1 = cx[p - 1] if p >= 1 else []
     faces = (p + 1) if simp_p else 0
-    counts: dict[tuple[int, ...], int] = {s: 0 for s in simp_pm1}
-    for s in simp_p:
-        for pos in range(len(s)):
-            face = s[:pos] + s[pos + 1 :]
-            if face in counts:
-                counts[face] += 1
-    cofacets = max(counts.values()) if counts else 0
+    counts = Counter(face for i in range(p + 1) for face in _faces(simp_p, i))
+    cofacets = max((counts[s] for s in cx[p - 1]), default=0) if p >= 1 else 0
     return cofacets, faces
 
 

@@ -26,7 +26,6 @@ class Filtration:
     pairing computed from it is deterministic."""
 
     simplices: tuple[tuple[tuple[int, ...], float], ...]
-    max_dim: int = 2
 
     def __post_init__(self):
         radius = {}
@@ -73,12 +72,11 @@ class PersistenceDiagram:
         write_csv(path, ("dim", "birth", "death"), rows)
 
 
-def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float, max_dim: int = 2) -> Filtration:
-    """Vertices at radius 0, edges at their length, triangles at their longest edge."""
+def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float) -> Filtration:
+    """Vertices at radius 0, edges at their length, triangles at their longest
+    edge (the 2-skeleton, all that degree-1 persistence needs)."""
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
-    if max_dim != 2:
-        raise ValueError("only max_dim=2 is supported")
     cloud = PointCloud.of(cloud)
     n = cloud.n
     dist = cloud.distances()
@@ -147,16 +145,11 @@ def compute_persistence(filt: Filtration) -> PersistenceDiagram:
     return PersistenceDiagram(pairs=tuple(pairs))
 
 
-def max_h1_persistence(diag: PersistenceDiagram, *, normalize_by: float | None = None) -> float:
-    """Largest finite (death - birth) in degree 1, optionally divided by the
-    cloud diameter; 0 when no finite degree-1 pair exists."""
+def max_h1_persistence(diag: PersistenceDiagram) -> float:
+    """Largest finite (death - birth) in degree 1; 0 when no finite degree-1
+    pair exists."""
     finite = diag.in_dim(1, finite_only=True)
-    if not finite:
-        return 0.0
-    best = max(d - b for b, d in finite)
-    if normalize_by is not None:
-        best /= normalize_by
-    return float(best)
+    return float(max((d - b for b, d in finite), default=0.0))
 
 
 def circular_coordinates(cloud: PointCloud | np.ndarray) -> np.ndarray:

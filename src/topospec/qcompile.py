@@ -350,16 +350,6 @@ def _order_masks(masks: list[int], bits: int) -> list[int]:
     return min(tours, key=lambda o: (_toggle_sum(o), tuple(o)))
 
 
-@dataclass(frozen=True)
-class SchedulePlan:
-    terms: tuple[PauliTerm, ...]
-    toggles: tuple[tuple[int, ...], ...]  # flipped mask bits between consecutive terms
-
-    @property
-    def toggle_count(self) -> int:
-        return sum(len(t) for t in self.toggles)
-
-
 def toggle_count_for_order(terms: list[PauliTerm]) -> int:
     """Hamming toggles between consecutive same-pattern terms in the given order."""
     total = 0
@@ -377,19 +367,19 @@ def _toggle_sum(order: list[int]) -> int:
     return sum(bin(a ^ b).count("1") for a, b in zip(order, order[1:]))
 
 
-def schedule_gray(terms: list[PauliTerm]) -> SchedulePlan:
-    """Group terms by (letter pattern, reference qubit) and traverse each
-    group's control masks in Gray order (exact on full hypercubes, greedy
+def schedule_gray(terms: list[PauliTerm]) -> list[PauliTerm]:
+    """The terms grouped by (letter pattern, reference qubit), each group's
+    control masks traversed in Gray order (exact on full hypercubes, greedy
     nearest-neighbor otherwise, deterministic tie-breaks).
 
     A group falls back to its input mask order when the heuristic traversal
-    would toggle more, so the plan never costs more than the input order.
+    would toggle more, so the schedule never costs more than the input order
+    (see toggle_count_for_order).
     """
     groups: dict[tuple, list[PauliTerm]] = {}
     for t in terms:
         groups.setdefault(_pattern_key(t), []).append(t)
     ordered: list[PauliTerm] = []
-    toggles: list[tuple[int, ...]] = []
     for key in sorted(groups, key=str):
         group = groups[key]
         sites = key[2]
@@ -402,20 +392,9 @@ def schedule_gray(terms: list[PauliTerm]) -> SchedulePlan:
                 input_masks.append(m)
         candidates = [_order_masks(sorted(by_mask), len(sites)), input_masks, sorted(by_mask)]
         order = min(candidates, key=lambda o: (_toggle_sum(o), tuple(o)))
-        prev_mask = None
         for m in order:
-            for t in sorted(by_mask[m], key=lambda u: u.letters):
-                if ordered:
-                    if prev_mask is None or _pattern_key(ordered[-1]) != key:
-                        toggles.append(())
-                    else:
-                        flipped = prev_mask ^ m
-                        toggles.append(
-                            tuple(sites[b] for b in range(len(sites)) if (flipped >> b) & 1)
-                        )
-                ordered.append(t)
-                prev_mask = m
-    return SchedulePlan(terms=tuple(ordered), toggles=tuple(toggles))
+            ordered += sorted(by_mask[m], key=lambda u: u.letters)
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +486,7 @@ def controlled_evolution(
             f"per-step norm bound {norm_bound * abs(t) / steps:.3g} >= pi; "
             f"use steps >= {need} or increase alpha"
         )
-    units = schedule_gray(trotter_units(ham)).terms
+    units = schedule_gray(trotter_units(ham))
     dt = t / steps
     gates: list[Gate] = []
     for _ in range(steps):

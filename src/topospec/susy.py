@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .topograph import TopoGraph
-from .hodge import boundary_matrix
+from .hodge import cliques, complex_laplacian
 
 ALPHABET = "IXZzo+-"
 
@@ -290,21 +290,12 @@ def onehot_hamiltonian(M: np.ndarray) -> PauliHamiltonian:
 # ---------------------------------------------------------------------------
 
 
-def _cliques(graph: TopoGraph, size: int) -> list[tuple[int, ...]]:
-    adj = graph.adjacency()
-    return [
-        c
-        for c in itertools.combinations(range(graph.n_vertices), size)
-        if all(b in adj[a] for a, b in itertools.combinations(c, 2))
-    ]
-
-
 def sector_block(H: PauliHamiltonian, k: int, graph: TopoGraph) -> np.ndarray:
     """Restriction of the dense operator to k-excitation basis states whose
     excited sets are (k-1)-cliques, ordered lexicographically."""
     if k > H.n:
         raise ValueError("excitation count exceeds qubit count")
-    basis = _cliques(graph, k)
+    basis = cliques(graph.n_vertices, graph.edges, k)
     if not basis:
         return np.zeros((0, 0))
     dense = H.dense()
@@ -313,20 +304,10 @@ def sector_block(H: PauliHamiltonian, k: int, graph: TopoGraph) -> np.ndarray:
 
 
 def clique_laplacian(graph: TopoGraph, k: int) -> np.ndarray:
-    """Hodge Laplacian L_k of the clique complex of the graph."""
-    sk = _cliques(graph, k + 1)
-    if not sk:
-        return np.zeros((0, 0))
-    L = np.zeros((len(sk), len(sk)))
-    skm1 = _cliques(graph, k)
-    if k >= 1 and skm1:
-        B = boundary_matrix(sk, skm1)
-        L += B.T @ B
-    skp1 = _cliques(graph, k + 2)
-    if skp1:
-        B = boundary_matrix(skp1, sk)
-        L += B @ B.T
-    return L
+    """Hodge Laplacian L_k of the clique complex of the graph, built from its
+    boundaries alone: the reference the SUSY sector blocks are checked against."""
+    cx = {d: cliques(graph.n_vertices, graph.edges, d + 1) for d in range(max(k - 1, 0), k + 2)}
+    return complex_laplacian(cx, k)
 
 
 @dataclass(frozen=True)

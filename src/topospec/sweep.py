@@ -4,7 +4,7 @@ cross-indicator correlations."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -92,8 +92,8 @@ class SweepConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {spectro.READOUT_MODES}")
 
     def digest(self) -> str:
-        fields = sorted(self.__dataclass_fields__)
-        text = "\n".join(f"{k} = {getattr(self, k)}" for k in fields)
+        names = sorted(self.__dataclass_fields__)
+        text = "\n".join(f"{k} = {getattr(self, k)}" for k in names)
         return digest_text(text)
 
 
@@ -114,37 +114,11 @@ class SweepRecord:
     error: str | None = None  # "<type>: <message>" of a failed stage; not a CSV column
 
     def as_row(self) -> tuple:
-        return (
-            self.rho,
-            self.h_spec,
-            self.f_curvature,
-            self.fidelity_to_next,
-            self.lambda_max,
-            self.ell_max_h1,
-            self.gamma,
-            self.delta1_susy_sim,
-            self.beta1_hat,
-            self.seed,
-            self.config_digest,
-            self.failed_stage or "",
-        )
+        return tuple(getattr(self, name) for name in self.header())
 
     @staticmethod
     def header() -> tuple[str, ...]:
-        return (
-            "rho",
-            "h_spec",
-            "f_curvature",
-            "fidelity_to_next",
-            "lambda_max",
-            "ell_max_h1",
-            "gamma",
-            "delta1_susy_sim",
-            "beta1_hat",
-            "seed",
-            "config_digest",
-            "failed_stage",
-        )
+        return tuple(f.name for f in fields(SweepRecord) if f.name != "error")
 
 
 STAGES = ("cloud", "persistence", "selection", "graph", "lyapunov")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import PointCloud
+from .hodge import boundary_matrix, cliques
 from .serialize import write_csv
 
 Edge = tuple[int, int]
@@ -183,13 +184,8 @@ def enumerate_triangles(
         return ()
     if mode != "all_3_cliques":
         raise ValueError("mode must be 'none' or 'all_3_cliques'")
-    es = set(edges)
-    verts = sorted({v for e in edges for v in e})
-    tris = []
-    for a, b, c in itertools.combinations(verts, 3):
-        if (a, b) in es and (a, c) in es and (b, c) in es:
-            tris.append((a, b, c))
-    return tuple(tris)
+    n = 1 + max((v for e in edges for v in e), default=-1)
+    return tuple(cliques(n, edges, 3))
 
 
 def incidence_matrices(
@@ -197,24 +193,15 @@ def incidence_matrices(
     edges: tuple[Edge, ...],
     triangles: tuple[tuple[int, int, int], ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oriented incidence matrices with orientation by increasing vertex index.
-
-    B1 has -1 at the smaller endpoint and +1 at the larger; B2 carries the
-    induced boundary signs (+1, -1, +1) on edges (a,b), (a,c), (b,c) of a
-    triangle (a,b,c). B1 @ B2 = 0 is verified before returning.
-    """
-    eidx = {e: k for k, e in enumerate(edges)}
-    B1 = np.zeros((n_vertices, len(edges)), dtype=int)
-    for k, (i, j) in enumerate(edges):
+    """Oriented integer incidence matrices B1 (|V| x |E|) and B2 (|E| x |T|),
+    the boundaries of hodge.boundary_matrix with orientation by increasing
+    vertex index. B1 @ B2 = 0 is verified before returning."""
+    for i, j in edges:
         if not i < j:
             raise ValueError(f"edge {(i, j)} not in i<j order")
-        B1[i, k] = -1
-        B1[j, k] = 1
-    B2 = np.zeros((len(edges), len(triangles)), dtype=int)
-    for t, (a, b, c) in enumerate(triangles):
-        B2[eidx[(a, b)], t] = 1
-        B2[eidx[(a, c)], t] = -1
-        B2[eidx[(b, c)], t] = 1
+    # entries are exactly 0 or +-1, so the integer cast is exact
+    B1 = boundary_matrix(edges, [(v,) for v in range(n_vertices)]).astype(int)
+    B2 = boundary_matrix(triangles, edges).astype(int)
     if triangles and np.any(B1 @ B2 != 0):
         raise AssertionError("orientation bug: B1 @ B2 != 0")
     return B1, B2

@@ -77,6 +77,21 @@ def test_validate_fivepoint_eta_zero_fails(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_validate_fivepoint_rejects_hadamard_mode(tmp_path, capsys, source):
+    # the check reads the fixture exactly; a hadamard mode is refused, not ignored
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["--mode", "hadamard", "--shots", "200", "--out", str(out), "validate-fivepoint"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("run.mode = hadamard\n")
+        argv = ["--config", str(cfg), "--out", str(out), "validate-fivepoint"]
+    assert cli.main(argv) == 2
+    assert "run.mode = hadamard is not supported" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_fivepoint_outputs_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["--out", str(out1), "validate-fivepoint"]) == 0

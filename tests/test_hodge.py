@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topospec import cli
 from topospec.hodge import (
+    complex_at,
     empirical_lipschitz,
     hodge_projectors,
     laplacian_at,
@@ -15,7 +17,9 @@ from topospec.hodge import (
     verify_gap_persistence_bound,
 )
 from topospec.persistence import compute_persistence, rips_filtration
+from topospec.susy import clique_laplacian
 from topospec.topograph import graph_from_edges
+from test_pipeline import artifact_digests
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K3 = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -202,6 +206,27 @@ def test_persistent_laplacian_single_simplex_interlace():
     assert evu_t[0] - 1e-9 <= up_pers <= evu_t[d] + 1e-9
 
 
+@given(
+    pts=st.lists(
+        st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 2), min_size=3, max_size=7
+    ),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_filtration_clique_and_incidence_laplacians_agree(pts, pick):
+    # the Rips complex at a critical radius is the clique complex of its edges,
+    # so all three routes to L1 see the same edge and triangle bases
+    cloud = np.array(pts)
+    filt = rips_filtration(cloud, eps_max=3.0)  # above the diameter, 2 sqrt(2)
+    radii = filt.critical_radii()
+    eps = float(radii[pick % len(radii)])
+    g = graph_from_edges(len(cloud), complex_at(filt, eps)[1])
+    L, simp = laplacian_at(filt, eps, 1)
+    assert simp == list(g.edges)
+    assert np.array_equal(L, clique_laplacian(g, 1))
+    assert np.array_equal(L, laplacian_k(g.B1, g.B2))
+
+
 # ---------------------------------------------------------------------------
 # gap-persistence bound
 # ---------------------------------------------------------------------------
@@ -238,6 +263,20 @@ def test_bound_random_clouds_hold():
             assert rep.holds, rep
             pairs += 1
     assert pairs > 20
+
+
+# oracle: `bound-check --clouds 20 --points 10` (seed 0) as it was when
+# topograph, susy and hodge each wrote their own boundary and Laplacian code
+GOLDEN_BOUND_CHECK = {
+    "bound_check.csv": "ef1101d7e83579b7508110f47c07e849675e79ec86ac16c7e536575d1bd422d7",
+    "bound_summary.json": "ed1609f63f1d46b6d6abe56176b104039fd086c42dc3572d6d617db5a63a13ff",
+}
+
+
+def test_bound_check_artifacts_golden(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "bound-check", "--clouds", "20", "--points", "10"]) == 0
+    assert artifact_digests(out) == GOLDEN_BOUND_CHECK
 
 
 def test_empirical_lipschitz_positive(unit_square):
