@@ -1,68 +1,65 @@
 #!/usr/bin/env python3
 """Full-grid experiment: the six diagnostics over rho = 20..46.
 
-Writes the Fig-3-style panel data (one CSV per diagnostic plus the combined
-record table) and the persistence/gap overlay data for the 36..42 window.
-Expect a few minutes of runtime; pass --quick for a coarse grid.
+Runs ``topospec sweep`` over the grid into --out, which writes the record
+table and its companions (sweep_records.csv, sweep_smoothed.csv,
+sweep_correlations.json, manifest.json), then splits the records into the
+Fig-3-style panel data (panel_a..f_*.csv, one diagnostic each) and the
+persistence/gap overlay for the 36..42 window
+(overlay_gap_vs_persistence.csv). Expect a few minutes of runtime; pass
+--quick for a coarse grid.
 
-Usage: python scripts/rho_sweep_full.py [--out runs/full] [--quick]
+Usage: python scripts/rho_sweep_full.py [--out runs/full] [--quick] [--seed 0]
 """
 
 import argparse
+import csv
+import sys
 from pathlib import Path
 
-from topospec.serialize import write_csv, write_json
-from topospec.sweep import SweepConfig, SweepRecord, run_sweep, smoothed_columns
+from topospec import cli
+from topospec.serialize import write_csv
+
+PANELS = {
+    "panel_a_spectral_entropy": "h_spec",
+    "panel_b_curvature": "f_curvature",
+    "panel_c_fidelity": "fidelity_to_next",
+    "panel_d_lyapunov": "lambda_max",
+    "panel_e_h1_persistence": "ell_max_h1",
+    "panel_f_gap": "gamma",
+}
+OVERLAY = ("rho", "ell_max_h1", "delta1_susy_sim")
+OVERLAY_WINDOW = (36.0, 42.0)
 
 
-def main() -> None:
+def split_panels(out: Path) -> None:
+    """Write the panel and overlay CSVs from the sweep's records in ``out``,
+    copying each cell as the sweep wrote it."""
+    with open(out / "sweep_records.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    for fname, col in PANELS.items():
+        write_csv(out / f"{fname}.csv", ("rho", col), [(r["rho"], r[col]) for r in records])
+    lo, hi = OVERLAY_WINDOW
+    write_csv(
+        out / "overlay_gap_vs_persistence.csv",
+        OVERLAY,
+        [[r[c] for c in OVERLAY] for r in records if lo <= float(r["rho"]) <= hi],
+    )
+
+
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="runs/full")
     ap.add_argument("--quick", action="store_true", help="step 2 instead of 1")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    step = 2 if args.quick else 1
-    grid = [float(r) for r in range(20, 47, step)]
-    cfg = SweepConfig(seed=args.seed)
-    records, report = run_sweep(grid, cfg)
-
-    out = Path(args.out)
-    write_csv(out / "records.csv", SweepRecord.header(), [r.as_row() for r in records])
-    smooth = smoothed_columns(records)
-    panels = {
-        "panel_a_spectral_entropy": "h_spec",
-        "panel_b_curvature": "f_curvature",
-        "panel_c_fidelity": "fidelity_to_next",
-        "panel_d_lyapunov": "lambda_max",
-        "panel_e_h1_persistence": "ell_max_h1",
-        "panel_f_gap": "gamma",
-    }
-    for fname, attr in panels.items():
-        rows = [(r.rho, getattr(r, attr)) for r in records]
-        write_csv(out / f"{fname}.csv", ("rho", attr), rows)
-    write_csv(
-        out / "overlay_gap_vs_persistence.csv",
-        ("rho", "ell_max_h1", "delta1_susy_sim"),
-        [
-            (r.rho, r.ell_max_h1, r.delta1_susy_sim)
-            for r in records
-            if 36.0 <= r.rho <= 42.0
-        ],
-    )
-    write_csv(
-        out / "records_smoothed.csv",
-        ("rho",) + tuple(smooth),
-        [
-            (records[i].rho,) + tuple(float(smooth[c][i]) for c in smooth)
-            for i in range(len(records))
-        ],
-    )
-    write_json(out / "correlations.json", report)
-    failed = [r.rho for r in records if r.failed_stage]
-    print(f"wrote {len(records)} records to {out}; failures at {failed or 'none'}")
-    print(f"pearson r (ell_max vs gap) = {report.get('pearson_r')}")
+    grid = "20:46:2" if args.quick else "20:46:1"
+    rc = cli.main(["--seed", str(args.seed), "--out", args.out, "sweep", "--grid", grid])
+    if rc != 2:  # a failed rho point still leaves a record row
+        split_panels(Path(args.out))
+    return rc
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -84,6 +85,20 @@ def _parse_value(raw: str):
         return raw
 
 
+def _run_count(run_kv: dict, key: str) -> int:
+    """run.seed / run.shots as a nonnegative integer; 3.0 is accepted, 1.5,
+    true and text are rejected."""
+    val = run_kv.get(key, 0)
+    if (
+        isinstance(val, bool)
+        or not isinstance(val, (int, float))
+        or (isinstance(val, float) and not val.is_integer())
+        or val < 0
+    ):
+        raise ConfigError(f"run.{key} must be a nonnegative integer, got {val!r}")
+    return int(val)
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Flat ``section.key = value`` file; unknown keys are rejected."""
     run_kv: dict = {}
@@ -117,9 +132,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"line {lineno}: unknown section in {key}")
     if overrides:
         run_kv.update({k: v for k, v in overrides.items() if v is not None})
-    seed = int(run_kv.get("seed", 0))
+    seed = _run_count(run_kv, "seed")
     mode = run_kv.get("mode", "exact")
-    shots = int(run_kv.get("shots", 0))
+    shots = _run_count(run_kv, "shots")
     sweep_kv.setdefault("seed", seed)
     if "x0" in sweep_kv and sweep_kv["x0"] is not None:
         sweep_kv["x0"] = tuple(float(v) for v in sweep_kv["x0"])
@@ -169,7 +184,7 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     for eps, beta_expect, l1 in zip(FIVE_POINT_RADII, FIVE_POINT_BETTI1, l1s):
         classical = spectrum(l1)
         series, _, _ = spectro.edge_readout(l1, t_grid, alpha)
-        est = spectro.estimate(series, spectro.EstimateConfig(ensemble_dim=len(l1)))
+        est = spectro.estimate(series, ensemble_dim=len(l1))
         gap_ok = True
         if classical.gap is not None and est.gap_hat is not None:
             gap_ok = abs(est.gap_hat - classical.gap) / classical.gap <= eta
@@ -480,7 +495,7 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
         )
         dim = stage.l1.shape[0]
     probe.state_to_csv(out / f"qpe_probe_rho{rho}.csv", psi)
-    est = spectro.estimate(series, spectro.EstimateConfig(ensemble_dim=dim), bootstrap=True)
+    est = spectro.estimate(series, ensemble_dim=dim, bootstrap=True)
     series.to_csv(out / f"qpe_correlator_rho{rho}.csv")
     write_csv(out / f"qpe_spectrum_rho{rho}.csv", ("omega", "power"), zip(*spectro.periodogram(series)))
     write_json(
@@ -503,11 +518,25 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
 
 
 def _float_grid(spec_str: str) -> list[float]:
-    if ":" in spec_str:
-        lo, hi, step = (float(p) for p in spec_str.split(":"))
-        n = int(round((hi - lo) / step)) + 1
-        return [lo + i * step for i in range(n)]
-    return [float(p) for p in spec_str.split(",") if p.strip()]
+    """``lo:hi:step`` (inclusive, step > 0, hi >= lo) or a comma list of
+    finite numbers; an empty string is an empty grid."""
+    ranged = ":" in spec_str
+    parts = spec_str.split(":") if ranged else [p for p in spec_str.split(",") if p.strip()]
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"--grid {spec_str!r}: not a number") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"--grid {spec_str!r}: values must be finite")
+    if not ranged:
+        return vals
+    if len(vals) != 3:
+        raise ConfigError(f"--grid {spec_str!r}: expected lo:hi:step")
+    lo, hi, step = vals
+    if step <= 0 or hi < lo:
+        raise ConfigError(f"--grid {spec_str!r}: need step > 0 and hi >= lo")
+    n = int(round((hi - lo) / step)) + 1
+    return [lo + i * step for i in range(n)]
 
 
 def main(argv: list[str] | None = None) -> int:

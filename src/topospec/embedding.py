@@ -1,8 +1,8 @@
-"""Delay-coordinate embedding and (tau, m) selection heuristics."""
+"""Delay-coordinate embedding and the mutual-information delay heuristic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -11,8 +11,6 @@ from .errors import InsufficientDataError, ZeroVarianceError
 from .serialize import write_csv
 
 MI_BINS = 32  # equal-width bins for the auto-mutual-information histogram
-FNN_RATIO = 15.0  # Kennel distance-ratio threshold
-FNN_ATOL = 2.0  # Kennel loneliness threshold (relative to series scale)
 
 
 @dataclass(frozen=True)
@@ -96,14 +94,6 @@ class PointCloud:
 class TauChoice:
     tau: int
     method: str  # mi_min | mi_floor | acf_1e | max_lag
-    warned: bool = False
-    mi_curve: np.ndarray | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class DimChoice:
-    m: int
-    fnn_fractions: tuple[float, ...]
     warned: bool = False
 
 
@@ -197,61 +187,11 @@ def choose_tau(series: np.ndarray, max_lag: int, *, mi_floor: float = 0.05) -> T
         raise ValueError("max_lag must be < length/4")
     mi = np.array([mutual_information(s, lag) for lag in range(1, max_lag + 1)])
     if mi[0] <= mi_floor:
-        return TauChoice(tau=1, method="mi_floor", mi_curve=mi)
+        return TauChoice(tau=1, method="mi_floor")
     valley = _first_mi_valley(mi)
     if valley is not None:
-        return TauChoice(tau=valley, method="mi_min", mi_curve=mi)
+        return TauChoice(tau=valley, method="mi_min")
     for lag in range(1, max_lag + 1):
         if autocorrelation(s, lag) < 1.0 / np.e:
-            return TauChoice(tau=lag, method="acf_1e", mi_curve=mi)
-    return TauChoice(tau=max_lag, method="max_lag", warned=True, mi_curve=mi)
-
-
-def _fnn_fraction(s: np.ndarray, tau: int, m: int, subsample: int) -> float:
-    """Kennel false-nearest-neighbor fraction going from dimension m to m+1."""
-    span_next = m * tau
-    n = len(s) - span_next
-    if n < 10:
-        raise InsufficientDataError(f"series too short for FNN at m={m}, tau={tau}")
-    emb = np.stack([s[j * tau : j * tau + n] for j in range(m)], axis=1)
-    nxt = s[m * tau : m * tau + n]
-    idx = np.arange(n)
-    if n > subsample:
-        idx = np.linspace(0, n - 1, subsample).astype(int)
-    pts = emb[idx]
-    d2 = sq_distances(pts, emb)
-    d2[np.arange(len(idx)), idx] = np.inf
-    nn = d2.argmin(axis=1)
-    rm = np.sqrt(d2[np.arange(len(idx)), nn])
-    scale = s.std()
-    extra = np.abs(nxt[idx] - nxt[nn])
-    valid = rm > 1e-8 * scale  # duplicates would divide rounding noise
-    ratio_false = extra[valid] / rm[valid] > FNN_RATIO
-    lonely = np.sqrt(rm[valid] ** 2 + extra[valid] ** 2) / scale > FNN_ATOL
-    false = ratio_false | lonely
-    return float(false.sum() / max(valid.sum(), 1))
-
-
-def choose_m(
-    series: np.ndarray,
-    tau: int,
-    m_max: int,
-    fnn_threshold: float = 0.01,
-    *,
-    subsample: int = 1500,
-) -> DimChoice:
-    """Smallest m <= m_max whose false-nearest-neighbor fraction is below threshold.
-
-    Returns m_max with a warning flag when the fraction never stabilizes
-    (e.g. i.i.d. noise).
-    """
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    s = np.asarray(series, dtype=float)
-    fracs = []
-    for m in range(1, m_max + 1):
-        f = _fnn_fraction(s, tau, m, subsample)
-        fracs.append(f)
-        if f < fnn_threshold and m >= 2:
-            return DimChoice(m=m, fnn_fractions=tuple(fracs))
-    return DimChoice(m=m_max, fnn_fractions=tuple(fracs), warned=True)
+            return TauChoice(tau=lag, method="acf_1e")
+    return TauChoice(tau=max_lag, method="max_lag", warned=True)

@@ -1,5 +1,5 @@
 """Boundary matrices, clique lists, Hodge Laplacians, spectra, projectors,
-persistent Laplacians, and the gap-persistence bound checker.
+and the gap-persistence bound checker.
 
 This module is the one owner of the face and sign rule (`boundary_matrix`)
 and of the sum B_k^T B_k + B_{k+1} B_{k+1}^T (`laplacian_k`); topograph's
@@ -19,7 +19,6 @@ import numpy as np
 
 from .embedding import PointCloud
 from .persistence import Filtration, compute_persistence, rips_filtration
-from .serialize import write_csv
 
 DEFAULT_TAU0_REL = 1e-8  # kernel tolerance relative to the largest eigenvalue
 
@@ -30,25 +29,6 @@ class HodgeSpectrum:
     tau0: float
     beta_k: int
     gap: float | None  # first eigenvalue above tau0, absent if none
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("index", "eigenvalue"), list(enumerate(self.eigenvalues)))
-
-
-@dataclass(frozen=True)
-class PersistentLaplacian:
-    source: float
-    target: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.target < self.source:
-            raise ValueError("target radius must be >= source radius")
-        m = self.matrix
-        if m.size and np.abs(m - m.T).max() > 1e-9:
-            raise ValueError("persistent Laplacian must be Hermitian")
-        if m.size and np.linalg.eigvalsh(m).min() < -1e-8:
-            raise ValueError("persistent Laplacian must be PSD")
 
 
 def laplacian_k(B_k: np.ndarray | None, B_k1: np.ndarray | None) -> np.ndarray:
@@ -170,48 +150,6 @@ def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list
     """Dense p-Laplacian of the complex at radius eps, with its p-simplex basis."""
     cx = complex_at(filt, eps)
     return complex_laplacian(cx, p), cx[p]
-
-
-# ---------------------------------------------------------------------------
-# persistent Laplacian via Schur complement
-# ---------------------------------------------------------------------------
-
-
-def persistent_laplacian(filt: Filtration, s: float, t: float, p: int) -> PersistentLaplacian:
-    """Persistent p-Laplacian between the complexes at radii s <= t.
-
-    The up-part is the Schur complement of the K_t up-Laplacian onto the K_s
-    p-chain block (eliminating p-chains new at t, with a pseudoinverse when
-    the elimination block is singular); the down-part is that of K_s.
-    """
-    if t < s:
-        raise ValueError("need s <= t")
-    cx_s = complex_at(filt, s)
-    cx_t = complex_at(filt, t)
-    simp_s = cx_s[p]
-    simp_t = cx_t[p]
-    ns = len(simp_s)
-    in_s = set(simp_s)
-    old = [i for i, sp in enumerate(simp_t) if sp in in_s]
-    if len(old) != ns:
-        raise ValueError("K_s is not a subcomplex of K_t")
-    new = [i for i, sp in enumerate(simp_t) if sp not in in_s]
-
-    up_t = laplacian_k(None, boundary_matrix(cx_t.get(p + 1, []), simp_t))
-    A = up_t[np.ix_(old, old)]
-    if new:
-        Bblk = up_t[np.ix_(old, new)]
-        C = up_t[np.ix_(new, new)]
-        up_pers = A - Bblk @ np.linalg.pinv(C) @ Bblk.T
-    else:
-        up_pers = A
-
-    if p >= 1:
-        down_s = laplacian_k(boundary_matrix(simp_s, cx_s[p - 1]), None)
-    else:
-        down_s = np.zeros((ns, ns))
-    mat = up_pers + down_s
-    return PersistentLaplacian(source=s, target=t, matrix=(mat + mat.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------

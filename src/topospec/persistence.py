@@ -39,9 +39,6 @@ class Filtration:
                 if radius[face] > r + 1e-12:
                     raise ValueError(f"face {face} appears after simplex {verts}")
 
-    def at_radius(self, eps: float) -> list[tuple[int, ...]]:
-        return [v for v, r in self.simplices if r <= eps]
-
     def critical_radii(self) -> np.ndarray:
         return np.unique([r for _, r in self.simplices])
 

@@ -112,7 +112,7 @@ def w_state_circuit(n: int) -> Circuit:
         theta = 2 * math.acos(1.0 / math.sqrt(n - i))
         gates += _cry(theta, control=i, target=i + 1)
         gates.append(Gate("CNOT", target=i, control=i + 1))
-    return Circuit(n_qubits=n, gates=tuple(gates), metadata={"prepares": "w_state"})
+    return Circuit(n_qubits=n, gates=tuple(gates))
 
 
 def w_state_vector(n: int) -> np.ndarray:
@@ -128,15 +128,10 @@ def dephase_average(
     t_grid: np.ndarray,
     samples: int,
     seed: int = 0,
-    excited_sets: list[tuple[int, ...]] | None = None,
-    n_phase_qubits: int | None = None,
 ) -> np.ndarray:
-    """Average the exact correlator over random single-qubit Z-phase draws.
-
-    Each draw multiplies basis state S by exp(-i sum_{q in S} phi_q); cross
-    terms between distinct basis states average to zero, so the mean
-    converges to the diagonal-ensemble trace. Without an excited-set map the
-    phases are drawn independently per basis component (same limit).
+    """Average the exact correlator over random phase draws, one independent
+    phase per basis component; cross terms between distinct basis states
+    average to zero, so the mean converges to the diagonal-ensemble trace.
     """
     if samples < 1:
         raise ValueError("need at least one dephasing sample")
@@ -145,12 +140,7 @@ def dephase_average(
     acc = np.zeros(len(t_grid), dtype=complex)
     dim = len(probe)
     for _ in range(samples):
-        if excited_sets is not None:
-            nq = n_phase_qubits or (max((max(s, default=0) for s in excited_sets)) + 1)
-            phi = rng.uniform(0, 2 * math.pi, size=nq)
-            phases = np.array([np.exp(-1j * sum(phi[q] for q in s)) for s in excited_sets])
-        else:
-            phases = np.exp(-1j * rng.uniform(0, 2 * math.pi, size=dim))
+        phases = np.exp(-1j * rng.uniform(0, 2 * math.pi, size=dim))
         psi = probe * phases
         psi = psi / np.linalg.norm(psi)
         amps = np.abs(evecs.conj().T @ psi) ** 2
@@ -164,16 +154,6 @@ def diagonal_ensemble_weights(hmat: np.ndarray, basis_states: np.ndarray) -> np.
     _, evecs = np.linalg.eigh(hmat)
     overlaps = np.abs(evecs.conj().T @ basis_states) ** 2
     return overlaps.mean(axis=1)
-
-
-def embed_sector_state(n: int, excited_sets: list[tuple[int, ...]], amplitudes: np.ndarray) -> np.ndarray:
-    """Lift a sector-space vector into the full 2^n qubit space."""
-    if len(excited_sets) != len(amplitudes):
-        raise ValueError("one amplitude per basis set required")
-    psi = np.zeros(1 << n, dtype=complex)
-    for s, a in zip(excited_sets, amplitudes):
-        psi[sum(1 << q for q in s)] = a
-    return psi
 
 
 def state_to_csv(path, amplitudes: np.ndarray) -> None:

@@ -12,18 +12,14 @@ excitation-preserving by construction.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CompileConfigError, ResourceLimitError
 from .susy import PauliHamiltonian, PauliTerm
-
-TWO_QUBIT_KINDS = ("CNOT", "MCX", "CRZ")
 
 
 @dataclass(frozen=True)
@@ -69,27 +65,12 @@ class Gate:
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def two_qubit_count(self) -> int:
         return sum(g.two_qubit_cost() for g in self.gates)
 
     def toggle_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "X")
-
-    def to_jsonl(self, path: str | Path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps({"n_qubits": self.n_qubits, **self.metadata})]
-        for g in self.gates:
-            rec = {"kind": g.kind, "target": g.target}
-            if g.theta is not None:
-                rec["theta"] = g.theta
-            if g.control is not None:
-                rec["control"] = g.control
-            if g.controls:
-                rec["controls"] = [list(c) for c in g.controls]
-            lines.append(json.dumps(rec))
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -512,11 +493,7 @@ def controlled_evolution(
         )
     if optimize:
         gates = peephole(gates)
-    return Circuit(
-        n_qubits=n + 2,
-        gates=tuple(gates),
-        metadata={"order": order, "steps": steps, "alpha": alpha, "t": t, "n_system": n},
-    )
+    return Circuit(n_qubits=n + 2, gates=tuple(gates))
 
 
 def baseline_qpe_cost(

@@ -1,13 +1,13 @@
 """Correlator time series (exact and circuit-simulated Hadamard test), the
 edge-register readout with its one alpha calibration, and spectral
 estimation: Hann periodograms with quadratic refinement, Prony/matrix-pencil
-cross-checks, zero-mode and alias guards, and aggregated gap estimates with
-bootstrap uncertainty."""
+cross-checks, a zero-mode guard, and aggregated gap estimates with bootstrap
+uncertainty."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +20,17 @@ from .susy import PauliHamiltonian, onehot_hamiltonian
 
 READOUT_MODES = ("exact", "hadamard")
 ALIAS_BAND = 0.8  # calibrated eigenfrequencies stay below this fraction of Nyquist
+
+# the estimator's fixed settings
+PEAK_BAND = (0.0, 0.8)  # peak search band, as fractions of Nyquist
+PEAK_K_SIGMA = 3.0  # peak threshold: median + 1.4826 k_sigma MAD
+GUARD_BINS = 2.0  # zero-mode band half-width in frequency bins; gap lines lie above it
+ZERO_THRESHOLD = 10.0  # zero-mode band-power ratio, calibrated on the five-point fixture
+PRONY_RANKS = (2, 3, 4, 5)
+PRONY_SVD_TOL = 1e-10  # singular values below this fraction of the largest are dropped
+BOOTSTRAP_RESAMPLES = 200
+BOOTSTRAP_BLOCK = 4  # Hann main-lobe width in grid samples
+BOOTSTRAP_SEED = 1234
 
 
 @dataclass(frozen=True)
@@ -86,17 +97,6 @@ class SpectralEstimate:
 
 def hann_window(m: int) -> np.ndarray:
     return 0.5 * (1 - np.cos(2 * math.pi * np.arange(m) / (m - 1)))
-
-
-SECONDARY_GRID_RATIO = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi, far from low-order rationals
-
-
-def secondary_grid(t_grid: np.ndarray, ratio: float = SECONDARY_GRID_RATIO) -> np.ndarray:
-    """Companion time grid for the alias guard; a true line must appear on
-    both unalias lattices, and an irrational spacing ratio keeps their alias
-    sets from lining up."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    return t_grid * ratio
 
 
 def minimal_alpha(hmat_or_bound, dt: float, band: float = 1.0) -> float:
@@ -261,33 +261,22 @@ def periodogram(series: CorrelatorSeries) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class PeakPolicy:
-    band: tuple[float, float] = (0.0, 0.8)  # fraction of Nyquist
-    k_sigma: float = 3.0
-
-
-@dataclass(frozen=True)
 class RefinedPeaks:
     lines: tuple[tuple[float, float], ...]  # (omega_hat, amp_hat), rescaled units, sorted
     threshold: float
     flat_spectrum: bool = False
 
 
-def refine_peaks(
-    omegas: np.ndarray,
-    power: np.ndarray,
-    dt: float,
-    policy: PeakPolicy = PeakPolicy(),
-) -> RefinedPeaks:
-    """Local maxima above the median + 1.4826 k_sigma MAD threshold inside the
-    search band, refined by three-point quadratic interpolation on amplitude.
+def refine_peaks(omegas: np.ndarray, power: np.ndarray, dt: float) -> RefinedPeaks:
+    """Local maxima above the median + 1.4826 PEAK_K_SIGMA MAD threshold inside
+    PEAK_BAND, refined by three-point quadratic interpolation on amplitude.
 
     A flat spectrum (zero MAD) falls back to mean + 3 std, noted in the
     result.
     """
     amp = np.sqrt(power)
     nyq = math.pi / dt
-    lo, hi = policy.band[0] * nyq, policy.band[1] * nyq
+    lo, hi = PEAK_BAND[0] * nyq, PEAK_BAND[1] * nyq
     in_band = (omegas >= lo) & (omegas <= hi)
     med = float(np.median(amp[in_band]))
     mad = float(np.median(np.abs(amp[in_band] - med)))
@@ -295,7 +284,7 @@ def refine_peaks(
     if flat:
         thr = float(amp[in_band].mean() + 3 * amp[in_band].std())
     else:
-        thr = med + 1.4826 * policy.k_sigma * mad
+        thr = med + 1.4826 * PEAK_K_SIGMA * mad
 
     lines: list[tuple[float, float]] = []
     dw = omegas[1] - omegas[0]
@@ -326,16 +315,13 @@ def refine_peaks(
 
 
 def prony_esprit(
-    series: CorrelatorSeries,
-    ranks: tuple[int, ...] = (2, 3, 4, 5),
-    svd_tol: float = 1e-10,
-    match_tol: float | None = None,
+    series: CorrelatorSeries, ranks: tuple[int, ...] = PRONY_RANKS
 ) -> tuple[np.ndarray, dict]:
     """Shift-invariance (matrix pencil) frequencies, stabilized across ranks.
 
     Hankel matrices (H0, H1) are built from the series; per candidate rank the
     truncated-SVD pencil gives roots z_j and energies -arg(z_j)/dt. Roots kept
-    are those present (within match_tol) at every rank; over-specified ranks
+    are those present (within 1e-6 of Nyquist) at every rank; over-specified ranks
     shed their spurious roots in this intersection.
     """
     c = series.values
@@ -347,7 +333,7 @@ def prony_esprit(
     Y = scipy.linalg.hankel(c[:rows], c[rows - 1 :])
     H0, H1 = Y[:, :-1], Y[:, 1:]
     U, s, Vh = np.linalg.svd(H0, full_matrices=False)
-    eff_rank = int((s > svd_tol * s[0]).sum()) if s[0] > 0 else 0
+    eff_rank = int((s > PRONY_SVD_TOL * s[0]).sum()) if s[0] > 0 else 0
     per_rank: list[np.ndarray] = []
     for r in ranks:
         r = min(r, eff_rank)
@@ -361,7 +347,7 @@ def prony_esprit(
         # fold tiny wrap-around values back to zero
         freqs = np.where(freqs > 1.99 * math.pi / series.dt, 0.0, freqs)
         per_rank.append(np.sort(freqs))
-    tol = match_tol if match_tol is not None else 1e-6 * math.pi / series.dt
+    tol = 1e-6 * math.pi / series.dt
     stable: list[float] = []
     if per_rank and len(per_rank[0]):
         for f in per_rank[0]:
@@ -384,109 +370,70 @@ def prony_esprit(
 
 
 def zero_mode_test(
-    omegas: np.ndarray,
-    power: np.ndarray,
-    omega_z: float,
-    dt: float,
-    threshold: float = 10.0,
+    omegas: np.ndarray, power: np.ndarray, omega_z: float, dt: float
 ) -> tuple[float, bool]:
     """Band-power ratio R = P(|omega| <= omega_z) / (half the power in the
-    adjacent sideband); a zero mode is declared when R exceeds the threshold
-    calibrated on the five-point fixtures."""
+    adjacent sideband); a zero mode is declared when R exceeds ZERO_THRESHOLD."""
     nyq = math.pi / dt
     signed = np.where(omegas > nyq, omegas - 2 * nyq, omegas)
     p0 = float(power[np.abs(signed) <= omega_z].sum())
     sb_mask = (np.abs(signed) > omega_z) & (np.abs(signed) <= 2 * omega_z)
     p_sb = 0.5 * float(power[sb_mask].sum())
     ratio = p0 / p_sb if p_sb > 0 else math.inf
-    return ratio, ratio > threshold
+    return ratio, ratio > ZERO_THRESHOLD
 
 
-@dataclass(frozen=True)
-class EstimateConfig:
-    kappa: float = 2.0  # guard width in frequency bins
-    zero_threshold: float = 10.0
-    ensemble_dim: int | None = None  # for multiplicity counting
-    policy: PeakPolicy = field(default_factory=PeakPolicy)
-    prony_ranks: tuple[int, ...] = (2, 3, 4, 5)
-    bootstrap_resamples: int = 200
-    bootstrap_block: int = 4  # Hann main-lobe width in grid samples
-    alias_tol_bins: float = 1.0
-
-
-def _bootstrap_gap_ci(
-    series: CorrelatorSeries,
-    guard: float,
-    cfg: EstimateConfig,
-    seed: int = 1234,
-) -> tuple[float, float] | None:
+def _bootstrap_gap_ci(series: CorrelatorSeries, guard: float) -> tuple[float, float] | None:
     """Percentile interval for the FFT gap from a circular block bootstrap."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     m = series.m
-    block = max(2, min(cfg.bootstrap_block, m // 2))
+    block = max(2, min(BOOTSTRAP_BLOCK, m // 2))
     n_blocks = math.ceil(m / block)
     gaps = []
-    for _ in range(cfg.bootstrap_resamples):
+    for _ in range(BOOTSTRAP_RESAMPLES):
         starts = rng.integers(0, m, size=n_blocks)
         idx = np.concatenate([np.arange(s, s + block) % m for s in starts])[:m]
         boot = CorrelatorSeries(series.dt, series.values[idx], series.shots, series.alpha_scale)
         om, pw = periodogram(boot)
-        peaks = refine_peaks(om, pw, boot.dt, cfg.policy)
+        peaks = refine_peaks(om, pw, boot.dt)
         cand = [w for w, _ in peaks.lines if w > guard]
         if cand:
             gaps.append(min(cand))
-    if len(gaps) < max(10, cfg.bootstrap_resamples // 10):
+    if len(gaps) < max(10, BOOTSTRAP_RESAMPLES // 10):
         return None
     lo, hi = np.percentile(gaps, [2.5, 97.5])
     return float(lo), float(hi)
 
 
 def estimate(
-    series: CorrelatorSeries,
-    config: EstimateConfig = EstimateConfig(),
-    secondary: CorrelatorSeries | None = None,
-    bootstrap: bool = False,
+    series: CorrelatorSeries, ensemble_dim: int | None = None, bootstrap: bool = False
 ) -> SpectralEstimate:
     """Full spectral readout: periodogram + refinement + Prony cross-check,
-    optional alias filtering against a second time grid, zero-mode counting,
-    median gap aggregation, and alpha rescaling to energy units.
+    zero-mode counting (a multiplicity when ensemble_dim is given), median gap
+    aggregation, and alpha rescaling to energy units.
 
     A missing nonzero line above the guard is a gap-absent result, not an
     error.
     """
     omegas, power = periodogram(series)
     dw = series.delta_omega
-    guard = config.kappa * dw
-    peaks = refine_peaks(omegas, power, series.dt, config.policy)
-    fft_lines = list(peaks.lines)
+    guard = GUARD_BINS * dw
+    peaks = refine_peaks(omegas, power, series.dt)
+    fft_lines = peaks.lines
     notes: list[str] = []
     if peaks.flat_spectrum:
         notes.append("flat spectrum: threshold fell back to mean + 3 std")
 
-    prony_freqs, prony_info = prony_esprit(series, config.prony_ranks)
+    prony_freqs, prony_info = prony_esprit(series)
     if "diagnostic" in prony_info:
         notes.append(f"prony: {prony_info['diagnostic']}")
 
-    if secondary is not None:
-        om2, pw2 = periodogram(secondary)
-        peaks2 = refine_peaks(om2, pw2, secondary.dt, config.policy)
-        tol = config.alias_tol_bins * max(dw, secondary.delta_omega)
-        kept = []
-        for w0, a in fft_lines:
-            if any(abs(w0 - w1) < tol for w1, _ in peaks2.lines):
-                kept.append((w0, a))
-            else:
-                notes.append(f"alias guard dropped line at {w0:.4g}")
-        fft_lines = kept
-
-    ratio, is_zero = zero_mode_test(
-        omegas, power, guard, series.dt, config.zero_threshold
-    )
+    ratio, is_zero = zero_mode_test(omegas, power, guard, series.dt)
     amp_dc = math.sqrt(power[0])
     amp_lines = [a for w, a in fft_lines if w > guard]
-    if is_zero and config.ensemble_dim:
+    if is_zero and ensemble_dim:
         p0 = amp_dc / (amp_dc + sum(amp_lines)) if (amp_dc + sum(amp_lines)) > 0 else 0.0
-        beta1 = max(1, round(p0 * config.ensemble_dim))
+        beta1 = max(1, round(p0 * ensemble_dim))
     elif is_zero:
         beta1 = 1
     else:
@@ -518,7 +465,7 @@ def estimate(
 
     ci = None
     if bootstrap and gap is not None:
-        raw = _bootstrap_gap_ci(series, guard, config)
+        raw = _bootstrap_gap_ci(series, guard)
         if raw is not None:
             ci = (raw[0] * alpha, raw[1] * alpha)
 

@@ -340,10 +340,3 @@ def verify_block_equivalence(graph: TopoGraph, k_max: int, tol: float = 1e-9) ->
         devs[k] = dev
         ok &= dev <= tol
     return EquivalenceReport(max_deviation=devs, passed=ok, tolerance=tol)
-
-
-def excitation_number(n: int) -> np.ndarray:
-    """Dense N = sum_i (I - Z_i)/2."""
-    dim = 2**n
-    diag = np.array([bin(i).count("1") for i in range(dim)], dtype=float)
-    return np.diag(diag)

@@ -299,7 +299,7 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
 
         try:
             series, _, _ = spectro.edge_readout(l1, t_grid, alpha, cfg.mode, cfg.shots, cfg.seed)
-            est = spectro.estimate(series, spectro.EstimateConfig(ensemble_dim=l1.shape[0]))
+            est = spectro.estimate(series, ensemble_dim=l1.shape[0])
             h_spec = spectral_entropy(series)
         except EXPECTED_ERRORS as exc:
             records.append(

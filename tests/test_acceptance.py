@@ -287,7 +287,7 @@ def test_09_spectral_estimator_recovery():
         ratios = []
         for alpha in (1.0, 1.6, 2.5):
             ser = spectro.correlator_exact(l1, None, tg, alpha=alpha, ensemble_weights=weights)
-            est = spectro.estimate(ser, spectro.EstimateConfig(ensemble_dim=4))
+            est = spectro.estimate(ser, ensemble_dim=4)
             assert est.beta1_hat == 1
             ratios.append(est.gap_hat)  # energy units: gap_hat = alpha * omega
         assert max(ratios) - min(ratios) <= 2.5 * 2 * math.pi / (256 * 0.25)

@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -60,6 +62,31 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
         bad.write_text(text)
         rc = cli.main(["--config", str(bad), "validate-fivepoint"])
         assert rc == 2, text
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text",
+    [
+        (["sweep", "--grid", "36:42:0"], ""),
+        (["sweep", "--grid", "36:42"], ""),
+        (["sweep", "--grid", "36,abc"], ""),
+        (["sweep", "--grid", "42:36:1"], ""),
+        (["validate-fivepoint"], "run.seed = abc\n"),
+        (["validate-fivepoint"], "run.seed = -1\n"),
+        (["validate-fivepoint"], "run.shots = 1.5\n"),
+    ],
+    ids=[
+        "zero-step", "two-parts", "not-a-number", "hi-below-lo",
+        "seed-text", "seed-negative", "shots-fraction",
+    ],
+)
+def test_cli_exit_code_2_on_bad_grid_or_run_count(tmp_path, capsys, argv, cfg_text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)] + argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_fivepoint_passes(tmp_path, capsys):
@@ -136,6 +163,31 @@ def test_sweep_writes_and_resumes(tmp_path, capsys):
     assert (out / "sweep_records.csv").read_bytes() == first
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["grid"] == [38.0, 39.0]
+
+
+def test_rho_sweep_full_splits_the_sweep_records(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "rho_sweep_full.py"
+    spec = importlib.util.spec_from_file_location("rho_sweep_full", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg = write_fast_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "38,39"]) == 0
+    script.split_panels(out)
+
+    def rows(name):
+        with open(out / name, newline="") as fh:
+            return list(csv.reader(fh))
+
+    records = rows("sweep_records.csv")
+    header, body = records[0], records[1:]
+    col = {c: [r[header.index(c)] for r in body] for c in header}
+    assert len(script.PANELS) == 6
+    for fname, name in script.PANELS.items():
+        assert rows(f"{fname}.csv") == [["rho", name]] + [list(p) for p in zip(col["rho"], col[name])]
+    overlay = rows("overlay_gap_vs_persistence.csv")
+    assert overlay[0] == ["rho", "ell_max_h1", "delta1_susy_sim"]
+    assert overlay[1:] == [list(p) for p in zip(*(col[c] for c in overlay[0]))]  # 38 and 39 lie in 36..42
 
 
 def test_sweep_resume_requires_the_same_version(tmp_path):
@@ -244,6 +296,21 @@ def test_compile_report_cli(tmp_path, capsys):
 def test_grid_parsing():
     assert cli._float_grid("36:42:1") == [36.0, 37.0, 38.0, 39.0, 40.0, 41.0, 42.0]
     assert cli._float_grid("1.5,2.5") == [1.5, 2.5]
+
+
+@pytest.mark.parametrize(
+    "spec", ["36:42:0", "36:42:-1", "36:42", "36:42:1:2", "36,abc", "36::1", "42:36:1", "nan:42:1", "36,inf"]
+)
+def test_grid_parsing_rejects_malformed(spec):
+    with pytest.raises(ConfigError):
+        cli._float_grid(spec)
+
+
+def test_run_counts_accept_integral_values(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("run.seed = 3.0\nrun.shots = 7\n")
+    loaded = cli.load_config(str(cfg))
+    assert (loaded.seed, loaded.shots) == (3, 7)
 
 
 def test_probe_section_parsed_and_rejected(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from topospec import embedding
 from topospec.embedding import (
     EmbeddingConfig,
-    choose_m,
     choose_tau,
     delay_embed,
     mutual_information,
@@ -105,26 +104,6 @@ def test_tau_never_decorrelating_warns():
         x[i] = 0.999 * x[i - 1] + rng.normal()
     choice = choose_tau(x, max_lag=20)
     assert choice.tau == 20
-    assert choice.warned
-
-
-def test_m_circle_unfolds_low():
-    t = np.arange(3000)
-    s = np.cos(2 * np.pi * t / 97.3)
-    choice = choose_m(s, tau=24, m_max=6)
-    assert choice.m <= 3
-
-
-def test_m_lorenz_in_canonical_window(lorenz_series):
-    tau = choose_tau(lorenz_series, max_lag=100).tau
-    choice = choose_m(lorenz_series, tau=tau, m_max=8)
-    assert 3 <= choice.m <= 6
-
-
-def test_m_noise_saturates_with_warning():
-    rng = np.random.default_rng(3)
-    choice = choose_m(rng.normal(size=3000), tau=1, m_max=4)
-    assert choice.m == 4
     assert choice.warned
 
 

@@ -12,7 +12,6 @@ from topospec.hodge import (
     hodge_projectors,
     laplacian_at,
     laplacian_k,
-    persistent_laplacian,
     spectrum,
     verify_gap_persistence_bound,
 )
@@ -129,81 +128,6 @@ def test_unit_square_beta1_just_above_one(unit_square):
     filt = rips_filtration(unit_square, eps_max=2.0)
     L, _ = laplacian_at(filt, 1.05, 1)
     assert spectrum(L).beta_k == 1
-
-
-# ---------------------------------------------------------------------------
-# persistent Laplacian
-# ---------------------------------------------------------------------------
-
-
-def test_persistent_laplacian_equal_radii(unit_square):
-    filt = rips_filtration(unit_square, eps_max=2.0)
-    for eps in (1.0, 1.5):
-        pl = persistent_laplacian(filt, eps, eps, p=1)
-        L, _ = laplacian_at(filt, eps, 1)
-        assert np.allclose(pl.matrix, L, atol=1e-12)
-
-
-def test_persistent_laplacian_interlacing_universal():
-    rng = np.random.default_rng(7)
-    checked = 0
-    for _ in range(25):
-        n = int(rng.integers(4, 9))
-        pts = rng.uniform(0, 1, size=(n, 2))
-        diam = float(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)).max())
-        filt = rips_filtration(pts, eps_max=diam * 1.001)
-        radii = filt.critical_radii()
-        s, t = radii[len(radii) // 3], radii[2 * len(radii) // 3]
-        pl = persistent_laplacian(filt, s, t, p=1)
-        if pl.matrix.size == 0:
-            continue
-        L_t, simp_t = laplacian_at(filt, t, 1)
-        d = len(simp_t) - pl.matrix.shape[0]
-        ev_pers = np.linalg.eigvalsh(pl.matrix)
-        ev_t = np.linalg.eigvalsh(L_t)
-        # persistent up-part eigenvalues interlace those of K_t's up Laplacian;
-        # with the K_s down-part added the two-sided bound gets slack from the
-        # down spectral widths, so check the PSD + Hermitian contract and the
-        # upper interlacing with the down-width correction
-        up_t = laplacian_at(filt, t, 1)[0] - _down_part(filt, t)
-        up_s_pers = pl.matrix - _down_part(filt, s)
-        evu_p = np.linalg.eigvalsh((up_s_pers + up_s_pers.T) / 2)
-        evu_t = np.linalg.eigvalsh((up_t + up_t.T) / 2)
-        for k in range(len(evu_p)):
-            assert evu_t[k] <= evu_p[k] + 1e-8
-            assert evu_p[k] <= evu_t[k + d] + 1e-8
-        checked += 1
-    assert checked >= 10
-
-
-def _down_part(filt, eps):
-    from topospec.hodge import boundary_matrix, complex_at
-
-    cx = complex_at(filt, eps)
-    if not cx[1]:
-        return np.zeros((0, 0))
-    if not cx[0]:
-        return np.zeros((len(cx[1]), len(cx[1])))
-    B1 = boundary_matrix(cx[1], cx[0])
-    return B1.T @ B1
-
-
-def test_persistent_laplacian_single_simplex_interlace():
-    # K_s = one edge inside a filled triangle's K_t
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.55, 0.8]])
-    filt = rips_filtration(pts, eps_max=2.0)
-    radii = filt.critical_radii()
-    s = radii[1]  # first edge present
-    t = radii[-1]
-    pl = persistent_laplacian(filt, s, t, p=1)
-    assert pl.matrix.shape == (1, 1)
-    L_t, simp_t = laplacian_at(filt, t, 1)
-    d = len(simp_t) - 1
-    ev_t = np.linalg.eigvalsh(L_t)
-    up_pers = pl.matrix[0, 0] - _down_part(filt, s)[0, 0]
-    up_t = L_t - _down_part(filt, t)
-    evu_t = np.linalg.eigvalsh((up_t + up_t.T) / 2)
-    assert evu_t[0] - 1e-9 <= up_pers <= evu_t[d] + 1e-9
 
 
 @given(

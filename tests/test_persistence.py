@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from topospec.errors import DegenerateGeometryError
 from topospec.fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
+from topospec.hodge import complex_at
 from topospec.persistence import (
     circular_coordinates,
     compute_persistence,
@@ -62,11 +63,8 @@ def test_unit_square_filtration(unit_square):
 def test_five_point_counts():
     pts = FIVE_POINT_CLOUD
     filt = rips_filtration(pts, eps_max=2.0)
-    at = filt.at_radius(0.8)
-    v = sum(1 for s in at if len(s) == 1)
-    e = sum(1 for s in at if len(s) == 2)
-    t = sum(1 for s in at if len(s) == 3)
-    assert (v, e, t) == (5, 4, 0)
+    cx = complex_at(filt, 0.8)
+    assert (len(cx[0]), len(cx[1]), len(cx[2])) == (5, 4, 0)
     diag = compute_persistence(filt)
     assert diag.betti(0, 0.8) == 2  # square component + isolated apex
     for eps, b1 in zip(FIVE_POINT_RADII, FIVE_POINT_BETTI1):

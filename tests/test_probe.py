@@ -11,7 +11,6 @@ from topospec.probe import (
     diagonal_ensemble_weights,
     dicke_state,
     dicke_weights,
-    embed_sector_state,
     uniform_edge_state,
     w_state_vector,
 )
@@ -147,19 +146,10 @@ def test_dephase_restores_c4_zero_mode():
     L1 = laplacian_k(C4.B1, None)
     tg = 0.25 * np.arange(64)
     probe = uniform_edge_state(4).astype(complex)
-    sets = [(0,), (1,), (2,), (3,)]
-    avg = dephase_average(L1, probe, tg, samples=400, seed=3, excited_sets=sets, n_phase_qubits=4)
+    avg = dephase_average(L1, probe, tg, samples=400, seed=3)
     # exact diagonal-ensemble weights put 1/4 on the kernel line
     weights = diagonal_ensemble_weights(L1, np.eye(4))
     evals = np.linalg.eigvalsh(L1)
     expect = (weights * np.exp(-1j * np.outer(tg, evals))).sum(axis=1)
     assert np.abs(avg - expect).max() < 0.15
     assert weights[evals < 1e-9].sum() == pytest.approx(0.25, abs=1e-12)
-
-
-def test_embed_sector_state():
-    amps = np.array([0.6, 0.8j])
-    psi = embed_sector_state(3, [(0, 1), (1, 2)], amps)
-    assert psi[0b011] == 0.6
-    assert psi[0b110] == 0.8j
-    assert np.abs(psi).sum() == pytest.approx(0.6 + 0.8)

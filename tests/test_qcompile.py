@@ -442,14 +442,3 @@ def test_compiled_cost_linear_in_steps():
     c1 = controlled_evolution(ham, 0.3, order=1, steps=1, optimize=False)
     c2 = controlled_evolution(ham, 0.3, order=1, steps=2, optimize=False)
     assert c2.two_qubit_count() == 2 * c1.two_qubit_count()
-
-
-def test_circuit_jsonl(tmp_path):
-    ham = PauliHamiltonian(terms=(PauliTerm(0.3, "XZ"),), n=2)
-    circ = controlled_evolution(ham, 1.0, order=1, steps=1)
-    circ.to_jsonl(tmp_path / "circ.jsonl")
-    lines = (tmp_path / "circ.jsonl").read_text().splitlines()
-    import json
-
-    assert json.loads(lines[0])["n_qubits"] == 4
-    assert len(lines) == 1 + len(circ.gates)

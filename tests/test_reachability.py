@@ -1,0 +1,74 @@
+"""Regrowth guard: every top-level function and class of the package is
+reached from the program (src/, scripts/ or perfbench/), not only from tests.
+
+A name counts as referenced when some top-level statement other than its own
+definition mentions it: as a variable, an attribute, an imported name, or a
+word inside a string (perfbench's tracer names its patch targets as strings,
+and a docstring that points readers at a name documents it as interface).
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "topospec"
+PROGRAM_DIRS = ("src", "scripts", "perfbench")
+
+# test-reference implementations: independent oracles the tests check the
+# program against, so no program path calls them
+ALLOWED = {
+    "circuit_unitary": "dense gate-by-gate unitary, the oracle for qcompile.simulate",
+    "hodge_projectors": "pseudoinverse Hodge projectors, the oracle for the harmonic dimension",
+    "graph_from_edges": "builds a TopoGraph from an explicit edge list for hand-made fixtures",
+}
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(re.findall(r"\w+", sub.value))
+    return names
+
+
+def unreached_names() -> list[str]:
+    """Top-level def/class names of the package no other program statement mentions."""
+    statements: list[tuple[Path, ast.stmt]] = []
+    for top in PROGRAM_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            statements += [(path, stmt) for stmt in ast.parse(path.read_text()).body]
+    mentions = [(path, stmt, _mentions(stmt)) for path, stmt in statements]
+    unreached = []
+    for path, stmt in statements:
+        if path.parent != PACKAGE:
+            continue
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name in ALLOWED:
+            continue
+        if not any(stmt.name in names for _, other, names in mentions if other is not stmt):
+            unreached.append(stmt.name)
+    return sorted(unreached)
+
+
+def test_every_package_name_is_reached_from_the_program():
+    assert unreached_names() == []
+
+
+def test_allowlist_names_exist():
+    defined = {
+        stmt.name
+        for path in PACKAGE.glob("*.py")
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert set(ALLOWED) <= defined

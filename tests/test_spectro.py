@@ -11,7 +11,6 @@ from topospec.qcompile import Circuit, Gate, controlled_evolution, simulate
 from topospec import spectro
 from topospec.spectro import (
     CorrelatorSeries,
-    EstimateConfig,
     correlator_exact,
     correlator_hadamard,
     estimate,
@@ -20,7 +19,6 @@ from topospec.spectro import (
     periodogram,
     prony_esprit,
     refine_peaks,
-    secondary_grid,
     zero_mode_test,
 )
 from topospec.susy import onehot_hamiltonian
@@ -150,7 +148,7 @@ def test_hadamard_rejects_grids_other_than_k_dt(t_grid):
 def test_hadamard_accepts_the_secondary_grid():
     h = np.array([[0.0, 0.5], [0.5, 0.8]])
     ham = onehot_hamiltonian(h)
-    tg = secondary_grid(0.3 * np.arange(10))
+    tg = 0.3 * 0.6180339887 * np.arange(10)  # an irrational dt, off any simple lattice
     ser = correlator_hadamard(ham, w_state_vector(2), tg, steps=4)
     exact = correlator_exact(h, np.ones(2) / math.sqrt(2), tg)
     assert ser.dt == tg[1] and np.abs(ser.values - exact.values).max() < 1e-3
@@ -367,7 +365,7 @@ def test_estimate_c4_beta_and_gap():
     tg = 0.25 * np.arange(256)
     weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
     ser = correlator_exact(L1_C4, None, tg, ensemble_weights=weights)
-    est = estimate(ser, EstimateConfig(ensemble_dim=4))
+    est = estimate(ser, ensemble_dim=4)
     assert est.beta1_hat == 1
     assert abs(est.gap_hat - 2.0) <= ser.delta_omega
     assert spectrum(L1_C4).beta_k == est.beta1_hat
@@ -382,7 +380,7 @@ def test_estimate_beta1_matches_kernel_on_fivepoint():
         alpha = max(1.0, float(np.abs(np.linalg.eigvalsh(l1)).max()) * 0.25 / (0.8 * math.pi))
         weights = diagonal_ensemble_weights(l1, np.eye(len(edges)))
         ser = correlator_exact(l1, None, tg, alpha=alpha, ensemble_weights=weights)
-        est = estimate(ser, EstimateConfig(ensemble_dim=len(edges)))
+        est = estimate(ser, ensemble_dim=len(edges))
         assert est.beta1_hat == spectrum(l1).beta_k
 
 
@@ -396,7 +394,7 @@ def test_estimate_counts_multiplicity_two():
     tg = 0.25 * np.arange(256)
     weights = diagonal_ensemble_weights(l1, np.eye(8))
     ser = correlator_exact(l1, None, tg, ensemble_weights=weights)
-    est = estimate(ser, EstimateConfig(ensemble_dim=8))
+    est = estimate(ser, ensemble_dim=8)
     assert est.beta1_hat == 2
 
 
@@ -406,7 +404,7 @@ def test_estimate_alpha_sweep_invariance():
     gaps, betas = [], []
     for alpha in (1.0, 1.7, 2.9):
         ser = correlator_exact(L1_C4, None, tg, alpha=alpha, ensemble_weights=weights)
-        est = estimate(ser, EstimateConfig(ensemble_dim=4))
+        est = estimate(ser, ensemble_dim=4)
         gaps.append(est.gap_hat)
         betas.append(est.beta1_hat)
     assert betas == [1, 1, 1]
@@ -418,7 +416,7 @@ def test_estimate_alpha_sweep_invariance():
 def test_estimate_gap_absent_is_valid():
     # kernel-only probe: all power at omega = 0
     ser = CorrelatorSeries(dt=0.25, values=np.ones(128, dtype=complex))
-    est = estimate(ser, EstimateConfig(ensemble_dim=1))
+    est = estimate(ser, ensemble_dim=1)
     assert est.gap_hat is None
     assert est.beta1_hat >= 1
 
@@ -427,30 +425,16 @@ def test_estimate_median_rank_order_invariance():
     tg = 0.25 * np.arange(256)
     weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
     ser = correlator_exact(L1_C4, None, tg, ensemble_weights=weights)
-    a = estimate(ser, EstimateConfig(ensemble_dim=4, prony_ranks=(2, 3, 4, 5)))
-    b = estimate(ser, EstimateConfig(ensemble_dim=4, prony_ranks=(5, 4, 3, 2)))
-    assert a.gap_hat == pytest.approx(b.gap_hat, abs=1e-12)
-
-
-def test_estimate_alias_guard_keeps_consistent_lines():
-    from topospec.spectro import secondary_grid, SECONDARY_GRID_RATIO
-
-    assert SECONDARY_GRID_RATIO == pytest.approx(0.6180339887, abs=1e-9)
-    tg1 = 0.25 * np.arange(256)
-    tg2 = secondary_grid(tg1)
-    weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
-    s1 = correlator_exact(L1_C4, None, tg1, ensemble_weights=weights)
-    s2 = correlator_exact(L1_C4, None, tg2, ensemble_weights=weights)
-    est = estimate(s1, EstimateConfig(ensemble_dim=4), secondary=s2)
-    assert est.gap_hat is not None
-    assert abs(est.gap_hat - 2.0) <= s1.delta_omega
+    a, _ = prony_esprit(ser, ranks=(2, 3, 4, 5))
+    b, _ = prony_esprit(ser, ranks=(5, 4, 3, 2))
+    assert len(a) and a == pytest.approx(b, abs=1e-12)
 
 
 def test_bootstrap_ci_contains_gap():
     tg = 0.25 * np.arange(256)
     weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
     ser = correlator_exact(L1_C4, None, tg, ensemble_weights=weights)
-    est = estimate(ser, EstimateConfig(ensemble_dim=4), bootstrap=True)
+    est = estimate(ser, ensemble_dim=4, bootstrap=True)
     assert est.gap_ci is not None
     lo, hi = est.gap_ci
     assert lo <= est.gap_hat * 1.05 and hi >= est.gap_hat * 0.95

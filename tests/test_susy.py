@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from topospec.hodge import laplacian_k
 from topospec.susy import (
     clique_laplacian,
-    excitation_number,
     onehot_hamiltonian,
     sector_block,
     supercharge,
@@ -15,6 +14,11 @@ from topospec.susy import (
     verify_block_equivalence,
 )
 from topospec.topograph import graph_from_edges
+
+
+def excitation_number(n):
+    """Dense N = sum_i (I - Z_i)/2: the Hamming weight of each basis index."""
+    return np.diag([float(bin(i).count("1")) for i in range(1 << n)])
 
 
 def random_connected_graph(rng, n):
