@@ -20,7 +20,6 @@ import sys
 
 import numpy as np
 
-from topospec.embedding import PointCloud
 from topospec.fixtures import FIVE_POINT_CLOUD
 from topospec.hodge import complex_at, laplacian_at
 from topospec.persistence import compute_persistence, rips_filtration
@@ -33,7 +32,7 @@ def counts_at(filt, diag, eps):
 
 
 def check(pts) -> bool:
-    filt = rips_filtration(pts, eps_max=PointCloud(pts).diameter() * 1.001)
+    filt = rips_filtration(pts)
     diag = compute_persistence(filt)
     if counts_at(filt, diag, 0.8) != (4, 0, 2):
         return False

@@ -11,12 +11,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, embedding, persistence, probe, spectro, sweep
+from . import __version__, dynamics, persistence, probe, spectro, sweep
 from .errors import ConfigError, TopospecError
 from .fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
 from .hodge import BoundReport, laplacian_at, spectrum, verify_gap_persistence_bound
@@ -28,22 +28,13 @@ from .sweep import SweepConfig, run_sweep
 
 @dataclass
 class RunConfig:
-    """Declarative parameters for every stage plus run-level switches."""
+    """Run-level switches plus the checked stage settings; run.mode and
+    run.shots are held by ``sweep`` as its readout mode and shots."""
 
     seed: int = 0
     out: str = "runs/out"
-    mode: str = "exact"  # exact | hadamard; the sweep's readout mode
-    shots: int = 0
-    sweep: SweepConfig = None  # type: ignore[assignment]
-    probe_spec: probe.ProbeSpec = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.sweep is None:
-            self.sweep = SweepConfig(seed=self.seed, mode=self.mode, shots=self.shots)
-        if self.probe_spec is None:
-            self.probe_spec = probe.ProbeSpec()
-        if self.mode not in spectro.READOUT_MODES:
-            raise ConfigError(f"unknown mode {self.mode}")
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    probe_spec: probe.ProbeSpec = field(default_factory=probe.ProbeSpec)
 
     def digest(self) -> str:
         return digest_text(self.canonical_text())
@@ -51,8 +42,8 @@ class RunConfig:
     def canonical_text(self) -> str:
         lines = [
             f"run.seed = {self.seed}",
-            f"run.mode = {self.mode}",
-            f"run.shots = {self.shots}",
+            f"run.mode = {self.sweep.mode}",
+            f"run.shots = {self.sweep.shots}",
         ]
         for f in sorted(fields(probe.ProbeSpec), key=lambda f: f.name):
             lines.append(f"probe.{f.name} = {getattr(self.probe_spec, f.name)}")
@@ -133,26 +124,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if overrides:
         run_kv.update({k: v for k, v in overrides.items() if v is not None})
     seed = _run_count(run_kv, "seed")
-    mode = run_kv.get("mode", "exact")
-    shots = _run_count(run_kv, "shots")
     sweep_kv.setdefault("seed", seed)
-    if "x0" in sweep_kv and sweep_kv["x0"] is not None:
-        sweep_kv["x0"] = tuple(float(v) for v in sweep_kv["x0"])
-    if "lambdas" in sweep_kv and sweep_kv["lambdas"] is not None:
-        sweep_kv["lambdas"] = tuple(float(v) for v in sweep_kv["lambdas"])
-    try:
-        probe_spec = probe.ProbeSpec(**probe_kv)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(
+    return RunConfig(
         seed=seed,
         out=str(run_kv.get("out", "runs/out")),
-        mode=mode,
-        shots=shots,
-        sweep=SweepConfig(**sweep_kv, mode=mode, shots=shots),
-        probe_spec=probe_spec,
+        sweep=SweepConfig(**sweep_kv, mode=run_kv.get("mode", "exact"), shots=_run_count(run_kv, "shots")),
+        probe_spec=probe.ProbeSpec(**probe_kv),
     )
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +144,9 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
 
     The check reads the fixture exactly; a hadamard run.mode is rejected
     rather than ignored."""
-    if cfg.mode != "exact":
+    if cfg.sweep.mode != "exact":
         raise ConfigError(
-            f"validate-fivepoint reads the fixture exactly; run.mode = {cfg.mode} is not supported"
+            f"validate-fivepoint reads the fixture exactly; run.mode = {cfg.sweep.mode} is not supported"
         )
     out = Path(cfg.out)
     digest = cfg.digest()
@@ -463,10 +441,7 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
     if spec.kind == "dicke_weighted":
         hadamard = sw.mode == "hadamard"
         graph = stage.graph
-        coords = embedding.PointCloud(graph.coords)
-        diag = persistence.compute_persistence(
-            persistence.rips_filtration(coords, eps_max=coords.diameter() * 1.0001)
-        )
+        diag = persistence.compute_persistence(persistence.rips_filtration(graph.coords))
         weights = probe.dicke_weights(graph, diag, spec.alpha_bias, spec.beta_bias, spec.eta)
         ham = susy_hamiltonian(graph)
         hdense = ham.dense()
@@ -552,21 +527,29 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="topospec", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate-fivepoint", parents=[common]).add_argument(
-        "--eta", type=float, default=0.05
-    )
+    # each subcommand carries its handler as ``run(cfg, args)``
+    p = sub.add_parser("validate-fivepoint", parents=[common])
+    p.add_argument("--eta", type=float, default=0.05)
+    p.set_defaults(run=lambda cfg, a: cmd_validate_fivepoint(cfg, eta=a.eta))
     p = sub.add_parser("sweep", parents=[common])
     p.add_argument("--grid", default="36:42:1", help="lo:hi:step or comma list")
     p.add_argument("--hardware-csv", default=None, help="rho,gap pairs to correlate")
+    p.set_defaults(run=lambda cfg, a: cmd_sweep(cfg, _float_grid(a.grid), a.hardware_csv))
     p = sub.add_parser("bound-check", parents=[common])
     p.add_argument("--clouds", type=int, default=200)
     p.add_argument("--points", type=int, default=8)
+    p.set_defaults(run=lambda cfg, a: cmd_bound_check(cfg, a.clouds, a.points))
     p = sub.add_parser("compile-report", parents=[common])
     p.add_argument("--phase-bits", type=int, default=6)
     p.add_argument("--rho", type=float, default=40.0)
-    for name in ("lorenz", "embed", "ph", "select", "graph", "susy", "qpe"):
+    p.set_defaults(run=lambda cfg, a: cmd_compile_report(cfg, a.phase_bits, a.rho))
+    for name, cmd in (
+        ("lorenz", cmd_lorenz), ("embed", cmd_embed), ("ph", cmd_ph), ("select", cmd_select),
+        ("graph", cmd_graph), ("susy", cmd_susy), ("qpe", cmd_qpe),
+    ):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("--rho", type=float, default=28.0)
+        p.set_defaults(run=lambda cfg, a, cmd=cmd: cmd(cfg, a.rho))
 
     args = parser.parse_args(argv)
     opt = vars(args)
@@ -580,35 +563,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        if args.command == "validate-fivepoint":
-            return cmd_validate_fivepoint(cfg, eta=args.eta)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, _float_grid(args.grid), args.hardware_csv)
-        if args.command == "bound-check":
-            return cmd_bound_check(cfg, args.clouds, args.points)
-        if args.command == "compile-report":
-            return cmd_compile_report(cfg, args.phase_bits, args.rho)
-        if args.command == "lorenz":
-            return cmd_lorenz(cfg, args.rho)
-        if args.command == "embed":
-            return cmd_embed(cfg, args.rho)
-        if args.command == "ph":
-            return cmd_ph(cfg, args.rho)
-        if args.command == "select":
-            return cmd_select(cfg, args.rho)
-        if args.command == "graph":
-            return cmd_graph(cfg, args.rho)
-        if args.command == "susy":
-            return cmd_susy(cfg, args.rho)
-        if args.command == "qpe":
-            return cmd_qpe(cfg, args.rho)
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TopospecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .errors import DegeneratePerturbationError, IntegrationDivergedError
 from .serialize import write_csv
 
 State = tuple[float, float, float]
+MIN_RENORMS = 100  # renormalizations lyapunov_max needs for a stable time average
 
 
 @dataclass(frozen=True)
@@ -93,23 +94,11 @@ def _rk4_step(s: State, dt: float, p: LorenzParams) -> State:
     )
 
 
-def integrate(
-    params: LorenzParams,
-    x0: State,
-    dt: float,
-    t_trans: float,
-    t_total: float,
-    sample_every: int = 1,
-) -> Trajectory:
-    """Integrate and return states sampled every sample_every*dt over (t_trans, t_total].
+def integrate(params: LorenzParams, x0: State, dt: float, t_trans: float, t_total: float) -> Trajectory:
+    """Integrate and return the state after every step in (t_trans, t_total].
 
-    sample_every decouples the sampling stride from the integration step so
-    the stride can be matched to the embedding delay.
+    Needs dt > 0 and t_total > t_trans >= 0 (SweepConfig checks them).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not (t_total > t_trans >= 0):
-        raise ValueError("require t_total > t_trans >= 0")
     n_trans = round(t_trans / dt)
     n_total = round(t_total / dt)
     s = (float(x0[0]), float(x0[1]), float(x0[2]))
@@ -118,9 +107,9 @@ def integrate(
         s = _rk4_step(s, dt, params)
         if not (math.isfinite(s[0]) and math.isfinite(s[1]) and math.isfinite(s[2])):
             raise IntegrationDivergedError(step)
-        if step > n_trans and (step - n_trans) % sample_every == 0:
+        if step > n_trans:
             out.append(s)
-    return Trajectory(dt=dt * sample_every, states=np.array(out), t0=(n_trans + sample_every) * dt)
+    return Trajectory(dt=dt, states=np.array(out), t0=(n_trans + 1) * dt)
 
 
 def _rk4_step_aug(s: State, v: State, dt: float, p: LorenzParams) -> tuple[State, State]:
@@ -162,6 +151,11 @@ def _rk4_step_aug(s: State, v: State, dt: float, p: LorenzParams) -> tuple[State
     return s_new, v_new
 
 
+def renorm_count(dt: float, t_total: float, renorm_every: int) -> int:
+    """Renormalizations lyapunov_max accumulates over t_total."""
+    return round(t_total / dt) // renorm_every
+
+
 def lyapunov_max(
     params: LorenzParams,
     x0: State,
@@ -178,11 +172,9 @@ def lyapunov_max(
     the accumulated log stretch factors. A warmup phase (t_warm) aligns the
     tangent with the expanding direction before accumulation starts.
     """
-    n_renorm = round(t_total / dt) // renorm_every
-    if n_renorm < 100:
-        raise ValueError(
-            f"t_total too short: only {n_renorm} renormalizations, need >= 100"
-        )
+    n_renorm = renorm_count(dt, t_total, renorm_every)
+    if n_renorm < MIN_RENORMS:
+        raise ValueError(f"t_total too short: only {n_renorm} renormalizations, need >= {MIN_RENORMS}")
     s = (float(x0[0]), float(x0[1]), float(x0[2]))
     v: State = (1.0, 0.0, 0.0)
 

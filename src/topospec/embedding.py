@@ -11,22 +11,7 @@ from .errors import InsufficientDataError, ZeroVarianceError
 from .serialize import write_csv
 
 MI_BINS = 32  # equal-width bins for the auto-mutual-information histogram
-
-
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    tau: int
-    m: int
-    observable: str = "x"
-    normalize: bool = True
-
-    def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.observable not in ("x", "y", "z"):
-            raise ValueError("observable must be one of x, y, z")
+MI_FLOOR = 0.05  # lag-1 mutual information below which a series has no usable dependence
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,28 +82,21 @@ class TauChoice:
     warned: bool = False
 
 
-def delay_embed(series: np.ndarray, cfg: EmbeddingConfig) -> PointCloud:
-    """Row k is [s(k), s(k+tau), ..., s(k+(m-1)tau)].
-
-    With normalize=True each column is rescaled to unit variance after
-    construction; constant columns raise ZeroVarianceError rather than
-    dividing by zero (disable normalization for constant signals).
+def delay_embed(series: np.ndarray, tau: int, m: int) -> PointCloud:
+    """Row k is [s(k), s(k+tau), ..., s(k+(m-1)tau)], each column rescaled to
+    unit variance; a constant column raises ZeroVarianceError rather than
+    dividing by zero. tau >= 1 and m >= 2 (SweepConfig checks both).
     """
     s = np.asarray(series, dtype=float)
-    span = (cfg.m - 1) * cfg.tau
+    span = (m - 1) * tau
     if len(s) <= span:
-        raise InsufficientDataError(
-            f"series length {len(s)} too short; need > {span} for m={cfg.m}, tau={cfg.tau}"
-        )
+        raise InsufficientDataError(f"series length {len(s)} too short; need > {span} for m={m}, tau={tau}")
     n = len(s) - span
-    cols = [s[j * cfg.tau : j * cfg.tau + n] for j in range(cfg.m)]
-    pts = np.stack(cols, axis=1)
-    if cfg.normalize:
-        sd = pts.std(axis=0)
-        if np.any(sd == 0):
-            raise ZeroVarianceError("constant coordinate under unit-variance normalization")
-        pts = pts / sd
-    return PointCloud(points=pts)
+    pts = np.stack([s[j * tau : j * tau + n] for j in range(m)], axis=1)
+    sd = pts.std(axis=0)
+    if np.any(sd == 0):
+        raise ZeroVarianceError("constant coordinate under unit-variance normalization")
+    return PointCloud(points=pts / sd)
 
 
 def mutual_information(s: np.ndarray, lag: int, bins: int = MI_BINS) -> float:
@@ -173,20 +151,20 @@ def _first_mi_valley(mi: np.ndarray, rel_tol: float = 0.02) -> int | None:
     return None
 
 
-def choose_tau(series: np.ndarray, max_lag: int, *, mi_floor: float = 0.05) -> TauChoice:
+def choose_tau(series: np.ndarray, max_lag: int) -> TauChoice:
     """Delay from the first minimum of the auto-mutual information.
 
     A flat-bottomed first valley resolves to its center lag. Falls back to
     the 1/e decorrelation lag when the MI curve has no interior minimum; if
     the autocorrelation never drops below 1/e, returns max_lag with a warning
-    flag. A series whose lag-1 MI is already below mi_floor carries no usable
+    flag. A series whose lag-1 MI is already below MI_FLOOR carries no usable
     dependence and gets tau=1 directly.
     """
     s = np.asarray(series, dtype=float)
     if max_lag >= len(s) / 4:
         raise ValueError("max_lag must be < length/4")
     mi = np.array([mutual_information(s, lag) for lag in range(1, max_lag + 1)])
-    if mi[0] <= mi_floor:
+    if mi[0] <= MI_FLOOR:
         return TauChoice(tau=1, method="mi_floor")
     valley = _first_mi_valley(mi)
     if valley is not None:

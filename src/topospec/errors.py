@@ -1,4 +1,8 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the value-type rule of
+the config sections."""
+
+import math
+import numbers
 
 
 class TopospecError(Exception):
@@ -22,7 +26,7 @@ class InsufficientDataError(TopospecError):
 
 
 class ZeroVarianceError(TopospecError):
-    """A coordinate has zero variance and unit-variance normalization was requested."""
+    """A delay coordinate has zero variance, so it cannot be rescaled to unit variance."""
 
 
 class DegenerateGeometryError(TopospecError):
@@ -55,3 +59,19 @@ class UndefinedEntropyError(TopospecError):
 
 class ConfigError(TopospecError):
     """Run configuration is malformed (unknown key, bad value)."""
+
+
+def typed(val, kind: str) -> bool:
+    """Whether a config value has its field annotation ``kind``: a bool, text,
+    a finite number that is not a bool (an integral one for int), a tuple of
+    finite numbers of the annotated length, or None for "T | None"."""
+    if kind.endswith(" | None"):
+        return val is None or typed(val, kind.removesuffix(" | None"))
+    if kind.startswith("tuple["):
+        n = kind.count(",") + 1
+        return isinstance(val, tuple) and len(val) == n and all(typed(v, "float") for v in val)
+    if kind in ("bool", "str"):
+        return isinstance(val, bool if kind == "bool" else str)
+    if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+        return False
+    return kind == "float" or isinstance(val, numbers.Integral)

@@ -215,9 +215,7 @@ def _d_p_max(filt: Filtration, eps: float, p: int) -> tuple[int, int]:
     return cofacets, faces
 
 
-def verify_gap_persistence_bound(
-    cloud: PointCloud | np.ndarray, p: int = 1, eps_max: float | None = None
-) -> list[BoundReport]:
+def verify_gap_persistence_bound(cloud: PointCloud | np.ndarray, p: int = 1) -> list[BoundReport]:
     """Check L~ (d-b) + (p+1) d_{p,max} >= lambda_{beta_p + 1}(Delta_p(K_b))
     for every finite H_p pair of the cloud's Rips filtration.
 
@@ -228,9 +226,7 @@ def verify_gap_persistence_bound(
     cloud = PointCloud.of(cloud)
     if cloud.n > 12:
         raise ValueError("bound checker is limited to clouds of <= 12 points")
-    if eps_max is None:
-        eps_max = max(cloud.diameter() * 1.0001, 1e-12)  # degenerate single-point clouds
-    filt = rips_filtration(cloud, eps_max=eps_max)
+    filt = rips_filtration(cloud)
     diag = compute_persistence(filt)
     reports: list[BoundReport] = []
     for b, d in diag.in_dim(p, finite_only=True):

@@ -69,12 +69,18 @@ class PersistenceDiagram:
         write_csv(path, ("dim", "birth", "death"), rows)
 
 
-def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float) -> Filtration:
+def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None) -> Filtration:
     """Vertices at radius 0, edges at their length, triangles at their longest
-    edge (the 2-skeleton, all that degree-1 persistence needs)."""
+    edge (the 2-skeleton, all that degree-1 persistence needs), up to eps_max.
+
+    The default eps_max is just past the diameter, so the full complex is
+    built; the 1e-12 floor keeps a single-point cloud valid.
+    """
+    cloud = PointCloud.of(cloud)
+    if eps_max is None:
+        eps_max = max(cloud.diameter() * 1.0001, 1e-12)
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
-    cloud = PointCloud.of(cloud)
     n = cloud.n
     dist = cloud.distances()
     simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]

@@ -4,11 +4,11 @@ Dicke mixing, and randomized-phase dephasing for mixed-state emulation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import TopospecError
+from .errors import ConfigError, TopospecError, typed
 from .persistence import PersistenceDiagram, max_h1_persistence
 from .qcompile import Circuit, Gate, simulate
 from .topograph import TopoGraph
@@ -26,9 +26,11 @@ class ProbeSpec:
 
     def __post_init__(self):
         if self.kind not in ("uniform_edge", "dicke_weighted"):
-            raise ValueError(f"unknown probe kind {self.kind}")
-        if min(self.alpha_bias, self.beta_bias, self.eta) < 0:
-            raise ValueError("bias parameters must be nonnegative")
+            raise ConfigError(f"probe.kind = {self.kind!r}: unknown probe kind")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name != "kind" and not (typed(val, f.type) and val >= 0):
+                raise ConfigError(f"probe.{f.name} = {val!r}: expected a finite {f.type} >= 0")
 
 
 def uniform_edge_state(E: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -20,37 +21,8 @@ from .embedding import PointCloud
 from .errors import DegenerateBandwidthError, SelectionInfeasibleError
 from .persistence import PersistenceDiagram, circular_coordinates
 
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    k: int = 7
-    r: float = 0.6  # fraction of k reserved for the topological stage
-    alpha: float = 1.5  # density exponent; also the Renyi entropy order
-    knn_k: int = 10
-    bins: int = 12  # angular histogram bins
-    lambdas: tuple[float, float, float, float] = (1.0, 1.0, 0.5, 2.0)
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
-            raise ValueError("r must be in (0,1)")
-        k_topo = int(self.k * self.r)
-        if not (1 <= k_topo <= self.k):
-            raise ValueError("need 1 <= floor(k*r) <= k")
-        if self.bins < 4:
-            raise ValueError("need at least 4 angular bins")
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
-        if any(l < 0 for l in self.lambdas):
-            raise ValueError("lambdas must be nonnegative")
-
-    @property
-    def k_topo(self) -> int:
-        return int(self.k * self.r)
-
-    @property
-    def k_global(self) -> int:
-        return self.k - self.k_topo
+if TYPE_CHECKING:
+    from .sweep import SweepConfig
 
 
 @dataclass(frozen=True)
@@ -59,7 +31,7 @@ class RepresentativeSet:
     provenance: tuple[str, ...]  # topo | global, per index
     weights: np.ndarray = field(repr=False)  # density weights of the full cloud
     angles: np.ndarray = field(repr=False)
-    config: SelectionConfig = field(repr=False, default=SelectionConfig())
+    config: SweepConfig = field(repr=False)
     no_loop: bool = False
 
     def __post_init__(self):
@@ -79,7 +51,7 @@ class RepresentativeSet:
             "config": {
                 "k": self.config.k,
                 "r": self.config.r,
-                "alpha": self.config.alpha,
+                "alpha": self.config.alpha_sel,
                 "knn_k": self.config.knn_k,
                 "bins": self.config.bins,
                 "lambdas": list(self.config.lambdas),
@@ -165,7 +137,7 @@ def select_topological(
     candidates: np.ndarray,
     weights: np.ndarray,
     angles: np.ndarray,
-    cfg: SelectionConfig,
+    cfg: SweepConfig,
 ) -> list[int]:
     """Greedy selection of floor(k*r) points maximizing the composite gain.
 
@@ -194,7 +166,7 @@ def select_topological(
     min_geo = dijkstra(graph, directed=False, indices=start)
 
     while len(selected) < k_topo:
-        base_h = renyi_entropy(hist, cfg.alpha)
+        base_h = renyi_entropy(hist, cfg.alpha_sel)
         best_j, best_gain = None, -np.inf
         chosen = set(selected)
         for j in cand:
@@ -204,12 +176,12 @@ def select_topological(
             if lam_theta:
                 b = min(np.searchsorted(bin_edges, angles[j], side="right") - 1, cfg.bins - 1)
                 hist[b] += 1
-                gain += lam_theta * (renyi_entropy(hist, cfg.alpha) - base_h)
+                gain += lam_theta * (renyi_entropy(hist, cfg.alpha_sel) - base_h)
                 hist[b] -= 1
             if lam_D:
                 gain += lam_D * min_geo[j]
             if lam_d:
-                gain += lam_d * renyi_entropy(weights[selected + [j]], cfg.alpha)
+                gain += lam_d * renyi_entropy(weights[selected + [j]], cfg.alpha_sel)
             if lam_c:
                 dth = np.abs(angles[np.array(selected)] - angles[j])
                 dth = np.minimum(dth, 2 * np.pi - dth)
@@ -269,15 +241,16 @@ def loop_angles(pts: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 def select_representatives(
     cloud: PointCloud | np.ndarray,
     diag: PersistenceDiagram,
-    cfg: SelectionConfig,
+    cfg: SweepConfig,
 ) -> RepresentativeSet:
-    """Full two-stage selection: topological candidates then global coverage."""
+    """Full two-stage selection: topological candidates then global coverage,
+    with the selection settings of cfg."""
     cloud = PointCloud.of(cloud)
-    weights = density_weights(cloud, cfg.alpha)
+    weights = density_weights(cloud, cfg.alpha_sel)
     cand, no_loop = candidate_set(cloud, diag)
     angles = loop_angles(cloud.points, cand)
     topo = select_topological(cloud, cand, weights, angles, cfg)
-    glob = select_global(cloud, weights, topo, cfg.k_global)
+    glob = select_global(cloud, weights, topo, cfg.k - cfg.k_topo)
     indices = tuple(topo + glob)
     prov = tuple(["topo"] * len(topo) + ["global"] * len(glob))
     return RepresentativeSet(

@@ -314,6 +314,11 @@ def refine_peaks(omegas: np.ndarray, power: np.ndarray, dt: float) -> RefinedPea
 # ---------------------------------------------------------------------------
 
 
+def prony_min_samples(ranks: tuple[int, ...] = PRONY_RANKS) -> int:
+    """Correlator samples the pencil needs for the rank sweep."""
+    return 2 * max(ranks) + 2
+
+
 def prony_esprit(
     series: CorrelatorSeries, ranks: tuple[int, ...] = PRONY_RANKS
 ) -> tuple[np.ndarray, dict]:
@@ -326,8 +331,7 @@ def prony_esprit(
     """
     c = series.values
     m = len(c)
-    max_rank = max(ranks)
-    if m < 2 * max_rank + 2:
+    if m < prony_min_samples(ranks):
         raise ValueError("series too short for the requested rank sweep")
     rows = m // 2
     Y = scipy.linalg.hankel(c[:rows], c[rows - 1 :])

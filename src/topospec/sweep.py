@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import dynamics, embedding, persistence, selection, spectro, topograph
-from .errors import ConfigError, TopospecError, UndefinedEntropyError
+from .errors import ConfigError, TopospecError, UndefinedEntropyError, typed
 from .hodge import laplacian_k
 from .serialize import digest_text
 
@@ -51,6 +51,10 @@ def fidelity(v0: np.ndarray, v1: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Every stage setting of the pipeline. Each value is checked here, once,
+    and a bad one raises ConfigError naming its ``sweep.<key>``, so no stage
+    runs on it."""
+
     # trajectory
     dt: float = 0.01
     t_trans: float = 20.0
@@ -65,10 +69,10 @@ class SweepConfig:
     n_fps: int = 64
     # selection
     k: int = 7
-    r: float = 0.6
-    alpha_sel: float = 1.5
+    r: float = 0.6  # fraction of k reserved for the topological stage
+    alpha_sel: float = 1.5  # density exponent; also the Renyi entropy order
     knn_k: int = 10
-    bins: int = 12
+    bins: int = 12  # angular histogram bins
     lambdas: tuple[float, float, float, float] = (1.0, 1.0, 0.5, 2.0)
     seed: int = 0
     # graph
@@ -88,8 +92,51 @@ class SweepConfig:
     lyap_renorm: int = 20
 
     def __post_init__(self):
-        if self.mode not in spectro.READOUT_MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {spectro.READOUT_MODES}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if not typed(val, f.type):
+                raise ConfigError(f"sweep.{f.name} = {val!r}: expected {f.type} (finite numbers, not bool or text)")
+            if f.type.startswith("tuple["):
+                object.__setattr__(self, f.name, tuple(map(float, val)))
+        # rules a stage owns are read from it
+        modes, tri_modes, min_samples = spectro.READOUT_MODES, topograph.TRIANGLE_MODES, spectro.prony_min_samples()
+        renorms = self.lyap_dt > 0 and self.lyap_renorm >= 1 and dynamics.renorm_count(
+            self.lyap_dt, self.lyap_t_total, self.lyap_renorm
+        )
+        for key, ok, need in (
+            ("dt", self.dt > 0, "must be > 0"),
+            ("t_trans", self.t_trans >= 0, "must be >= 0"),
+            ("t_total", self.t_total > self.t_trans, "must exceed sweep.t_trans"),
+            ("observable", self.observable in ("x", "y", "z"), "must be one of x, y, z"),
+            ("tau", self.tau is None or self.tau >= 1, "must be >= 1"),
+            ("m", self.m >= 2, "must be >= 2"),
+            ("cloud_stride", self.cloud_stride is None or self.cloud_stride >= 1, "must be >= 1"),
+            ("n_fps", self.n_fps >= 2, "must be >= 2"),
+            ("r", 0 < self.r < 1, "must be in (0, 1)"),
+            ("k", self.k_topo >= 1, "needs floor(k * r) >= 1"),
+            ("alpha_sel", self.alpha_sel > 1, "must exceed 1"),
+            ("knn_k", self.knn_k >= 1, "must be >= 1"),
+            ("bins", self.bins >= 4, "must be >= 4"),
+            ("lambdas", min(self.lambdas) >= 0, "must be nonnegative"),
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("eps_quantile", 0 <= self.eps_quantile <= 1, "must be in [0, 1]"),
+            ("triangle_mode", self.triangle_mode in tri_modes, f"must be one of {tri_modes}"),
+            ("m_samples", self.m_samples >= min_samples, f"must be >= {min_samples}, the Prony minimum"),
+            ("dt_corr", self.dt_corr > 0, "must be > 0"),
+            ("alpha_scale", self.alpha_scale is None or self.alpha_scale > 0, "must be > 0"),
+            ("mode", self.mode in modes, f"unknown mode; run.mode must be one of {modes}"),
+            ("shots", self.shots >= 0, "must be >= 0"),
+            ("lyap_dt", self.lyap_dt > 0, "must be > 0"),
+            ("lyap_renorm", self.lyap_renorm >= 1, "must be >= 1"),
+            ("lyap_t_total", renorms >= dynamics.MIN_RENORMS, f"needs {dynamics.MIN_RENORMS} renormalizations"),
+        ):
+            if not ok:
+                raise ConfigError(f"sweep.{key} = {getattr(self, key)!r}: {need}")
+
+    @property
+    def k_topo(self) -> int:
+        """Representatives the topological selection stage picks."""
+        return int(self.k * self.r)
 
     def digest(self) -> str:
         names = sorted(self.__dataclass_fields__)
@@ -161,9 +208,7 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
         series = traj.observable(cfg.observable)
 
         stage = "embedding"
-        emb = embedding.delay_embed(
-            series, embedding.EmbeddingConfig(tau=tau, m=cfg.m, observable=cfg.observable)
-        )
+        emb = embedding.delay_embed(series, tau, cfg.m)
         cloud = embedding.PointCloud(emb.points[:: cfg.cloud_stride or tau])
         if until == "cloud":
             res.cloud = cloud
@@ -172,25 +217,14 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
         stage = "persistence"
         fps_idx = _farthest_point_indices(cloud.points, cfg.n_fps, cfg.seed)
         fps = embedding.PointCloud(cloud.points[fps_idx])
-        diag = persistence.compute_persistence(
-            persistence.rips_filtration(fps, eps_max=fps.diameter() * 1.0001)
-        )
+        diag = persistence.compute_persistence(persistence.rips_filtration(fps))
         res.ell_max = persistence.max_h1_persistence(diag)
         if until == "persistence":
             res.diagram = diag
             return res
 
         stage = "selection"
-        sel_cfg = selection.SelectionConfig(
-            k=cfg.k,
-            r=cfg.r,
-            alpha=cfg.alpha_sel,
-            knn_k=cfg.knn_k,
-            bins=cfg.bins,
-            lambdas=cfg.lambdas,
-            seed=cfg.seed,
-        )
-        reps = selection.select_representatives(cloud, diag, sel_cfg)
+        reps = selection.select_representatives(cloud, diag, cfg)
         if until == "selection":
             res.reps = reps
             return res

@@ -20,6 +20,7 @@ from .hodge import boundary_matrix, cliques
 from .serialize import write_csv
 
 Edge = tuple[int, int]
+TRIANGLE_MODES = ("none", "all_3_cliques")
 
 
 @dataclass(frozen=True)
@@ -72,47 +73,38 @@ class TopoGraph:
         write_csv(b2_path, tuple(f"t{k}" for k in range(len(self.triangles))), self.B2)
 
 
+def _find(parent: list[int], a: int) -> int:
+    """Root of a in the union-find forest parent, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent: list[int], edges) -> list[Edge]:
+    """Join the endpoints of each edge in turn; the edges that merged two trees."""
+    out: list[Edge] = []
+    for a, b in edges:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            out.append((a, b))
+    return out
+
+
 def _mst_edges(dist: np.ndarray) -> list[Edge]:
     """Kruskal with deterministic tie-break by (length, i, j)."""
     n = len(dist)
-    candidates = sorted(
-        ((float(dist[i, j]), i, j) for i, j in itertools.combinations(range(n), 2))
-    )
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    out: list[Edge] = []
-    for _, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            out.append((i, j))
-            if len(out) == n - 1:
-                break
-    return out
+    candidates = sorted((float(dist[i, j]), i, j) for i, j in itertools.combinations(range(n), 2))
+    return _union(list(range(n)), ((i, j) for _, i, j in candidates))
 
 
 def _components(n: int, edges: set[Edge]) -> list[list[int]]:
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    _union(parent, edges)
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     return sorted(groups.values())
 
 
@@ -182,8 +174,8 @@ def enumerate_triangles(
     vertex triple whose three edges are present."""
     if mode == "none":
         return ()
-    if mode != "all_3_cliques":
-        raise ValueError("mode must be 'none' or 'all_3_cliques'")
+    if mode not in TRIANGLE_MODES:
+        raise ValueError(f"mode must be one of {TRIANGLE_MODES}")
     n = 1 + max((v for e in edges for v in e), default=-1)
     return tuple(cliques(n, edges, 3))
 

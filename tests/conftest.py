@@ -17,9 +17,7 @@ def lorenz_series():
 def lorenz_cloud(lorenz_series):
     """Delay-embedded and stride-decorrelated point cloud at rho=28."""
     tau = embedding.choose_tau(lorenz_series, max_lag=100).tau
-    emb = embedding.delay_embed(
-        lorenz_series, embedding.EmbeddingConfig(tau=tau, m=3)
-    )
+    emb = embedding.delay_embed(lorenz_series, tau, 3)
     return embedding.PointCloud(emb.points[::tau])
 
 

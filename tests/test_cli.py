@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topospec import cli
+from topospec import cli, dynamics
 from topospec.errors import ConfigError
 from topospec.sweep import SweepConfig
 
@@ -62,6 +62,37 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
         bad.write_text(text)
         rc = cli.main(["--config", str(bad), "validate-fivepoint"])
         assert rc == 2, text
+
+
+# each bad value used to surface per rho as a failed_stage, a traceback or a
+# silent "ok"; all are now rejected at load
+BAD_SWEEP_VALUES = {
+    "r": "1.5",
+    "m": "1",
+    "tau": "0",
+    "observable": "w",
+    "triangle_mode": "bogus",
+    "eps_quantile": "2",
+    "m_samples": "4",
+    "k": "abc",
+    "x0": "(1, 1)",
+    "dt_corr": "-1",
+    "alpha_scale": "-1",
+    "knn_k": "0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_SWEEP_VALUES))
+def test_cli_exit_code_2_on_bad_sweep_value(tmp_path, capsys, monkeypatch, key):
+    def reached(*args, **kwargs):
+        raise AssertionError("dynamics.integrate reached")
+
+    monkeypatch.setattr(dynamics, "integrate", reached)
+    cfg = write_fast_config(tmp_path, extra=f"sweep.{key} = {BAD_SWEEP_VALUES[key]}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "36:38:1"]) == 2
+    assert f"config error: sweep.{key} = " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -310,7 +341,7 @@ def test_run_counts_accept_integral_values(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("run.seed = 3.0\nrun.shots = 7\n")
     loaded = cli.load_config(str(cfg))
-    assert (loaded.seed, loaded.shots) == (3, 7)
+    assert (loaded.seed, loaded.sweep.shots) == (3, 7)
 
 
 def test_probe_section_parsed_and_rejected(tmp_path):
@@ -321,9 +352,9 @@ def test_probe_section_parsed_and_rejected(tmp_path):
     assert cfg.probe_spec.eta == 0.5
     bad = tmp_path / "bad.cfg"
     # w_state was an alias of uniform_edge: the same 1/sqrt(E) amplitudes
-    for kind in ("nonsense", "w_state"):
-        bad.write_text(f"probe.kind = {kind}\n")
-        with pytest.raises(ConfigError):
+    for text in ("kind = nonsense", "kind = w_state", "eta = abc", "eta = -1", "dephase_samples = 1.5"):
+        bad.write_text(f"probe.{text}\n")
+        with pytest.raises(ConfigError, match=f"^probe.{text.split()[0]} = "):
             cli.load_config(str(bad))
 
 

@@ -140,6 +140,15 @@ def test_stability_under_jitter():
             assert abs(dd0 - dd1) <= 2 * delta + 1e-12
 
 
+def test_default_radius_builds_the_full_complex():
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(0, 1, size=(7, 2))
+    full = rips_filtration(pts, eps_max=3.0)
+    assert rips_filtration(pts).simplices == full.simplices
+    assert len(full.simplices) == 7 + 21 + 35
+    assert rips_filtration(np.zeros((1, 3))).simplices == (((0,), 0.0),)
+
+
 def test_filtration_order_is_deterministic():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0, 1, size=(8, 3))

@@ -185,7 +185,7 @@ def test_run_mode_and_shots_reach_the_sweep(tmp_path):
     cfg = cli.load_config(str(path))
     assert (cfg.sweep.mode, cfg.sweep.shots) == ("hadamard", 5)
     cfg = cli.load_config(str(path), {"mode": "exact", "shots": 0})
-    assert (cfg.mode, cfg.sweep.mode, cfg.sweep.shots) == ("exact", "exact", 0)
+    assert (cfg.sweep.mode, cfg.sweep.shots) == ("exact", 0)
 
 
 def test_cli_import_defers_scipy_signal_and_stats():

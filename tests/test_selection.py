@@ -9,7 +9,6 @@ from topospec.persistence import (
     rips_filtration,
 )
 from topospec.selection import (
-    SelectionConfig,
     candidate_set,
     density_weights,
     renyi_entropy,
@@ -17,6 +16,7 @@ from topospec.selection import (
     select_representatives,
     select_topological,
 )
+from topospec.sweep import SweepConfig
 
 
 def ring_cloud(n=200, radius=1.0, seed=0, noise=0.02):
@@ -119,7 +119,7 @@ def test_renyi_entropy_limits():
 
 def test_topo_reduces_to_geodesic_fps():
     pts = ring_cloud(80, seed=3)
-    cfg = SelectionConfig(k=6, r=0.9, lambdas=(0.0, 1.0, 0.0, 0.0))
+    cfg = SweepConfig(k=6, r=0.9, lambdas=(0.0, 1.0, 0.0, 0.0))
     weights = np.full(80, 1.0 / 80)
     angles = circular_coordinates(pts)
     cand = np.arange(80)
@@ -143,8 +143,8 @@ def test_topo_reduces_to_geodesic_fps():
 
 def test_topo_ring_angle_separation():
     pts = ring_cloud(150, seed=4)
-    cfg = SelectionConfig(k=6, r=0.7, lambdas=(1.0, 1.0, 0.5, 2.0))  # k_topo = 4
-    weights = density_weights(pts, cfg.alpha)
+    cfg = SweepConfig(k=6, r=0.7, lambdas=(1.0, 1.0, 0.5, 2.0))  # k_topo = 4
+    weights = density_weights(pts, cfg.alpha_sel)
     angles = circular_coordinates(pts)
     got = select_topological(pts, np.arange(150), weights, angles, cfg)
     k_topo = cfg.k_topo
@@ -160,7 +160,7 @@ def test_topo_ring_angle_separation():
 
 def test_topo_k1_returns_max_weight():
     pts = ring_cloud(60, seed=5)
-    cfg = SelectionConfig(k=2, r=0.5)  # k_topo = 1
+    cfg = SweepConfig(k=2, r=0.5)  # k_topo = 1
     weights = density_weights(pts, 2.0)
     angles = circular_coordinates(pts)
     got = select_topological(pts, np.arange(60), weights, angles, cfg)
@@ -208,7 +208,7 @@ def test_full_selection_size_and_determinism(lorenz_cloud):
     fps = pts[_farthest_point_indices(pts, 64, 0)]
     diam = float(np.sqrt(((fps[:, None] - fps[None]) ** 2).sum(-1)).max())
     diag = compute_persistence(rips_filtration(fps, eps_max=diam))
-    cfg = SelectionConfig(k=7)
+    cfg = SweepConfig(k=7)
     a = select_representatives(lorenz_cloud, diag, cfg)
     b = select_representatives(lorenz_cloud, diag, cfg)
     assert a.indices == b.indices
@@ -225,7 +225,7 @@ def test_monotone_coverage_bound(lorenz_cloud):
     fps = pts[_farthest_point_indices(pts, 64, 0)]
     diam = float(np.sqrt(((fps[:, None] - fps[None]) ** 2).sum(-1)).max())
     diag = compute_persistence(rips_filtration(fps, eps_max=diam))
-    cfg = SelectionConfig(k=7)
+    cfg = SweepConfig(k=7)
     reps = select_representatives(lorenz_cloud, diag, cfg)
 
     def min_pairwise(idx):
@@ -244,7 +244,7 @@ def test_representative_json(tmp_path, lorenz_cloud):
     fps = pts[_farthest_point_indices(pts, 64, 0)]
     diam = float(np.sqrt(((fps[:, None] - fps[None]) ** 2).sum(-1)).max())
     diag = compute_persistence(rips_filtration(fps, eps_max=diam))
-    reps = select_representatives(lorenz_cloud, diag, SelectionConfig(k=7))
+    reps = select_representatives(lorenz_cloud, diag, SweepConfig(k=7))
     reps.to_json(tmp_path / "reps.json")
     import json
 

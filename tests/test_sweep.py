@@ -187,6 +187,42 @@ def test_sweep_rejects_uneven_grid():
         run_sweep([36.0, 37.0, 39.0], SweepConfig())
 
 
+# one case per rule not covered by the CLI's bad-value cases
+@pytest.mark.parametrize(
+    "key, kwargs",
+    [
+        ("dt", {"dt": 0.0}),
+        ("t_trans", {"t_trans": -1.0}),
+        ("t_total", {"t_total": 20.0}),
+        ("x0", {"x0": (1.0, math.nan, 1.0)}),
+        ("cloud_stride", {"cloud_stride": 0}),
+        ("n_fps", {"n_fps": 1}),
+        ("k", {"k": 1}),  # floor(1 * 0.6) = 0 topological representatives
+        ("alpha_sel", {"alpha_sel": 1.0}),
+        ("bins", {"bins": 3}),
+        ("lambdas", {"lambdas": (1.0, -1.0, 0.5, 2.0)}),
+        ("lambdas", {"lambdas": (1.0, 1.0, 0.5)}),
+        ("seed", {"seed": -1}),
+        ("use_ring", {"use_ring": 1}),
+        ("k", {"k": True}),
+        ("tau", {"tau": 2.0}),
+        ("lyap_dt", {"lyap_dt": -0.005}),
+        ("lyap_renorm", {"lyap_renorm": 0}),
+        ("lyap_t_total", {"lyap_t_total": 5.0}),
+        ("shots", {"shots": -1}),
+    ],
+)
+def test_sweep_config_rejects_bad_values(key, kwargs):
+    with pytest.raises(ConfigError, match=rf"^sweep\.{key} = "):
+        SweepConfig(**kwargs)
+
+
+def test_sweep_config_reads_tuples_as_floats():
+    cfg = SweepConfig(x0=(1, 2, 3), lambdas=(1, 1, 0.5, 2), tau=None, alpha_scale=None)
+    assert cfg.x0 == (1.0, 2.0, 3.0) and all(type(v) is float for v in cfg.x0 + cfg.lambdas)
+    assert cfg.digest() == SweepConfig(x0=(1.0, 2.0, 3.0), tau=None).digest()
+
+
 def test_sweep_empty_grid():
     records, report = run_sweep([], SweepConfig())
     assert records == []

@@ -109,7 +109,7 @@ def test_random_clouds_connected_oriented(seed):
 
 def test_lorenz_representatives_have_a_cycle(lorenz_cloud):
     from topospec import persistence, selection
-    from topospec.sweep import _farthest_point_indices
+    from topospec.sweep import SweepConfig, _farthest_point_indices
 
     pts = lorenz_cloud.points
     fps = pts[_farthest_point_indices(pts, 64, 0)]
@@ -117,9 +117,7 @@ def test_lorenz_representatives_have_a_cycle(lorenz_cloud):
     diag = persistence.compute_persistence(
         persistence.rips_filtration(fps, eps_max=diam)
     )
-    reps = selection.select_representatives(
-        lorenz_cloud, diag, selection.SelectionConfig(k=7)
-    )
+    reps = selection.select_representatives(lorenz_cloud, diag, SweepConfig(k=7))
     coords = reps.coords(lorenz_cloud)
     angles = circular_coordinates(coords)
     g = build_graph(coords, angles, use_ring=True)
