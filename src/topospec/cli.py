@@ -52,9 +52,13 @@ class RunConfig:
         return "\n".join(lines)
 
 
-# the readout mode and shots are run-level settings (run.mode, run.shots)
-_SWEEP_FIELDS = {f.name: f for f in fields(SweepConfig) if f.name not in ("mode", "shots")}
-_PROBE_FIELDS = {f.name: f for f in fields(probe.ProbeSpec)}
+# the keys each config section may set; the readout mode and shots are
+# run-level settings (run.mode, run.shots), held by the sweep
+_SECTION_KEYS = {
+    "run": ("seed", "out", "mode", "shots"),
+    "sweep": tuple(f.name for f in fields(SweepConfig) if f.name not in ("mode", "shots")),
+    "probe": tuple(f.name for f in fields(probe.ProbeSpec)),
+}
 
 
 def _parse_value(raw: str):
@@ -92,9 +96,7 @@ def _run_count(run_kv: dict, key: str) -> int:
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Flat ``section.key = value`` file; unknown keys are rejected."""
-    run_kv: dict = {}
-    sweep_kv: dict = {}
-    probe_kv: dict = {}
+    kv: dict[str, dict] = {section: {} for section in _SECTION_KEYS}
     if path:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -103,24 +105,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, raw = (p.strip() for p in line.split("=", 1))
-            val = _parse_value(raw)
-            if key.startswith("sweep."):
-                name = key[len("sweep.") :]
-                if name not in _SWEEP_FIELDS:
-                    raise ConfigError(f"line {lineno}: unknown key {key}")
-                sweep_kv[name] = val
-            elif key.startswith("probe."):
-                name = key[len("probe.") :]
-                if name not in _PROBE_FIELDS:
-                    raise ConfigError(f"line {lineno}: unknown key {key}")
-                probe_kv[name] = val
-            elif key.startswith("run."):
-                name = key[len("run.") :]
-                if name not in ("seed", "out", "mode", "shots"):
-                    raise ConfigError(f"line {lineno}: unknown key {key}")
-                run_kv[name] = val
-            else:
+            section, dot, name = key.partition(".")
+            if not dot or section not in _SECTION_KEYS:
                 raise ConfigError(f"line {lineno}: unknown section in {key}")
+            if name not in _SECTION_KEYS[section]:
+                raise ConfigError(f"line {lineno}: unknown key {key}")
+            kv[section][name] = _parse_value(raw)
+    run_kv, sweep_kv = kv["run"], kv["sweep"]
     if overrides:
         run_kv.update({k: v for k, v in overrides.items() if v is not None})
     seed = _run_count(run_kv, "seed")
@@ -129,7 +120,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         out=str(run_kv.get("out", "runs/out")),
         sweep=SweepConfig(**sweep_kv, mode=run_kv.get("mode", "exact"), shots=_run_count(run_kv, "shots")),
-        probe_spec=probe.ProbeSpec(**probe_kv),
+        probe_spec=probe.ProbeSpec(**kv["probe"]),
     )
 
 
@@ -152,10 +143,8 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     digest = cfg.digest()
     dt = 0.25
     t_grid = dt * np.arange(256)
-    l1s = [
-        laplacian_at(persistence.rips_filtration(FIVE_POINT_CLOUD, eps_max=eps), eps, 1)[0]
-        for eps in FIVE_POINT_RADII
-    ]
+    filt = persistence.rips_filtration(FIVE_POINT_CLOUD)
+    l1s = [laplacian_at(filt, eps, 1)[0] for eps in FIVE_POINT_RADII]
     alpha = max(1.0, spectro.calibrated_alpha(l1s, dt))
     results = []
     all_pass = True
@@ -201,27 +190,22 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
 
 
 def _run_is_complete(out: Path, digest: str, grid: list[float]) -> bool:
-    """True when a previous run with the same digest, written by this
-    version of the package, already covers the grid.
-
-    The phase-to-energy calibration couples all grid points, so resumption is
-    all-or-nothing: a complete matching run is skipped verbatim, anything
-    else is recomputed.
-    """
-    rec_path = out / "sweep_records.csv"
+    """True when out holds the records of a run with the same digest, grid
+    and package version. alpha, the curvature and the correlations span the
+    grid, so a sub-grid is a different run: a matching run is skipped
+    verbatim, anything else is recomputed."""
     man_path = out / "manifest.json"
-    if not rec_path.exists() or not man_path.exists():
+    if not (out / "sweep_records.csv").exists() or not man_path.exists():
         return False
     try:
         manifest = json.loads(man_path.read_text())
     except json.JSONDecodeError:
         return False
-    if manifest.get("digest") != digest or manifest.get("version") != __version__:
-        return False
-    have = {line.split(",", 1)[0] for line in rec_path.read_text().splitlines()[1:]}
-    from .serialize import fmt
-
-    return {fmt(r) for r in grid} <= have
+    return (
+        manifest.get("digest") == digest
+        and manifest.get("version") == __version__
+        and sorted(manifest.get("grid", ())) == sorted(grid)
+    )
 
 
 def _hardware_correlation(records, hardware_csv: str) -> dict:
@@ -439,29 +423,12 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
     t_grid = sw.dt_corr * np.arange(sw.m_samples)
 
     if spec.kind == "dicke_weighted":
-        hadamard = sw.mode == "hadamard"
         graph = stage.graph
-        diag = persistence.compute_persistence(persistence.rips_filtration(graph.coords))
-        weights = probe.dicke_weights(graph, diag, spec.alpha_bias, spec.beta_bias, spec.eta)
-        ham = susy_hamiltonian(graph)
-        hdense = ham.dense()
+        weights = probe.dicke_weights(graph, spec.alpha_bias, spec.beta_bias)
         psi = probe.dicke_state(graph.n_vertices, weights).astype(complex)
-        # the circuit route guards aliasing with the Gershgorin bound
-        bound = ham.gershgorin_bound() if hadamard else hdense
-        alpha = max(1e-12, spectro.minimal_alpha(bound, sw.dt_corr, spectro.ALIAS_BAND))
-        if hadamard:
-            series = spectro.correlator_hadamard(
-                ham, psi, t_grid, shots=sw.shots, alpha=alpha, seed=sw.seed
-            )
-        elif spec.dephase_samples > 0:
-            vals = probe.dephase_average(
-                hdense, psi, t_grid / alpha, spec.dephase_samples, seed=sw.seed
-            )
-            series = spectro.CorrelatorSeries(
-                dt=sw.dt_corr, values=vals, shots=0, alpha_scale=alpha
-            )
-        else:
-            series = spectro.correlator_exact(hdense, psi, t_grid, alpha=alpha)
+        series = spectro.state_readout(
+            susy_hamiltonian(graph), psi, t_grid, sw.mode, sw.shots, sw.seed, spec.dephase_samples
+        )
         probe_kind, dim = spec.kind, None
     else:
         alpha = spectro.calibrated_alpha([stage.l1], sw.dt_corr, sw.mode)

@@ -155,15 +155,22 @@ def max_h1_persistence(diag: PersistenceDiagram) -> float:
     return float(max((d - b for b, d in finite), default=0.0))
 
 
-def circular_coordinates(cloud: PointCloud | np.ndarray) -> np.ndarray:
+def circular_coordinates(cloud: PointCloud | np.ndarray, fit_rows: np.ndarray | None = None) -> np.ndarray:
     """Angle per point from the top-2 principal components (atan2 of the
-    projections), in [0, 2pi)."""
+    projections), in [0, 2pi). The plane is fit on ``fit_rows`` when given
+    (selection's loop candidates, so the angle winds around that loop), or on
+    all rows when those are fewer than 3 or collinear."""
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    centered = pts - pts.mean(axis=0)
-    _, svals, vecs = np.linalg.svd(centered, full_matrices=False)
-    if len(svals) < 2 or svals[1] < 1e-12 * max(svals[0], 1e-300):
-        raise DegenerateGeometryError("cloud is collinear; no planar projection")
-    proj = centered @ vecs[:2].T
-    return np.mod(np.arctan2(proj[:, 1], proj[:, 0]), 2 * np.pi)
+    fits = [pts] if fit_rows is None else [pts[fit_rows], pts]
+    for sub in fits:
+        if len(sub) < 3:
+            continue
+        center = sub.mean(axis=0)
+        _, svals, vecs = np.linalg.svd(sub - center, full_matrices=False)
+        if len(svals) < 2 or svals[1] < 1e-12 * max(svals[0], 1e-300):
+            continue
+        proj = (pts - center) @ vecs[:2].T
+        return np.mod(np.arctan2(proj[:, 1], proj[:, 0]), 2 * np.pi)
+    raise DegenerateGeometryError("cloud is collinear; no planar projection")

@@ -9,7 +9,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, TopospecError, typed
-from .persistence import PersistenceDiagram, max_h1_persistence
 from .qcompile import Circuit, Gate, simulate
 from .topograph import TopoGraph
 
@@ -21,7 +20,6 @@ class ProbeSpec:
     kind: str = "uniform_edge"
     alpha_bias: float = 0.0
     beta_bias: float = 0.0
-    eta: float = 0.0
     dephase_samples: int = 0
 
     def __post_init__(self):
@@ -40,16 +38,9 @@ def uniform_edge_state(E: int) -> np.ndarray:
     return np.full(E, 1.0 / math.sqrt(E))
 
 
-def dicke_weights(
-    graph: TopoGraph,
-    diag: PersistenceDiagram,
-    alpha_bias: float,
-    beta_bias: float,
-    eta: float,
-) -> np.ndarray:
+def dicke_weights(graph: TopoGraph, alpha_bias: float, beta_bias: float) -> np.ndarray:
     """Sector weights w_k, k = 0..n, biased by ring-edge endpoint labels and
-    the degree histogram, then scaled by (1 + eta * max H1 persistence) and
-    normalized so the squared weights sum to 1.
+    the degree histogram, normalized so the squared weights sum to 1.
 
     The endpoint sums index sectors by vertex label and the degree sums by
     degree value, both taken literally; k therefore ranges over 0..n.
@@ -62,8 +53,6 @@ def dicke_weights(
     for d in graph.degrees():
         if d <= n:
             w[d] += beta_bias
-    lam = max_h1_persistence(diag)
-    w = (1.0 + eta * lam) * w
     return w / math.sqrt(float((w**2).sum()))
 
 

@@ -219,25 +219,6 @@ def select_global(
     return out
 
 
-def loop_angles(pts: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Angular coordinate around the dominant loop for every point.
-
-    The planar projection is fit on the mid-scale candidate subset (the points
-    crowding the loop itself) so the atan2 angle winds around that loop rather
-    than around the global principal plane; the projection is then applied to
-    the whole cloud.
-    """
-    sub = pts[candidates]
-    if len(sub) < 3:
-        return circular_coordinates(pts)
-    center = sub.mean(axis=0)
-    _, svals, vecs = np.linalg.svd(sub - center, full_matrices=False)
-    if len(svals) < 2 or svals[1] < 1e-12 * max(svals[0], 1e-300):
-        return circular_coordinates(pts)
-    proj = (pts - center) @ vecs[:2].T
-    return np.mod(np.arctan2(proj[:, 1], proj[:, 0]), 2 * np.pi)
-
-
 def select_representatives(
     cloud: PointCloud | np.ndarray,
     diag: PersistenceDiagram,
@@ -248,7 +229,7 @@ def select_representatives(
     cloud = PointCloud.of(cloud)
     weights = density_weights(cloud, cfg.alpha_sel)
     cand, no_loop = candidate_set(cloud, diag)
-    angles = loop_angles(cloud.points, cand)
+    angles = circular_coordinates(cloud.points, cand)
     topo = select_topological(cloud, cand, weights, angles, cfg)
     glob = select_global(cloud, weights, topo, cfg.k - cfg.k_topo)
     indices = tuple(topo + glob)

@@ -1,8 +1,8 @@
 """Correlator time series (exact and circuit-simulated Hadamard test), the
-edge-register readout with its one alpha calibration, and spectral
-estimation: Hann periodograms with quadratic refinement, Prony/matrix-pencil
-cross-checks, a zero-mode guard, and aggregated gap estimates with bootstrap
-uncertainty."""
+edge-register and probe-state readouts with their one alpha placement, and
+spectral estimation: Hann periodograms with quadratic refinement,
+Prony/matrix-pencil cross-checks, a zero-mode guard, and aggregated gap
+estimates with bootstrap uncertainty."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AliasingConfigError, ResourceLimitError
-from .probe import diagonal_ensemble_weights, uniform_edge_state, w_state_vector
+from .probe import dephase_average, diagonal_ensemble_weights, uniform_edge_state, w_state_vector
 from .qcompile import controlled_evolution, simulate
 from .serialize import write_csv
 from .susy import PauliHamiltonian, onehot_hamiltonian
@@ -99,27 +99,30 @@ def hann_window(m: int) -> np.ndarray:
     return 0.5 * (1 - np.cos(2 * math.pi * np.arange(m) / (m - 1)))
 
 
-def minimal_alpha(hmat_or_bound, dt: float, band: float = 1.0) -> float:
-    """Smallest rescaling keeping every eigenfrequency below band*Nyquist."""
-    if np.isscalar(hmat_or_bound):
-        bound = float(hmat_or_bound)
-    else:
-        bound = float(np.abs(np.linalg.eigvalsh(np.asarray(hmat_or_bound))).max())
-    return bound * dt / (band * math.pi)
+def minimal_alpha(bound: float, dt: float, band: float = 1.0) -> float:
+    """Smallest rescaling keeping eigenfrequencies up to bound below band*Nyquist."""
+    return float(bound) * dt / (band * math.pi)
+
+
+def _spectral_norm(hmat: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(hmat)).max())
+
+
+def _placed_alpha(bound: float, dt: float) -> float:
+    """The one alpha placement: the norm bound, floored at 1, at ALIAS_BAND of Nyquist."""
+    return max(minimal_alpha(max(bound, 1.0), dt, ALIAS_BAND), 1e-12)
 
 
 def calibrated_alpha(l1s, dt: float, mode: str = "exact") -> float:
-    """One phase-to-energy scale for a set of edge Laplacians: the largest
-    norm bound the readout guards aliasing with (the spectral norm in exact
-    mode, the looser Gershgorin bound of the one-hot Hamiltonian in hadamard
-    mode), floored at 1, placed at ALIAS_BAND of Nyquist."""
-    bound = 1.0
-    for l1 in l1s:
-        if mode == "hadamard":
-            bound = max(bound, onehot_hamiltonian(l1).gershgorin_bound())
-        else:
-            bound = max(bound, float(np.abs(np.linalg.eigvalsh(l1)).max()))
-    return max(minimal_alpha(bound, dt, ALIAS_BAND), 1e-12)
+    """One phase-to-energy scale for a set of edge Laplacians, placed from
+    the largest norm bound the readout guards aliasing with: the spectral
+    norm in exact mode, the looser Gershgorin bound of the one-hot
+    Hamiltonian in hadamard mode."""
+    if mode == "hadamard":
+        bounds = [onehot_hamiltonian(l1).gershgorin_bound() for l1 in l1s]
+    else:
+        bounds = [_spectral_norm(l1) for l1 in l1s]
+    return _placed_alpha(max(bounds, default=1.0), dt)
 
 
 def edge_readout(
@@ -151,6 +154,34 @@ def edge_readout(
     return series, uniform_edge_state(n_edges), "uniform_edge_dephased"
 
 
+def state_readout(
+    ham: PauliHamiltonian,
+    psi: np.ndarray,
+    t_grid: np.ndarray,
+    mode: str = "exact",
+    shots: int = 0,
+    seed: int = 0,
+    dephase_samples: int = 0,
+) -> CorrelatorSeries:
+    """The correlator of a probe state under a Pauli Hamiltonian. exact: alpha
+    from the spectral norm, C(t) from the dense spectrum, averaged over
+    ``dephase_samples`` random-phase draws of the probe when positive.
+    hadamard: alpha from the Gershgorin bound, C(t) from the simulated
+    Hadamard test with ``shots`` and ``seed``."""
+    dt = float(t_grid[1] - t_grid[0])
+    if mode == "hadamard":
+        alpha = _placed_alpha(ham.gershgorin_bound(), dt)
+        return correlator_hadamard(ham, psi, t_grid, shots=shots, alpha=alpha, seed=seed)
+    if mode != "exact":
+        raise ValueError(f"unknown readout mode {mode!r}; expected one of {READOUT_MODES}")
+    hmat = ham.dense()
+    alpha = _placed_alpha(_spectral_norm(hmat), dt)
+    if dephase_samples > 0:
+        vals = dephase_average(hmat, psi, t_grid / alpha, dephase_samples, seed=seed)
+        return CorrelatorSeries(dt=dt, values=vals, shots=0, alpha_scale=alpha)
+    return correlator_exact(hmat, psi, t_grid, alpha=alpha)
+
+
 def correlator_exact(
     hmat: np.ndarray,
     probe: np.ndarray | None,
@@ -168,10 +199,9 @@ def correlator_exact(
     t_grid = np.asarray(t_grid, dtype=float)
     dt = float(t_grid[1] - t_grid[0])
     evals, evecs = np.linalg.eigh(hmat)
-    if np.abs(evals).max() / alpha * dt >= math.pi:
-        raise AliasingConfigError(
-            f"Nyquist violation: need alpha >= {minimal_alpha(hmat, dt):.6g}"
-        )
+    bound = float(np.abs(evals).max())
+    if bound / alpha * dt >= math.pi:
+        raise AliasingConfigError(f"Nyquist violation: need alpha >= {minimal_alpha(bound, dt):.6g}")
     if ensemble_weights is not None:
         a = np.asarray(ensemble_weights, dtype=float)
     else:
@@ -212,12 +242,10 @@ def correlator_hadamard(
     n_total = ham.n + 2
     if n_total > 16:
         raise ResourceLimitError(f"{n_total} qubits exceed the simulation budget")
-    bound = ham.gershgorin_bound() / alpha
-    if bound * dt >= math.pi:
-        raise AliasingConfigError(
-            f"Nyquist violation: need alpha >= {bound * alpha * dt / math.pi:.6g}"
-        )
-    n_sub = steps or max(1, math.ceil(bound * dt))
+    bound = ham.gershgorin_bound()
+    if bound / alpha * dt >= math.pi:
+        raise AliasingConfigError(f"Nyquist violation: need alpha >= {minimal_alpha(bound, dt):.6g}")
+    n_sub = steps or max(1, math.ceil(bound / alpha * dt))
     step = controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha)
     rng = np.random.default_rng(seed)
     sysdim = 1 << ham.n

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,14 @@ def test_sweep_writes_and_resumes(tmp_path, capsys):
     assert (out / "sweep_records.csv").read_bytes() == first
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["grid"] == [38.0, 39.0]
+    # a sub-grid is a different run: alpha and the correlations span the grid
+    rc = cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "39"])
+    assert rc == 0
+    assert "skipping" not in capsys.readouterr().out
+    assert json.loads((out / "manifest.json").read_text())["grid"] == [39.0]
+    rc = cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "39"])
+    assert rc == 0
+    assert "skipping" in capsys.readouterr().out
 
 
 def test_rho_sweep_full_splits_the_sweep_records(tmp_path):
@@ -346,20 +355,28 @@ def test_run_counts_accept_integral_values(tmp_path):
 
 def test_probe_section_parsed_and_rejected(tmp_path):
     good = tmp_path / "good.cfg"
-    good.write_text("probe.kind = dicke_weighted\nprobe.eta = 0.5\n")
+    good.write_text("probe.kind = dicke_weighted\nprobe.alpha_bias = 0.5\n")
     cfg = cli.load_config(str(good))
     assert cfg.probe_spec.kind == "dicke_weighted"
-    assert cfg.probe_spec.eta == 0.5
+    assert cfg.probe_spec.alpha_bias == 0.5
     bad = tmp_path / "bad.cfg"
     # w_state was an alias of uniform_edge: the same 1/sqrt(E) amplitudes
-    for text in ("kind = nonsense", "kind = w_state", "eta = abc", "eta = -1", "dephase_samples = 1.5"):
+    for text in ("kind = nonsense", "kind = w_state", "alpha_bias = abc", "alpha_bias = -1", "dephase_samples = 1.5"):
         bad.write_text(f"probe.{text}\n")
         with pytest.raises(ConfigError, match=f"^probe.{text.split()[0]} = "):
             cli.load_config(str(bad))
 
 
+def test_probe_eta_is_an_unknown_key(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("probe.eta = 0.5\n")
+    with pytest.raises(ConfigError, match="unknown key probe.eta"):
+        cli.load_config(str(bad))
+    assert cli.main(["--config", str(bad), "--out", str(tmp_path / "out"), "graph"]) == 2
+
+
 def test_qpe_dicke_probe_path(tmp_path):
-    cfg = write_fast_config(tmp_path, extra="probe.kind = dicke_weighted\nprobe.eta = 0.3\n")
+    cfg = write_fast_config(tmp_path, extra="probe.kind = dicke_weighted\nprobe.alpha_bias = 0.3\n")
     out = tmp_path / "out"
     rc = cli.main(["--config", str(cfg), "--out", str(out), "qpe", "--rho", "28"])
     assert rc == 0
@@ -391,3 +408,18 @@ def test_artifacts_carry_version(tmp_path):
 
     assert report["version"] == topospec.__version__
     assert report["digest"]
+
+
+def test_pyproject_reads_the_package_version():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    import topospec
+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] support is flagged beta
+        declared = read_configuration(path, expand=False)["project"]
+        resolved = read_configuration(path)["project"]
+    # the one version number lives in the package
+    assert "version" not in declared and "version" in declared["dynamic"]
+    assert resolved["version"] == topospec.__version__

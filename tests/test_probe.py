@@ -5,7 +5,6 @@ import pytest
 
 from topospec.errors import TopospecError
 from topospec.hodge import laplacian_k
-from topospec.persistence import PersistenceDiagram
 from topospec.probe import (
     dephase_average,
     diagonal_ensemble_weights,
@@ -40,17 +39,9 @@ def test_uniform_edge_orthogonal_to_c4_harmonic():
 
 
 def test_dicke_weights_uniform_when_unbiased():
-    diag = PersistenceDiagram(pairs=((1, 0.3, 1.0),))
-    w = dicke_weights(C4, diag, 0.0, 0.0, 0.0)
+    w = dicke_weights(C4, 0.0, 0.0)
     assert np.allclose(w, w[0])
     assert np.isclose((w**2).sum(), 1.0)
-
-
-def test_dicke_weights_global_gain_cancels():
-    diag = PersistenceDiagram(pairs=((1, 0.3, 1.0),))
-    w0 = dicke_weights(C4, diag, 0.7, 0.3, 0.0)
-    w1 = dicke_weights(C4, diag, 0.7, 0.3, 5.0)
-    assert np.allclose(w0, w1, atol=1e-12)
 
 
 def test_dicke_weights_ring_endpoint_hand_count():
@@ -62,8 +53,7 @@ def test_dicke_weights_ring_endpoint_hand_count():
 
     g = build_graph(coords, circular_coordinates(coords), use_ring=True, eps_quantile=0.05)
     ring = g.ring_edges()
-    diag = PersistenceDiagram(pairs=())
-    w = dicke_weights(g, diag, 1.0, 0.0, 0.0)
+    w = dicke_weights(g, 1.0, 0.0)
     raw = np.ones(5)
     for (u, v) in ring:
         raw[u] += 1.0
@@ -73,7 +63,7 @@ def test_dicke_weights_ring_endpoint_hand_count():
 
 
 def test_dicke_state_populations():
-    w = dicke_weights(C4, PersistenceDiagram(pairs=()), 0.5, 0.5, 0.1)
+    w = dicke_weights(C4, 0.5, 0.5)
     psi = dicke_state(4, w)
     assert np.isclose(np.linalg.norm(psi), 1.0, atol=1e-12)
     pops = np.zeros(5)

@@ -11,17 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topospec import cli, spectro
+from topospec import cli, persistence, spectro
 from topospec.hodge import laplacian_k
 from topospec.probe import diagonal_ensemble_weights, uniform_edge_state
-from topospec.susy import onehot_hamiltonian
+from topospec.susy import PauliHamiltonian, onehot_hamiltonian
 from topospec.sweep import _pipeline_stage, _resolve_tau, run_sweep
 from topospec.topograph import graph_from_edges
 from test_cli import write_fast_config
 from test_pipeline import FAST, ROOT, artifact_digests
 
 HADAMARD = "sweep.m_samples = 48\n"
-DICKE = "probe.kind = dicke_weighted\nprobe.eta = 0.3\n"
+DICKE = "probe.kind = dicke_weighted\n"
 
 # (command line, extra config lines) of each pinned run; all at run.seed = 0
 RUNS = {
@@ -161,6 +161,30 @@ def test_sweep_qpe_and_fivepoint_share_the_edge_readout(tmp_path, monkeypatch):
     assert calls[-1][1:] == ("hadamard", 7, 0)
     run_sweep([38.0], FAST)
     assert len(calls) == 5 and calls[-1][1:] == ("exact", 0, 0)
+
+
+def test_dicke_qpe_reads_the_pipeline_diagram_only(tmp_path, monkeypatch):
+    # the pipeline's FPS diagram is the one persistence computation; the
+    # Dicke weights need none of their own
+    calls = []
+    reduce = persistence.compute_persistence
+
+    def counted(filt):
+        calls.append(len(filt.simplices))
+        return reduce(filt)
+
+    monkeypatch.setattr(persistence, "compute_persistence", counted)
+    run_cli(tmp_path, ["qpe", "--rho", "28"], DICKE)
+    assert len(calls) == 1
+
+
+def test_hadamard_dicke_qpe_never_builds_the_dense_hamiltonian(tmp_path, monkeypatch):
+    def dense(self):
+        raise AssertionError("the circuit readout built the dense Hamiltonian")
+
+    monkeypatch.setattr(PauliHamiltonian, "dense", dense)
+    out = run_cli(tmp_path, ["--mode", "hadamard", "qpe", "--rho", "28"], DICKE + HADAMARD)
+    assert artifact_digests(out) == GOLDEN["dicke_hadamard"]
 
 
 def test_qpe_draws_its_readout_with_the_sweep_seed(tmp_path):
