@@ -21,13 +21,13 @@ import sys
 import numpy as np
 
 from topospec.fixtures import FIVE_POINT_CLOUD
-from topospec.hodge import complex_at, laplacian_at
+from topospec.hodge import laplacian_at
 from topospec.persistence import compute_persistence, rips_filtration
 
 
 def counts_at(filt, diag, eps):
     """(edges, triangles, connected components) of the Rips complex at eps."""
-    cx = complex_at(filt, eps)
+    cx = filt.complex_at(eps)
     return len(cx[1]), len(cx[2]), diag.betti(0, eps)
 
 

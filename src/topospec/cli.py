@@ -275,8 +275,6 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None
 
 
 def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
-    if n_points > 12:
-        raise ConfigError("bound check limited to clouds of <= 12 points")
     rng = np.random.default_rng(cfg.seed)
     out = Path(cfg.out)
     header = ("cloud",) + tuple(f.name for f in fields(BoundReport))
@@ -481,6 +479,17 @@ def _float_grid(spec_str: str) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+# numeric subcommand options, checked before any stage runs; the bound
+# checker is limited to clouds of <= 12 points
+_OPTION_RULES = {
+    "points": ("in 1..12", lambda v: 1 <= v <= 12),
+    "clouds": (">= 1", lambda v: v >= 1),
+    "phase_bits": (">= 1", lambda v: v >= 1),
+    "eta": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "rho": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     # SUPPRESS keeps a subcommand's unprovided options from clobbering values
     # parsed before the subcommand
@@ -521,6 +530,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     opt = vars(args)
     try:
+        for name, (rule, ok) in _OPTION_RULES.items():
+            if name in opt and not ok(opt[name]):
+                raise ConfigError(f"--{name.replace('_', '-')} = {opt[name]}: must be {rule}")
         cfg = load_config(
             opt.get("config"),
             {k: opt.get(k) for k in ("seed", "out", "mode", "shots")},

@@ -135,20 +135,9 @@ def complex_laplacian(cx: dict[int, list[tuple[int, ...]]], p: int) -> np.ndarra
     return laplacian_k(down, boundary_matrix(cx.get(p + 1, []), simp_p))
 
 
-def complex_at(filt: Filtration, eps: float) -> dict[int, list[tuple[int, ...]]]:
-    """Simplices of each dimension present at radius eps, in sorted order."""
-    out: dict[int, list[tuple[int, ...]]] = {0: [], 1: [], 2: []}
-    for verts, r in filt.simplices:
-        if r <= eps:
-            out[len(verts) - 1].append(verts)
-    for k in out:
-        out[k].sort()
-    return out
-
-
 def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Dense p-Laplacian of the complex at radius eps, with its p-simplex basis."""
-    cx = complex_at(filt, eps)
+    cx = filt.complex_at(eps)
     return complex_laplacian(cx, p), cx[p]
 
 
@@ -172,34 +161,26 @@ class BoundReport:
 
 
 def _padded_norm_diff(La: np.ndarray, basis_a, Lb: np.ndarray, basis_b) -> float:
-    """Spectral norm of the difference, embedding the smaller chain space
-    into the larger one with zero blocks."""
-    all_basis = sorted(set(basis_a) | set(basis_b))
-    idx = {s: i for i, s in enumerate(all_basis)}
-    n = len(all_basis)
-    Pa = np.zeros((n, n))
-    Pb = np.zeros((n, n))
-    ia = [idx[s] for s in basis_a]
-    ib = [idx[s] for s in basis_b]
-    if basis_a:
-        Pa[np.ix_(ia, ia)] = La
-    if basis_b:
-        Pb[np.ix_(ib, ib)] = Lb
-    if n == 0:
+    """Spectral norm of Lb - La, embedding La's chain space into the larger
+    one of Lb (basis_a is a subset of basis_b) with zero blocks."""
+    if not basis_b:
         return 0.0
-    return float(np.linalg.norm(Pb - Pa, ord=2))
+    idx = {s: i for i, s in enumerate(basis_b)}
+    ia = [idx[s] for s in basis_a]
+    diff = np.array(Lb, dtype=float)
+    diff[np.ix_(ia, ia)] -= La
+    return float(np.linalg.norm(diff, ord=2))
 
 
 def empirical_lipschitz(filt: Filtration, b: float, d: float, p: int) -> float:
     """Max over consecutive critical radii in [b, d] of
     ||Delta_p(K_{t+}) - Delta_p(K_t)||_2 / (t+ - t)."""
     radii = [r for r in filt.critical_radii() if b - 1e-12 <= r <= d + 1e-12]
+    laps = [laplacian_at(filt, r, p) for r in radii]
     best = 0.0
-    for r0, r1 in zip(radii, radii[1:]):
+    for r0, r1, (L0, s0), (L1, s1) in zip(radii, radii[1:], laps, laps[1:]):
         if r1 - r0 <= 1e-15:
             continue
-        L0, s0 = laplacian_at(filt, r0, p)
-        L1, s1 = laplacian_at(filt, r1, p)
         best = max(best, _padded_norm_diff(L0, s0, L1, s1) / (r1 - r0))
     return best
 
@@ -207,7 +188,7 @@ def empirical_lipschitz(filt: Filtration, b: float, d: float, p: int) -> float:
 def _d_p_max(filt: Filtration, eps: float, p: int) -> tuple[int, int]:
     """Both readings of d_{p,max} at radius eps: (max cofacet count over
     (p-1)-simplices, faces per p-simplex)."""
-    cx = complex_at(filt, eps)
+    cx = filt.complex_at(eps)
     simp_p = cx[p]
     faces = (p + 1) if simp_p else 0
     counts = Counter(face for i in range(p + 1) for face in _faces(simp_p, i))

@@ -1,16 +1,17 @@
 """Vietoris-Rips filtrations and persistent homology in degrees 0 and 1.
 
 Coefficients are the two-element field. Columns of the boundary matrix are
-stored as Python integers (bitmasks over row indices), so the reduction is a
-sequence of XORs; the clearing optimization skips columns whose simplex was
-already paired as a pivot one dimension up.
+Python integers (bitmasks over the simplices one dimension down), so the
+reduction is a sequence of XORs; the clearing optimization skips columns whose
+simplex was already paired as a pivot one dimension up.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,26 +22,50 @@ from .serialize import write_csv
 
 @dataclass(frozen=True)
 class Filtration:
-    """Simplices as (vertex tuple, appearance radius), sorted by
-    (radius, dimension, lexicographic vertices); that order is total, so the
-    pairing computed from it is deterministic."""
+    """The 2-skeleton as one table per dimension, so the complex at any radius
+    is a prefix of each: ``cells[d]`` holds the sorted vertex tuples of the
+    d-simplices and ``radii[d]`` their appearance radii, both in (radius,
+    lexicographic vertices) order; that order is total, so the pairing
+    computed from it is deterministic. ``faces[d][j]`` are the rows of
+    ``cells[d - 1]`` that are faces of ``cells[d][j]``."""
 
-    simplices: tuple[tuple[tuple[int, ...], float], ...]
+    cells: tuple[tuple[tuple[int, ...], ...], ...]
+    radii: tuple[tuple[float, ...], ...]
+    faces: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        radius = {}
-        for verts, r in self.simplices:
-            radius[verts] = r
-            for face in itertools.combinations(verts, len(verts) - 1):
-                if len(face) < 1:
-                    continue
-                if face not in radius:
-                    raise ValueError(f"face {face} of {verts} missing or out of order")
-                if radius[face] > r + 1e-12:
-                    raise ValueError(f"face {face} appears after simplex {verts}")
+        for d, radii in enumerate(self.radii):
+            if any(b < a for a, b in zip(radii, radii[1:])):
+                raise ValueError(f"{d}-simplices are not in radius order")
+        faces = [((),) * len(self.cells[0])]
+        for d in (1, 2):
+            row = {verts: k for k, verts in enumerate(self.cells[d - 1])}
+            table = [tuple(row.get(f, -1) for f in itertools.combinations(v, d)) for v in self.cells[d]]
+            for verts, r, idx in zip(self.cells[d], self.radii[d], table):
+                if -1 in idx:
+                    raise ValueError(f"a face of {verts} is missing")
+                if max(self.radii[d - 1][k] for k in idx) > r + 1e-12:
+                    raise ValueError(f"a face of {verts} appears after it")
+            faces.append(tuple(table))
+        object.__setattr__(self, "faces", tuple(faces))
+
+    @property
+    def simplices(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """Every simplex as (vertices, radius) in the global (radius,
+        dimension, vertices) order."""
+        every = (sr for cells, radii in zip(self.cells, self.radii) for sr in zip(cells, radii))
+        return tuple(sorted(every, key=lambda sr: (sr[1], len(sr[0]), sr[0])))
 
     def critical_radii(self) -> np.ndarray:
-        return np.unique([r for _, r in self.simplices])
+        return np.unique(sum(self.radii, ()))
+
+    def complex_at(self, eps: float) -> dict[int, list[tuple[int, ...]]]:
+        """Simplices of each dimension present at radius eps (a prefix of
+        each table), in lexicographic order."""
+        return {
+            d: sorted(cells[: bisect.bisect_right(radii, eps)])
+            for d, (cells, radii) in enumerate(zip(self.cells, self.radii))
+        }
 
 
 @dataclass(frozen=True)
@@ -81,18 +106,34 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
         eps_max = max(cloud.diameter() * 1.0001, 1e-12)
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
-    n = cloud.n
     dist = cloud.distances()
-    simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        if dist[i, j] <= eps_max:
-            simplices.append(((i, j), float(dist[i, j])))
-    for i, j, k in itertools.combinations(range(n), 3):
-        r = float(max(dist[i, j], dist[i, k], dist[j, k]))
-        if r <= eps_max:
-            simplices.append(((i, j, k), r))
-    simplices.sort(key=lambda sr: (sr[1], len(sr[0]), sr[0]))
-    return Filtration(simplices=tuple(simplices))
+    cells, radii = [], []
+    for d in range(3):
+        verts = np.array(list(itertools.combinations(range(cloud.n), d + 1)), dtype=np.intp).reshape(-1, d + 1)
+        r = dist[verts[:, :, None], verts[:, None, :]].max(axis=(1, 2))  # longest edge; 0 for a vertex
+        # a stable sort keeps lexicographic order within a radius; cells past eps_max are its tail
+        order = np.argsort(r, kind="stable")[: np.count_nonzero(r <= eps_max)]
+        cells.append(tuple(map(tuple, verts[order].tolist())))
+        radii.append(tuple(r[order].tolist()))
+    return Filtration(cells=tuple(cells), radii=tuple(radii))
+
+
+def _reduce(columns: list[int], cleared: set[int]) -> dict[int, int]:
+    """Reduce bitmask columns left to right, in place, skipping the cleared
+    ones; maps the pivot (highest set bit) of each nonzero column to it."""
+    low_to_col: dict[int, int] = {}
+    for j, col in enumerate(columns):
+        if j in cleared:
+            continue
+        while col:
+            other = low_to_col.get(col.bit_length() - 1)
+            if other is None:
+                break
+            col ^= columns[other]
+        columns[j] = col
+        if col:
+            low_to_col[col.bit_length() - 1] = j
+    return low_to_col
 
 
 def compute_persistence(filt: Filtration) -> PersistenceDiagram:
@@ -101,49 +142,15 @@ def compute_persistence(filt: Filtration) -> PersistenceDiagram:
     Dimensions are processed top-down; when a dim-k column pairs with a dim-(k-1)
     pivot, the pivot's own column is cleared (it is necessarily a cycle).
     """
-    simplices = filt.simplices
-    index = {verts: i for i, (verts, _) in enumerate(simplices)}
-    radius = [r for _, r in simplices]
-    dim_of = [len(v) - 1 for v, _ in simplices]
-
-    boundary: list[int] = []
-    for verts, _ in simplices:
-        col = 0
-        if len(verts) > 1:
-            for drop in range(len(verts)):
-                face = verts[:drop] + verts[drop + 1 :]
-                col ^= 1 << index[face]
-        boundary.append(col)
-
-    low_to_col: dict[int, int] = {}
-    pair_of: dict[int, int] = {}
-    cleared: set[int] = set()
-    for dim in (2, 1):
-        for j in range(len(simplices)):
-            if dim_of[j] != dim or j in cleared:
-                continue
-            col = boundary[j]
-            while col:
-                low = col.bit_length() - 1
-                other = low_to_col.get(low)
-                if other is None:
-                    break
-                col ^= boundary[other]
-            boundary[j] = col
-            if col:
-                low = col.bit_length() - 1
-                low_to_col[low] = j
-                pair_of[low] = j
-                cleared.add(low)
-
     pairs: list[tuple[int, float, float]] = []
-    paired_as_death = set(pair_of.values())
-    for i in range(len(simplices)):
-        if i in pair_of:
-            j = pair_of[i]
-            pairs.append((dim_of[i], radius[i], radius[j]))
-        elif i not in paired_as_death and dim_of[i] < 2:
-            pairs.append((dim_of[i], radius[i], math.inf))
+    paired: set[int] = set()  # simplices of dim paired as births by dim + 1; vertices have no pivots
+    for dim in (2, 1, 0):
+        pivots = _reduce([sum(1 << k for k in face) for face in filt.faces[dim]], paired)
+        pairs += [(dim - 1, filt.radii[dim - 1][low], filt.radii[dim][j]) for low, j in pivots.items()]
+        if dim < 2:  # neither paired as a birth nor a death: an essential class
+            dead = paired | set(pivots.values())
+            pairs += [(dim, r, math.inf) for j, r in enumerate(filt.radii[dim]) if j not in dead]
+        paired = set(pivots)
     pairs.sort()
     return PersistenceDiagram(pairs=tuple(pairs))
 

@@ -121,6 +121,32 @@ def test_cli_exit_code_2_on_bad_grid_or_run_count(tmp_path, capsys, argv, cfg_te
     assert not out.exists()
 
 
+BAD_OPTIONS = [
+    ["bound-check", "--points", "0"],
+    ["bound-check", "--points", "13"],
+    ["bound-check", "--clouds", "-3"],
+    ["bound-check", "--clouds", "0"],
+    ["compile-report", "--phase-bits", "0"],
+    ["compile-report", "--rho", "0"],
+    ["lorenz", "--rho", "-5"],
+    ["qpe", "--rho", "nan"],
+    ["validate-fivepoint", "--eta", "-1"],
+    ["validate-fivepoint", "--eta", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_OPTIONS, ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
+def test_cli_exit_code_2_on_bad_subcommand_option(tmp_path, capsys, monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise AssertionError("dynamics.integrate reached")
+
+    monkeypatch.setattr(dynamics, "integrate", reached)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {argv[1]} = {argv[2]}")
+    assert not out.exists()
+
+
 def test_validate_fivepoint_passes(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path / "out"), "validate-fivepoint"])
     assert rc == 0

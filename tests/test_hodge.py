@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from topospec import cli
 from topospec.hodge import (
-    complex_at,
     empirical_lipschitz,
     hodge_projectors,
     laplacian_at,
@@ -144,7 +143,7 @@ def test_filtration_clique_and_incidence_laplacians_agree(pts, pick):
     filt = rips_filtration(cloud, eps_max=3.0)  # above the diameter, 2 sqrt(2)
     radii = filt.critical_radii()
     eps = float(radii[pick % len(radii)])
-    g = graph_from_edges(len(cloud), complex_at(filt, eps)[1])
+    g = graph_from_edges(len(cloud), filt.complex_at(eps)[1])
     L, simp = laplacian_at(filt, eps, 1)
     assert simp == list(g.edges)
     assert np.array_equal(L, clique_laplacian(g, 1))

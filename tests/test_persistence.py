@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topospec.embedding import PointCloud
 from topospec.errors import DegenerateGeometryError
 from topospec.fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
-from topospec.hodge import complex_at
 from topospec.persistence import (
+    Filtration,
     circular_coordinates,
     compute_persistence,
     max_h1_persistence,
@@ -44,6 +45,110 @@ def brute_betti(points: np.ndarray, eps: float, dim: int) -> int:
     return len(edges) - r1 - r2
 
 
+def reference_persistence(simplices) -> tuple[tuple[int, float, float], ...]:
+    """Pairs from the global-order reducer: one GF(2) bitmask column per
+    simplex over all global indices, dimensions 2 then 1, with clearing."""
+    index = {verts: i for i, (verts, _) in enumerate(simplices)}
+    radius = [r for _, r in simplices]
+    dim_of = [len(v) - 1 for v, _ in simplices]
+    boundary = []
+    for verts, _ in simplices:
+        col = 0
+        if len(verts) > 1:
+            for drop in range(len(verts)):
+                col ^= 1 << index[verts[:drop] + verts[drop + 1 :]]
+        boundary.append(col)
+    low_to_col, pair_of, cleared = {}, {}, set()
+    for dim in (2, 1):
+        for j in range(len(simplices)):
+            if dim_of[j] != dim or j in cleared:
+                continue
+            col = boundary[j]
+            while col:
+                other = low_to_col.get(col.bit_length() - 1)
+                if other is None:
+                    break
+                col ^= boundary[other]
+            boundary[j] = col
+            if col:
+                low = col.bit_length() - 1
+                low_to_col[low] = pair_of[low] = j
+                cleared.add(low)
+    pairs = []
+    paired_as_death = set(pair_of.values())
+    for i in range(len(simplices)):
+        if i in pair_of:
+            pairs.append((dim_of[i], radius[i], radius[pair_of[i]]))
+        elif i not in paired_as_death and dim_of[i] < 2:
+            pairs.append((dim_of[i], radius[i], math.inf))
+    return tuple(sorted(pairs))
+
+
+def reference_simplices(points: np.ndarray, eps_max: float):
+    """The Rips 2-skeleton as one list sorted by (radius, dimension, vertices)."""
+    n = len(points)
+    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(-1))
+    simplices = [((i,), 0.0) for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if dist[i, j] <= eps_max:
+            simplices.append(((i, j), float(dist[i, j])))
+    for i, j, k in itertools.combinations(range(n), 3):
+        r = float(max(dist[i, j], dist[i, k], dist[j, k]))
+        if r <= eps_max:
+            simplices.append(((i, j, k), r))
+    return tuple(sorted(simplices, key=lambda sr: (sr[1], len(sr[0]), sr[0])))
+
+
+def reference_complex_at(simplices, eps: float) -> dict[int, list[tuple[int, ...]]]:
+    """The complex at radius eps by scanning every simplex and sorting."""
+    out = {0: [], 1: [], 2: []}
+    for verts, r in simplices:
+        if r <= eps:
+            out[len(verts) - 1].append(verts)
+    return {k: sorted(v) for k, v in out.items()}
+
+
+def _cloud(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    if kind == "grid":  # integer coordinates: tied radii and repeated points
+        return rng.integers(0, 3, size=(n, 2)).astype(float)
+    return rng.uniform(0, 1, size=(n, 3))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "grid"])
+@given(seed=st.integers(0, 10_000), cut=st.sampled_from([None, 0.4, 0.7]))
+@settings(max_examples=40, deadline=None)
+def test_persistence_and_complexes_match_the_global_order_reference(kind, seed, cut):
+    pts = _cloud(kind, seed)
+    diam = PointCloud(pts).diameter()
+    eps_max = max(diam * 1.0001, 1e-12) if cut is None or diam == 0 else cut * diam
+    filt = rips_filtration(pts, eps_max=eps_max)
+    assert filt.simplices == reference_simplices(pts, eps_max)
+    assert compute_persistence(filt).pairs == reference_persistence(filt.simplices)
+    for eps in filt.critical_radii():
+        assert filt.complex_at(eps) == reference_complex_at(filt.simplices, eps)
+
+
+def _filtration(simplices) -> Filtration:
+    """A Filtration from (vertices, radius) pairs, one table per dimension."""
+    tables = [sorted((r, v) for v, r in simplices if len(v) == d + 1) for d in range(3)]
+    return Filtration(
+        cells=tuple(tuple(v for _, v in t) for t in tables),
+        radii=tuple(tuple(r for r, _ in t) for t in tables),
+    )
+
+
+@pytest.mark.parametrize("edge_12", [None, 2.0], ids=["missing-edge", "edge-after-triangle"])
+def test_filtration_rejects_a_bad_face(edge_12):
+    simplices = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0), ((0, 1, 2), 1.0)]
+    _filtration(simplices + [((1, 2), 1.0)])
+    if edge_12 is not None:
+        simplices.append(((1, 2), edge_12))
+    with pytest.raises(ValueError):
+        _filtration(simplices)
+
+
 def test_two_points():
     filt = rips_filtration(np.array([[0.0, 0.0], [1.0, 0.0]]), eps_max=2.0)
     assert [s for s in filt.simplices] == [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
@@ -63,7 +168,7 @@ def test_unit_square_filtration(unit_square):
 def test_five_point_counts():
     pts = FIVE_POINT_CLOUD
     filt = rips_filtration(pts, eps_max=2.0)
-    cx = complex_at(filt, 0.8)
+    cx = filt.complex_at(0.8)
     assert (len(cx[0]), len(cx[1]), len(cx[2])) == (5, 4, 0)
     diag = compute_persistence(filt)
     assert diag.betti(0, 0.8) == 2  # square component + isolated apex
