@@ -145,8 +145,13 @@ def test_filtration_rejects_a_bad_face(edge_12):
     _filtration(simplices + [((1, 2), 1.0)])
     if edge_12 is not None:
         simplices.append(((1, 2), edge_12))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="face"):
         _filtration(simplices)
+
+
+def test_filtration_rejects_a_table_out_of_radius_order():
+    with pytest.raises(ValueError, match="radius order"):
+        Filtration(cells=(((0,), (1,), (2,)), ((0, 1), (0, 2)), ()), radii=((0.0,) * 3, (2.0, 1.0), ()))
 
 
 def test_two_points():
