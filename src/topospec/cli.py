@@ -141,8 +141,7 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
         )
     out = Path(cfg.out)
     digest = cfg.digest()
-    dt = 0.25
-    t_grid = dt * np.arange(256)
+    dt, m = 0.25, 256
     filt = persistence.rips_filtration(FIVE_POINT_CLOUD)
     l1s = [laplacian_at(filt, eps, 1)[0] for eps in FIVE_POINT_RADII]
     alpha = max(1.0, spectro.calibrated_alpha(l1s, dt))
@@ -150,7 +149,7 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     all_pass = True
     for eps, beta_expect, l1 in zip(FIVE_POINT_RADII, FIVE_POINT_BETTI1, l1s):
         classical = spectrum(l1)
-        series, _, _ = spectro.edge_readout(l1, t_grid, alpha)
+        series, _, _ = spectro.edge_readout(l1, dt, m, alpha)
         est = spectro.estimate(series, ensemble_dim=len(l1))
         gap_ok = True
         if classical.gap is not None and est.gap_hat is not None:
@@ -418,20 +417,20 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
     stage = _run_to(cfg, rho, "graph")
     if stage is None:
         return 1
-    t_grid = sw.dt_corr * np.arange(sw.m_samples)
 
     if spec.kind == "dicke_weighted":
         graph = stage.graph
         weights = probe.dicke_weights(graph, spec.alpha_bias, spec.beta_bias)
         psi = probe.dicke_state(graph.n_vertices, weights).astype(complex)
         series = spectro.state_readout(
-            susy_hamiltonian(graph), psi, t_grid, sw.mode, sw.shots, sw.seed, spec.dephase_samples
+            susy_hamiltonian(graph), psi, sw.dt_corr, sw.m_samples, sw.mode, sw.shots, sw.seed,
+            spec.dephase_samples,
         )
         probe_kind, dim = spec.kind, None
     else:
         alpha = spectro.calibrated_alpha([stage.l1], sw.dt_corr, sw.mode)
         series, psi, probe_kind = spectro.edge_readout(
-            stage.l1, t_grid, alpha, sw.mode, sw.shots, sw.seed
+            stage.l1, sw.dt_corr, sw.m_samples, alpha, sw.mode, sw.shots, sw.seed
         )
         dim = stage.l1.shape[0]
     probe.state_to_csv(out / f"qpe_probe_rho{rho}.csv", psi)
@@ -459,7 +458,8 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
 
 def _float_grid(spec_str: str) -> list[float]:
     """``lo:hi:step`` (inclusive, step > 0, hi >= lo) or a comma list of
-    finite numbers; an empty string is an empty grid."""
+    numbers; an empty string is an empty grid. Every value follows the
+    ``--rho`` rule."""
     ranged = ":" in spec_str
     parts = spec_str.split(":") if ranged else [p for p in spec_str.split(",") if p.strip()]
     try:
@@ -468,15 +468,17 @@ def _float_grid(spec_str: str) -> list[float]:
         raise ConfigError(f"--grid {spec_str!r}: not a number") from None
     if not all(map(math.isfinite, vals)):
         raise ConfigError(f"--grid {spec_str!r}: values must be finite")
-    if not ranged:
-        return vals
-    if len(vals) != 3:
-        raise ConfigError(f"--grid {spec_str!r}: expected lo:hi:step")
-    lo, hi, step = vals
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"--grid {spec_str!r}: need step > 0 and hi >= lo")
-    n = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(n)]
+    if ranged:
+        if len(vals) != 3:
+            raise ConfigError(f"--grid {spec_str!r}: expected lo:hi:step")
+        lo, hi, step = vals
+        if step <= 0 or hi < lo:
+            raise ConfigError(f"--grid {spec_str!r}: need step > 0 and hi >= lo")
+        vals = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+    rule, ok = _OPTION_RULES["rho"]
+    if not all(map(ok, vals)):
+        raise ConfigError(f"--grid {spec_str!r}: every rho must be {rule}")
+    return vals
 
 
 # numeric subcommand options, checked before any stage runs; the bound

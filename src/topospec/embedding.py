@@ -11,6 +11,7 @@ from .errors import InsufficientDataError, ZeroVarianceError
 from .serialize import write_csv
 
 MI_BINS = 32  # equal-width bins for the auto-mutual-information histogram
+MI_FLAT_REL = 0.02  # MI moves below this fraction of the curve range are flat
 MI_FLOOR = 0.05  # lag-1 mutual information below which a series has no usable dependence
 
 
@@ -99,11 +100,11 @@ def delay_embed(series: np.ndarray, tau: int, m: int) -> PointCloud:
     return PointCloud(points=pts / sd)
 
 
-def mutual_information(s: np.ndarray, lag: int, bins: int = MI_BINS) -> float:
+def mutual_information(s: np.ndarray, lag: int) -> float:
     """Histogram estimate of I(s_t; s_{t+lag}) in nats, bias-corrected."""
     a, b = s[:-lag], s[lag:]
     lo, hi = float(s.min()), float(s.max())
-    joint, _, _ = np.histogram2d(a, b, bins=bins, range=[[lo, hi], [lo, hi]])
+    joint, _, _ = np.histogram2d(a, b, bins=MI_BINS, range=[[lo, hi], [lo, hi]])
     n = joint.sum()
     pj = joint / n
     pa = pj.sum(axis=1)
@@ -123,14 +124,14 @@ def autocorrelation(s: np.ndarray, lag: int) -> float:
     return float((a[:-lag] * a[lag:]).sum() / denom)
 
 
-def _first_mi_valley(mi: np.ndarray, rel_tol: float = 0.02) -> int | None:
+def _first_mi_valley(mi: np.ndarray) -> int | None:
     """Center lag (1-based) of the first significant valley of the MI curve.
 
-    Moves smaller than rel_tol times the curve range count as flat, so a
+    Moves smaller than MI_FLAT_REL times the curve range count as flat, so a
     plateau (e.g. a pure sinusoid's quarter-period basin) resolves to its
     center instead of a bin-noise argmin, and monotone curves yield None.
     """
-    delta = rel_tol * float(mi.max() - mi.min())
+    delta = MI_FLAT_REL * float(mi.max() - mi.min())
     if delta == 0.0:
         return None
     descended = False

@@ -20,8 +20,6 @@ import numpy as np
 from .embedding import PointCloud
 from .persistence import Filtration, compute_persistence, rips_filtration
 
-DEFAULT_TAU0_REL = 1e-8  # kernel tolerance relative to the largest eigenvalue
-
 
 @dataclass(frozen=True)
 class HodgeSpectrum:
@@ -45,36 +43,38 @@ def laplacian_k(B_k: np.ndarray | None, B_k1: np.ndarray | None) -> np.ndarray:
     return down if down is not None else up
 
 
-def spectrum(L: np.ndarray, tau0: float | None = None) -> HodgeSpectrum:
-    """Dense symmetric eigendecomposition with kernel count and first gap.
+def kernel_tolerance(evals: np.ndarray) -> float:
+    """Eigenvalues at or below this count as kernel: a relative tolerance on
+    the largest eigenvalue magnitude, floored at 1."""
+    return 1e-8 * max(float(np.abs(evals).max()), 1.0)
 
-    tau0 defaults to 1e-8 relative to the largest eigenvalue magnitude.
-    """
+
+def spectrum(L: np.ndarray) -> HodgeSpectrum:
+    """Dense symmetric eigendecomposition with kernel count (at the
+    ``kernel_tolerance``) and first gap."""
     L = np.asarray(L, dtype=float)
     if L.size == 0:
         return HodgeSpectrum(eigenvalues=np.zeros(0), tau0=0.0, beta_k=0, gap=None)
     if np.abs(L - L.T).max() > 1e-9 * max(1.0, np.abs(L).max()):
         raise ValueError("input matrix is not symmetric")
     ev = np.linalg.eigvalsh((L + L.T) / 2.0)
-    if tau0 is None:
-        scale = max(float(np.abs(ev).max()), 1.0)
-        tau0 = DEFAULT_TAU0_REL * scale
+    tau0 = kernel_tolerance(ev)
     beta = int(np.sum(ev <= tau0))
     above = ev[ev > tau0]
     gap = float(above[0]) if len(above) else None
-    return HodgeSpectrum(eigenvalues=ev, tau0=float(tau0), beta_k=beta, gap=gap)
+    return HodgeSpectrum(eigenvalues=ev, tau0=tau0, beta_k=beta, gap=gap)
 
 
 def hodge_projectors(
-    B_k: np.ndarray | None, B_k1: np.ndarray | None, dim: int | None = None
+    B_k: np.ndarray | None, B_k1: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P_grad, P_harm, P_curl) on k-chains via Moore-Penrose pseudoinverses."""
     if B_k is not None:
         dim = np.asarray(B_k).shape[1]
     elif B_k1 is not None:
         dim = np.asarray(B_k1).shape[0]
-    elif dim is None:
-        raise ValueError("need an incidence matrix or an explicit dimension")
+    else:
+        raise ValueError("need at least one incidence matrix")
     ident = np.eye(dim)
     if B_k is None:
         P_grad = np.zeros((dim, dim))

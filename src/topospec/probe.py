@@ -113,37 +113,23 @@ def w_state_vector(n: int) -> np.ndarray:
     return simulate(circ, init)
 
 
-def dephase_average(
-    hmat: np.ndarray,
-    probe: np.ndarray,
-    t_grid: np.ndarray,
-    samples: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Average the exact correlator over random phase draws, one independent
-    phase per basis component; cross terms between distinct basis states
-    average to zero, so the mean converges to the diagonal-ensemble trace.
+def dephased_probes(psi: np.ndarray, samples: int, seed: int = 0) -> np.ndarray:
+    """``samples`` random-phase draws of psi as columns, one independent phase
+    per basis component, each renormalized; cross terms between distinct
+    basis states average to zero over the draws, so their ensemble converges
+    to the diagonal ensemble of |psi_k|^2.
     """
     if samples < 1:
         raise ValueError("need at least one dephasing sample")
     rng = np.random.default_rng(seed)
-    evals, evecs = np.linalg.eigh(hmat)
-    acc = np.zeros(len(t_grid), dtype=complex)
-    dim = len(probe)
-    for _ in range(samples):
-        phases = np.exp(-1j * rng.uniform(0, 2 * math.pi, size=dim))
-        psi = probe * phases
-        psi = psi / np.linalg.norm(psi)
-        amps = np.abs(evecs.conj().T @ psi) ** 2
-        acc += (amps[None, :] * np.exp(-1j * np.outer(t_grid, evals))).sum(axis=1)
-    return acc / samples
+    draws = psi * np.exp(-1j * rng.uniform(0, 2 * math.pi, size=(samples, len(psi))))
+    return (draws / np.linalg.norm(draws, axis=1, keepdims=True)).T
 
 
-def diagonal_ensemble_weights(hmat: np.ndarray, basis_states: np.ndarray) -> np.ndarray:
-    """Exact dephasing limit: eigenweights a_j = mean_k |<E_j|k>|^2 over the
-    given ensemble of (column) basis vectors."""
-    _, evecs = np.linalg.eigh(hmat)
-    overlaps = np.abs(evecs.conj().T @ basis_states) ** 2
+def diagonal_ensemble_weights(evecs: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Eigenweights a_j = mean_k |<E_j|probe_k>|^2 of an ensemble of probe
+    columns, from the eigenvector columns E_j of ``evecs``."""
+    overlaps = np.abs(evecs.conj().T @ probes) ** 2
     return overlaps.mean(axis=1)
 
 

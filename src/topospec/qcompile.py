@@ -496,9 +496,7 @@ def controlled_evolution(
     return Circuit(n_qubits=n + 2, gates=tuple(gates))
 
 
-def baseline_qpe_cost(
-    ham: PauliHamiltonian, phase_bits: int, order: int = 1
-) -> CompileStats:
+def baseline_qpe_cost(ham: PauliHamiltonian, phase_bits: int) -> CompileStats:
     """Two-qubit cost of a textbook inverse-QFT QPE at matching resolution.
 
     The baseline repeats the per-step controlled evolution 2^j times for each
@@ -507,7 +505,7 @@ def baseline_qpe_cost(
     """
     if phase_bits < 1:
         raise ValueError("phase_bits must be >= 1")
-    unit = controlled_evolution(ham, t=1.0, order=order, steps=1, alpha=max(
+    unit = controlled_evolution(ham, t=1.0, order=1, steps=1, alpha=max(
         1.0, ham.gershgorin_bound()
     ))
     unit_cost = unit.two_qubit_count()

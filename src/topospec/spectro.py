@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AliasingConfigError, ResourceLimitError
-from .probe import dephase_average, diagonal_ensemble_weights, uniform_edge_state, w_state_vector
+from .probe import dephased_probes, diagonal_ensemble_weights, uniform_edge_state, w_state_vector
 from .qcompile import controlled_evolution, simulate
 from .serialize import write_csv
 from .susy import PauliHamiltonian, onehot_hamiltonian
@@ -127,14 +127,15 @@ def calibrated_alpha(l1s, dt: float, mode: str = "exact") -> float:
 
 def edge_readout(
     l1: np.ndarray,
-    t_grid: np.ndarray,
+    dt: float,
+    m: int,
     alpha: float,
     mode: str = "exact",
     shots: int = 0,
     seed: int = 0,
 ) -> tuple[CorrelatorSeries, np.ndarray, str]:
-    """The edge-register correlator of an edge Laplacian, with the probe
-    vector and its label.
+    """The edge-register correlator of an edge Laplacian on the grid
+    t_k = k dt (k = 0..m-1), with the probe vector and its label.
 
     exact: the dephased uniform edge probe, i.e. the diagonal ensemble of the
     edge basis, read from the dense spectrum. hadamard: the W state (the same
@@ -145,67 +146,58 @@ def edge_readout(
     if mode == "hadamard":
         ham = onehot_hamiltonian(l1)
         psi = w_state_vector(n_edges)
-        series = correlator_hadamard(ham, psi, t_grid, shots=shots, alpha=alpha, seed=seed)
+        series = correlator_hadamard(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
         return series, psi, "w_state"
     if mode != "exact":
         raise ValueError(f"unknown readout mode {mode!r}; expected one of {READOUT_MODES}")
-    weights = diagonal_ensemble_weights(l1, np.eye(n_edges))
-    series = correlator_exact(l1, None, t_grid, alpha=alpha, ensemble_weights=weights)
+    series = correlator_exact(l1, np.eye(n_edges), dt, m, alpha)
     return series, uniform_edge_state(n_edges), "uniform_edge_dephased"
 
 
 def state_readout(
     ham: PauliHamiltonian,
     psi: np.ndarray,
-    t_grid: np.ndarray,
+    dt: float,
+    m: int,
     mode: str = "exact",
     shots: int = 0,
     seed: int = 0,
     dephase_samples: int = 0,
 ) -> CorrelatorSeries:
-    """The correlator of a probe state under a Pauli Hamiltonian. exact: alpha
-    from the spectral norm, C(t) from the dense spectrum, averaged over
-    ``dephase_samples`` random-phase draws of the probe when positive.
-    hadamard: alpha from the Gershgorin bound, C(t) from the simulated
-    Hadamard test with ``shots`` and ``seed``."""
-    dt = float(t_grid[1] - t_grid[0])
+    """The correlator of a probe state under a Pauli Hamiltonian on the grid
+    t_k = k dt (k = 0..m-1). exact: alpha from the spectral norm, C(t) from
+    the dense spectrum over ``dephase_samples`` random-phase draws of the
+    probe when positive. hadamard: alpha from the Gershgorin bound, C(t) from
+    the simulated Hadamard test with ``shots`` and ``seed``."""
     if mode == "hadamard":
         alpha = _placed_alpha(ham.gershgorin_bound(), dt)
-        return correlator_hadamard(ham, psi, t_grid, shots=shots, alpha=alpha, seed=seed)
+        return correlator_hadamard(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
     if mode != "exact":
         raise ValueError(f"unknown readout mode {mode!r}; expected one of {READOUT_MODES}")
     hmat = ham.dense()
     alpha = _placed_alpha(_spectral_norm(hmat), dt)
-    if dephase_samples > 0:
-        vals = dephase_average(hmat, psi, t_grid / alpha, dephase_samples, seed=seed)
-        return CorrelatorSeries(dt=dt, values=vals, shots=0, alpha_scale=alpha)
-    return correlator_exact(hmat, psi, t_grid, alpha=alpha)
+    probes = dephased_probes(psi, dephase_samples, seed) if dephase_samples > 0 else psi
+    return correlator_exact(hmat, probes, dt, m, alpha)
 
 
 def correlator_exact(
-    hmat: np.ndarray,
-    probe: np.ndarray | None,
-    t_grid: np.ndarray,
-    alpha: float = 1.0,
-    ensemble_weights: np.ndarray | None = None,
+    hmat: np.ndarray, probes: np.ndarray, dt: float, m: int, alpha: float = 1.0
 ) -> CorrelatorSeries:
-    """C(t) = sum_j a_j exp(-i lambda_j t / alpha) from the dense spectrum.
+    """C(t_k) = sum_j a_j exp(-i lambda_j t_k / alpha), t_k = k dt
+    (k = 0..m-1), from one dense eigendecomposition.
 
-    a_j are |<E_j|psi>|^2 for a pure probe or the supplied diagonal-ensemble
-    weights. Violating the Nyquist condition raises with the minimal
-    admissible alpha.
+    a_j = mean_k |<E_j|probe_k>|^2 over the columns of ``probes``: the
+    identity for the edge-basis ensemble, one vector for a pure probe, or
+    the random-phase draws of ``probe.dephased_probes``. Violating the
+    Nyquist condition raises with the minimal admissible alpha.
     """
-    hmat = np.asarray(hmat, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = float(t_grid[1] - t_grid[0])
-    evals, evecs = np.linalg.eigh(hmat)
+    evals, evecs = np.linalg.eigh(np.asarray(hmat, dtype=float))
     bound = float(np.abs(evals).max())
     if bound / alpha * dt >= math.pi:
         raise AliasingConfigError(f"Nyquist violation: need alpha >= {minimal_alpha(bound, dt):.6g}")
-    if ensemble_weights is not None:
-        a = np.asarray(ensemble_weights, dtype=float)
-    else:
-        a = np.abs(evecs.conj().T @ np.asarray(probe, dtype=complex)) ** 2
+    probes = np.asarray(probes)
+    a = diagonal_ensemble_weights(evecs, probes.reshape(len(probes), -1))
+    t_grid = dt * np.arange(m)
     vals = (a[None, :] * np.exp(-1j * np.outer(t_grid, evals / alpha))).sum(axis=1)
     return CorrelatorSeries(dt=dt, values=vals, shots=0, alpha_scale=alpha)
 
@@ -213,7 +205,8 @@ def correlator_exact(
 def correlator_hadamard(
     ham: PauliHamiltonian,
     psi_system: np.ndarray,
-    t_grid: np.ndarray,
+    dt: float,
+    m: int,
     shots: int = 0,
     order: int = 2,
     steps: int | None = None,
@@ -222,23 +215,18 @@ def correlator_hadamard(
 ) -> CorrelatorSeries:
     """One-ancilla Hadamard-test readout of C(t) = <psi| exp(-i H t/alpha) |psi>.
 
-    The grid must be t_k = k dt (k = 0..M-1, M >= 2). One controlled step of
+    The grid is t_k = k dt (k = 0..m-1, m >= 2, dt > 0). One controlled step of
     length dt is compiled once, with ``steps`` Trotter sub-steps (default:
     one per radian of the rescaled norm bound, ceil(bound dt)); the state
-    (|0>|psi> + |1>|psi>)/sqrt(2) is advanced by it M-1 times, so sample k
+    (|0>|psi> + |1>|psi>)/sqrt(2) is advanced by it m-1 times, so sample k
     carries k * steps sub-steps, never fewer than ceil(bound t_k). At every
     sample the ancilla coherence gives C = 2 <branch0|branch1>: Re C is the
     X-basis and Im C the S-dagger/Y-basis readout. shots=0 returns exact
     expectations, otherwise binomial samples of p0 = (1 + Re C)/2 and
     (1 + Im C)/2, drawn in that order per sample.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    m = len(t_grid)
-    if m < 2:
-        raise ValueError("the Hadamard readout needs at least two samples")
-    dt = float(t_grid[1] - t_grid[0])
-    if not dt > 0 or not np.allclose(t_grid, dt * np.arange(m), rtol=1e-9, atol=0.0):
-        raise ValueError("the Hadamard readout needs a uniform grid t_k = k dt with dt > 0")
+    if m < 2 or not dt > 0:
+        raise ValueError(f"the Hadamard readout needs m >= 2 samples and dt > 0, got m = {m}, dt = {dt}")
     n_total = ham.n + 2
     if n_total > 16:
         raise ResourceLimitError(f"{n_total} qubits exceed the simulation budget")

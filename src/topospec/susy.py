@@ -28,6 +28,7 @@ from .topograph import TopoGraph
 from .hodge import cliques, complex_laplacian
 
 ALPHABET = "IXZzo+-"
+COEFF_TOL = 1e-12  # coefficients at or below this drop out; z/o pairs this close merge
 
 _MATS = {
     "I": np.eye(2),
@@ -138,7 +139,7 @@ class PauliHamiltonian:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _merge_predicates(acc: dict[str, float], n: int, tol: float = 1e-12) -> None:
+def _merge_predicates(acc: dict[str, float], n: int) -> None:
     """Collapse matched z/o predicate pairs in place.
 
     Strings differing only at one site with letters z and o combine exactly:
@@ -164,9 +165,9 @@ def _merge_predicates(acc: dict[str, float], n: int, tol: float = 1e-12) -> None
                     else (acc[letters], acc[partner])
                 )
                 merged = None
-                if abs(cz - co) <= tol:
+                if abs(cz - co) <= COEFF_TOL:
                     merged, coeff = key[0] + "I" + key[1], cz
-                elif abs(cz + co) <= tol:
+                elif abs(cz + co) <= COEFF_TOL:
                     merged, coeff = key[0] + "Z" + key[1], cz
                 if merged is not None:
                     del acc[partner]
@@ -175,15 +176,15 @@ def _merge_predicates(acc: dict[str, float], n: int, tol: float = 1e-12) -> None
                     changed = True
 
 
-def _combine(terms: list[PauliTerm], n: int, tol: float = 1e-12) -> PauliHamiltonian:
+def _combine(terms: list[PauliTerm], n: int) -> PauliHamiltonian:
     acc: dict[str, float] = {}
     for t in terms:
         acc[t.letters] = acc.get(t.letters, 0.0) + t.coefficient
-    acc = {s: c for s, c in acc.items() if abs(c) > tol}
-    _merge_predicates(acc, n, tol)
+    acc = {s: c for s, c in acc.items() if abs(c) > COEFF_TOL}
+    _merge_predicates(acc, n)
     c_i = acc.pop("I" * n, 0.0)
     kept = tuple(
-        PauliTerm(c, s) for s, c in sorted(acc.items()) if abs(c) > tol
+        PauliTerm(c, s) for s, c in sorted(acc.items()) if abs(c) > COEFF_TOL
     )
     return PauliHamiltonian(terms=kept, n=n, identity_offset=c_i)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dynamics, embedding, persistence, selection, spectro, topograph
 from .errors import ConfigError, TopospecError, UndefinedEntropyError, typed
-from .hodge import laplacian_k
+from .hodge import kernel_tolerance, laplacian_k
 from .serialize import digest_text
 
 
@@ -286,7 +286,8 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     """Run the frozen-config pipeline at every rho and correlate the
     topological persistence with the estimated spectral gap.
 
-    Stage failures mark the record and the sweep continues. Identical configs
+    A stage failure marks the record, which keeps every diagnostic computed
+    before the failure, and the sweep continues. Identical configs
     produce identical records. The curvature diagnostic is a uniform second
     difference, so a grid of three or more points must be evenly spaced.
     """
@@ -304,65 +305,41 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     if alpha is None:  # one calibration for the whole sweep
         alpha = spectro.calibrated_alpha([st.l1 for st in stages if st.l1 is not None], cfg.dt_corr, cfg.mode)
 
-    t_grid = cfg.dt_corr * np.arange(cfg.m_samples)
     records: list[SweepRecord] = []
     e0_list: list[float] = []
     ground_spaces: list[np.ndarray | None] = []
     for st in stages:
+        # every diagnostic the pipeline reached, also on a failed row
+        rec = SweepRecord(
+            rho=st.rho,
+            lambda_max=st.lambda_max,
+            ell_max_h1=st.ell_max,
+            seed=cfg.seed,
+            config_digest=digest,
+            failed_stage=st.failed_stage,
+            error=st.error,
+        )
         if st.l1 is None:
-            records.append(
-                SweepRecord(
-                    rho=st.rho,
-                    seed=cfg.seed,
-                    config_digest=digest,
-                    failed_stage=st.failed_stage,
-                    error=st.error,
-                )
-            )
+            records.append(rec)
             e0_list.append(np.nan)
             ground_spaces.append(None)
             continue
-        l1 = st.l1
-        evals, evecs = np.linalg.eigh(l1 / alpha)
-        e0 = float(evals[0])
-        gamma = float(evals[1] - evals[0]) if len(evals) > 1 else None
-        tau0 = 1e-8 * max(1.0, float(np.abs(evals).max()))
-        kernel = evecs[:, evals <= tau0]
+        evals, evecs = np.linalg.eigh(st.l1 / alpha)
+        kernel = evecs[:, evals <= kernel_tolerance(evals)]
         ground_spaces.append(kernel if kernel.shape[1] else evecs[:, :1])
-        e0_list.append(e0)
-
+        e0_list.append(float(evals[0]))
+        rec = replace(rec, gamma=float(evals[1] - evals[0]) if len(evals) > 1 else None)
         try:
-            series, _, _ = spectro.edge_readout(l1, t_grid, alpha, cfg.mode, cfg.shots, cfg.seed)
-            est = spectro.estimate(series, ensemble_dim=l1.shape[0])
-            h_spec = spectral_entropy(series)
+            series, _, _ = spectro.edge_readout(
+                st.l1, cfg.dt_corr, cfg.m_samples, alpha, cfg.mode, cfg.shots, cfg.seed
+            )
+            est = spectro.estimate(series, ensemble_dim=st.l1.shape[0])
+            rec = replace(
+                rec, h_spec=spectral_entropy(series), delta1_susy_sim=est.gap_hat, beta1_hat=est.beta1_hat
+            )
         except EXPECTED_ERRORS as exc:
-            records.append(
-                SweepRecord(
-                    rho=st.rho,
-                    lambda_max=st.lambda_max,
-                    ell_max_h1=st.ell_max,
-                    seed=cfg.seed,
-                    config_digest=digest,
-                    failed_stage="spectro",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        records.append(
-            SweepRecord(
-                rho=st.rho,
-                h_spec=h_spec,
-                lambda_max=st.lambda_max,
-                ell_max_h1=st.ell_max,
-                gamma=gamma,
-                delta1_susy_sim=est.gap_hat,
-                beta1_hat=est.beta1_hat,
-                seed=cfg.seed,
-                config_digest=digest,
-                failed_stage=st.failed_stage,
-                error=st.error,
-            )
-        )
+            rec = replace(rec, failed_stage="spectro", error=f"{type(exc).__name__}: {exc}")
+        records.append(rec)
 
     e0 = np.array(e0_list)
     if len(grid) >= 3 and np.isfinite(e0).all():
@@ -370,15 +347,10 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
         curv = curvature(e0, drho)
     else:
         curv = np.full(len(grid), np.nan)
-    fids = []
-    for i in range(len(grid)):
-        if i + 1 < len(grid) and ground_spaces[i] is not None and ground_spaces[i + 1] is not None:
-            if ground_spaces[i].shape[0] == ground_spaces[i + 1].shape[0]:
-                fids.append(fidelity(ground_spaces[i], ground_spaces[i + 1]))
-            else:
-                fids.append(None)
-        else:
-            fids.append(None)
+    fids: list[float | None] = [None] * len(grid)
+    for i, (g0, g1) in enumerate(zip(ground_spaces, ground_spaces[1:])):
+        if g0 is not None and g1 is not None and g0.shape[0] == g1.shape[0]:
+            fids[i] = fidelity(g0, g1)
     records = [
         replace(
             rec,

@@ -17,7 +17,7 @@ from topospec.hodge import (
     spectrum,
     verify_gap_persistence_bound,
 )
-from topospec.probe import diagonal_ensemble_weights, w_state_vector
+from topospec.probe import w_state_vector
 from topospec.qcompile import baseline_qpe_cost, controlled_evolution, simulate, Circuit, Gate
 from topospec.susy import onehot_hamiltonian, verify_block_equivalence
 from topospec.sweep import SweepConfig, run_sweep
@@ -282,11 +282,9 @@ def test_09_spectral_estimator_recovery():
         # alpha sweep leaves beta1 invariant and gap/alpha constant
         C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         l1 = laplacian_k(C4.B1, None)
-        weights = diagonal_ensemble_weights(l1, np.eye(4))
-        tg = 0.25 * np.arange(256)
         ratios = []
         for alpha in (1.0, 1.6, 2.5):
-            ser = spectro.correlator_exact(l1, None, tg, alpha=alpha, ensemble_weights=weights)
+            ser = spectro.correlator_exact(l1, np.eye(4), 0.25, 256, alpha=alpha)
             est = spectro.estimate(ser, ensemble_dim=4)
             assert est.beta1_hat == 1
             ratios.append(est.gap_hat)  # energy units: gap_hat = alpha * omega
@@ -297,14 +295,14 @@ def test_10_shot_noise_model():
     with Budget("10 shot-noise model", 120):
         h = np.array([[0.0, 0.5], [0.5, 0.8]])
         ham = onehot_hamiltonian(h)
-        t_grid = 0.3 * np.arange(9)
+        dt, m = 0.3, 9
         psi = w_state_vector(2)
         shots = 4096
-        exact = spectro.correlator_exact(h, np.ones(2) / math.sqrt(2), t_grid).values[-1]
+        exact = spectro.correlator_exact(h, np.ones(2) / math.sqrt(2), dt, m).values[-1]
         reps = []
         for rep in range(100):
             ser = spectro.correlator_hadamard(
-                ham, psi, t_grid, shots=shots, order=2, steps=16, seed=rep
+                ham, psi, dt, m, shots=shots, order=2, steps=16, seed=rep
             )
             reps.append(ser.values[-1])
         reps = np.array(reps)

@@ -121,6 +121,21 @@ def test_cli_exit_code_2_on_bad_grid_or_run_count(tmp_path, capsys, argv, cfg_te
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid", ["--grid=-2:-1:1", "--grid=0,38", "--grid=38,-1", "--grid=0:2:1"],
+    ids=["all-negative", "zero-listed", "negative-listed", "range-from-zero"],
+)
+def test_sweep_grid_follows_the_rho_rule(tmp_path, capsys, monkeypatch, grid):
+    def reached(*args, **kwargs):
+        raise AssertionError("dynamics.integrate reached")
+
+    monkeypatch.setattr(dynamics, "integrate", reached)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "sweep", grid]) == 2
+    assert capsys.readouterr().err.startswith("config error: --grid ")
+    assert not out.exists()
+
+
 BAD_OPTIONS = [
     ["bound-check", "--points", "0"],
     ["bound-check", "--points", "13"],

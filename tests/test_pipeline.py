@@ -170,6 +170,9 @@ def test_expected_stage_errors_are_recorded_with_their_message(tmp_path, monkeyp
     records, _ = run_sweep([38.0], FAST)
     assert records[0].failed_stage == "selection"
     assert records[0].error == "SelectionInfeasibleError: no candidate satisfies 2 < nu < 7"
+    # the failed row keeps the diagnostics computed before selection
+    ell_max = _pipeline_stage(38.0, FAST, _resolve_tau([38.0], FAST), until="persistence").ell_max
+    assert ell_max is not None and records[0].ell_max_h1 == ell_max
     cfg = write_fast_config(tmp_path)
     base = ["--config", str(cfg), "--out", str(tmp_path / "out")]
     assert cli.main(base + ["graph", "--rho", "38"]) == 1

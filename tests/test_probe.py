@@ -6,13 +6,14 @@ import pytest
 from topospec.errors import TopospecError
 from topospec.hodge import laplacian_k
 from topospec.probe import (
-    dephase_average,
+    dephased_probes,
     diagonal_ensemble_weights,
     dicke_state,
     dicke_weights,
     uniform_edge_state,
     w_state_vector,
 )
+from topospec.spectro import correlator_exact
 from topospec.topograph import build_graph, graph_from_edges
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -105,11 +106,22 @@ def test_w_state_relabel_invariance():
     assert np.allclose(v[nz], v[nz][0])
 
 
+def test_dephased_probes_are_unit_phase_draws():
+    probe = np.array([0.6, 0.8, 0.0], dtype=complex)
+    draws = dephased_probes(probe, samples=5, seed=4)
+    assert draws.shape == (3, 5)
+    assert np.allclose(np.linalg.norm(draws, axis=0), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(draws), np.abs(probe)[:, None], atol=1e-12)
+    assert np.array_equal(draws, dephased_probes(probe, samples=5, seed=4))
+    with pytest.raises(ValueError, match="at least one"):
+        dephased_probes(probe, samples=0)
+
+
 def test_dephase_noop_for_diagonal_hamiltonian():
     h = np.diag([0.0, 1.0, 3.0])
     probe = np.array([0.6, 0.8, 0.0], dtype=complex)
     tg = 0.3 * np.arange(16)
-    avg = dephase_average(h, probe, tg, samples=7, seed=1)
+    avg = correlator_exact(h, dephased_probes(probe, samples=7, seed=1), 0.3, 16).values
     exact = (np.abs(probe) ** 2 * np.exp(-1j * np.outer(tg, np.diag(h)))).sum(axis=1)
     assert np.abs(avg - exact).max() < 1e-12
 
@@ -126,7 +138,8 @@ def test_dephase_converges_to_diagonal_ensemble():
     diag_part = (a * np.exp(-1j * np.outer(tg, evals))).sum(axis=1)
     errs = []
     for samples in (8, 64, 512):
-        avg = dephase_average(h, probe.astype(complex), tg, samples=samples, seed=2)
+        draws = dephased_probes(probe.astype(complex), samples=samples, seed=2)
+        avg = correlator_exact(h, draws, 0.4, 24).values
         errs.append(np.abs(avg - diag_part).max())
     assert errs[2] < errs[0]
     assert errs[2] < 4.0 / math.sqrt(512)
@@ -136,10 +149,10 @@ def test_dephase_restores_c4_zero_mode():
     L1 = laplacian_k(C4.B1, None)
     tg = 0.25 * np.arange(64)
     probe = uniform_edge_state(4).astype(complex)
-    avg = dephase_average(L1, probe, tg, samples=400, seed=3)
+    avg = correlator_exact(L1, dephased_probes(probe, samples=400, seed=3), 0.25, 64).values
     # exact diagonal-ensemble weights put 1/4 on the kernel line
-    weights = diagonal_ensemble_weights(L1, np.eye(4))
-    evals = np.linalg.eigvalsh(L1)
+    evals, evecs = np.linalg.eigh(L1)
+    weights = diagonal_ensemble_weights(evecs, np.eye(4))
     expect = (weights * np.exp(-1j * np.outer(tg, evals))).sum(axis=1)
     assert np.abs(avg - expect).max() < 0.15
     assert weights[evals < 1e-9].sum() == pytest.approx(0.25, abs=1e-12)

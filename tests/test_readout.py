@@ -13,7 +13,7 @@ import pytest
 
 from topospec import cli, persistence, spectro
 from topospec.hodge import laplacian_k
-from topospec.probe import diagonal_ensemble_weights, uniform_edge_state
+from topospec.probe import uniform_edge_state
 from topospec.susy import PauliHamiltonian, onehot_hamiltonian
 from topospec.sweep import _pipeline_stage, _resolve_tau, run_sweep
 from topospec.topograph import graph_from_edges
@@ -64,11 +64,13 @@ GOLDEN = {
         "qpe_probe_rho28.0.csv": "a211661064fb776ccd11cdb67896ad7e16ea266ef140ac93e4ab7ef002a61db9",
         "qpe_spectrum_rho28.0.csv": "d5eba3a4c5b4e0a737871b05774b755cbab334e882db355ac6d079b32d284ecb",
     },
+    # re-pinned when the dephased readout began averaging the draws' weights
+    # instead of their series: max |dC| 2.3e-15, same beta1_hat and gap_hat
     "dicke_dephased": {
-        "qpe_correlator_rho28.0.csv": "996beed55726656816a51bcb9b20ca50a8be4acb1f83413c4f98e654de603d7c",
-        "qpe_estimate_rho28.0.json": "5da4c90567bc482b5f841f6fe4fb3f071be90689fb27528fc912ba6e137b9ce7",
+        "qpe_correlator_rho28.0.csv": "5e9baa8da97682b77d7fceaf4a5c30acd002682e386f153e817613bc896f3ae8",
+        "qpe_estimate_rho28.0.json": "52f095d91b9c8f884fe30a8e6f1fdffa47364a5edff33544683afe943f55edfc",
         "qpe_probe_rho28.0.csv": "a211661064fb776ccd11cdb67896ad7e16ea266ef140ac93e4ab7ef002a61db9",
-        "qpe_spectrum_rho28.0.csv": "cbc2cbedf1a5538e47234c848a27e573b4c4918c739b0cac68a1b5e061307c49",
+        "qpe_spectrum_rho28.0.csv": "c32510c1514f6ae98cc0a84ca2087a04c474a94baeec07a810c2491208216b90",
     },
     "dicke_hadamard": {
         "qpe_correlator_rho28.0.csv": "b7f80f3a0a4f8cb9a624edf2b3316bce34a035092478e48b94b501238cec0a5e",
@@ -127,32 +129,47 @@ def test_calibrated_alpha_reproduces_the_per_command_rules():
 def test_edge_readout_modes():
     l1 = random_l1(np.random.default_rng(3), n=4)
     n_edges = l1.shape[0]
-    tg = 0.25 * np.arange(16)
     alpha = spectro.calibrated_alpha([l1], 0.25, "hadamard")
-    exact, psi_e, label_e = spectro.edge_readout(l1, tg, alpha)
-    weights = diagonal_ensemble_weights(l1, np.eye(n_edges))
-    ref = spectro.correlator_exact(l1, None, tg, alpha=alpha, ensemble_weights=weights)
+    exact, psi_e, label_e = spectro.edge_readout(l1, 0.25, 16, alpha)
+    ref = spectro.correlator_exact(l1, np.eye(n_edges), 0.25, 16, alpha)
     assert np.array_equal(exact.values, ref.values)
     assert label_e == "uniform_edge_dephased"
-    had, psi_h, label_h = spectro.edge_readout(l1, tg, alpha, "hadamard")
+    had, psi_h, label_h = spectro.edge_readout(l1, 0.25, 16, alpha, "hadamard")
     assert label_h == "w_state" and had.shots == 0
     # the W state is the uniform edge state written on the one-hot register
     one_hot = [1 << q for q in range(n_edges)]
     assert np.allclose(psi_h[one_hot], psi_e) and np.allclose(psi_e, uniform_edge_state(n_edges))
     # hadamard mode reads the coherent probe, exact mode its dephased ensemble
-    coherent = spectro.correlator_exact(l1, psi_e, tg, alpha=alpha)
+    coherent = spectro.correlator_exact(l1, psi_e, 0.25, 16, alpha)
     assert np.abs(had.values - coherent.values).max() < 2e-3  # Trotter error
     with pytest.raises(ValueError, match="unknown readout mode"):
-        spectro.edge_readout(l1, tg, alpha, "bogus")
+        spectro.edge_readout(l1, 0.25, 16, alpha, "bogus")
+
+
+def test_exact_edge_readout_decomposes_each_l1_once(monkeypatch):
+    # the edge-basis weights and the spectrum come from one eigh
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(5)
+    l1s = [random_l1(rng, n) for n in (4, 5, 6)]
+    for l1 in l1s:
+        spectro.edge_readout(l1, 0.25, 16, spectro.calibrated_alpha([l1], 0.25))
+    assert calls == [l1.shape for l1 in l1s]
 
 
 def test_sweep_qpe_and_fivepoint_share_the_edge_readout(tmp_path, monkeypatch):
     calls = []
     readout = spectro.edge_readout
 
-    def spy(l1, t_grid, alpha, mode="exact", shots=0, seed=0):
+    def spy(l1, dt, m, alpha, mode="exact", shots=0, seed=0):
         calls.append((l1.shape[0], mode, shots, seed))
-        return readout(l1, t_grid, alpha, mode, shots, seed)
+        return readout(l1, dt, m, alpha, mode, shots, seed)
 
     monkeypatch.setattr(spectro, "edge_readout", spy)
     run_cli(tmp_path / "five", ["validate-fivepoint"])
@@ -194,10 +211,10 @@ def test_qpe_draws_its_readout_with_the_sweep_seed(tmp_path):
     sw = cli.load_config(str(tmp_path / "run.cfg"), {"mode": "hadamard", "shots": 200}).sweep
     assert (sw.seed, sw.mode, sw.shots) == (3, "hadamard", 200)
     l1 = _pipeline_stage(28.0, sw, _resolve_tau([28.0], sw), until="graph").l1
-    tg = sw.dt_corr * np.arange(sw.m_samples)
     alpha = spectro.calibrated_alpha([l1], sw.dt_corr, "hadamard")
     for seed in (3, 0):
-        spectro.edge_readout(l1, tg, alpha, "hadamard", 200, seed)[0].to_csv(tmp_path / f"seed{seed}.csv")
+        series = spectro.edge_readout(l1, sw.dt_corr, sw.m_samples, alpha, "hadamard", 200, seed)[0]
+        series.to_csv(tmp_path / f"seed{seed}.csv")
     got = (out / "qpe_correlator_rho28.0.csv").read_bytes()
     assert got == (tmp_path / "seed3.csv").read_bytes()
     assert got != (tmp_path / "seed0.csv").read_bytes()  # the seed matters here

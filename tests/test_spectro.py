@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topospec.errors import AliasingConfigError
 from topospec.hodge import laplacian_at, laplacian_k, spectrum
 from topospec.persistence import rips_filtration
-from topospec.probe import diagonal_ensemble_weights, w_state_vector
+from topospec.probe import dephased_probes, w_state_vector
 from topospec.qcompile import Circuit, Gate, controlled_evolution, simulate
 from topospec import spectro
 from topospec.spectro import (
@@ -42,22 +44,89 @@ def synthetic_series(freqs, amps, dt=0.25, m=256, noise=0.0, seed=0):
 # ---------------------------------------------------------------------------
 
 
+# reference implementations: the exact readout as it was computed before one
+# eigendecomposition served every probe ensemble (a second eigh for the
+# edge-basis weights, and a dephased average of per-draw series)
+def reference_ensemble_weights(hmat, basis_states):
+    _, evecs = np.linalg.eigh(hmat)
+    overlaps = np.abs(evecs.conj().T @ basis_states) ** 2
+    return overlaps.mean(axis=1)
+
+
+def reference_correlator(hmat, probe, t_grid, alpha=1.0, ensemble_weights=None):
+    hmat = np.asarray(hmat, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    evals, evecs = np.linalg.eigh(hmat)
+    if ensemble_weights is not None:
+        a = np.asarray(ensemble_weights, dtype=float)
+    else:
+        a = np.abs(evecs.conj().T @ np.asarray(probe, dtype=complex)) ** 2
+    return (a[None, :] * np.exp(-1j * np.outer(t_grid, evals / alpha))).sum(axis=1)
+
+
+def reference_dephase_average(hmat, probe, t_grid, samples, seed=0):
+    rng = np.random.default_rng(seed)
+    evals, evecs = np.linalg.eigh(hmat)
+    acc = np.zeros(len(t_grid), dtype=complex)
+    dim = len(probe)
+    for _ in range(samples):
+        phases = np.exp(-1j * rng.uniform(0, 2 * math.pi, size=dim))
+        psi = probe * phases
+        psi = psi / np.linalg.norm(psi)
+        amps = np.abs(evecs.conj().T @ psi) ** 2
+        acc += (amps[None, :] * np.exp(-1j * np.outer(t_grid, evals))).sum(axis=1)
+    return acc / samples
+
+
+# the dephased series averages draw weights instead of draw series; 1e-12 is
+# fixed ahead of the change from a few float64 roundings of O(1) terms
+DEPHASED_ATOL = 1e-12
+
+
+@given(
+    n=st.integers(1, 7),
+    seed=st.integers(0, 10_000),
+    samples=st.integers(1, 6),
+    dt=st.sampled_from([0.1, 0.25, 0.3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_correlator_matches_the_reference_readouts(n, seed, samples, dt):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, size=(n, n)).astype(float)
+    h = a + a.T
+    m = 32
+    tg = dt * np.arange(m)
+    alpha = minimal_alpha(max(float(np.abs(np.linalg.eigvalsh(h)).max()), 1.0), dt, 0.8)
+    edge = correlator_exact(h, np.eye(n), dt, m, alpha)
+    assert np.array_equal(
+        edge.values,
+        reference_correlator(h, None, tg, alpha, reference_ensemble_weights(h, np.eye(n))),
+    )
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    pure = correlator_exact(h, psi, dt, m, alpha)
+    assert np.array_equal(pure.values, reference_correlator(h, psi, tg, alpha))
+    dephased = correlator_exact(h, dephased_probes(psi, samples, seed), dt, m, alpha)
+    ref = reference_dephase_average(h, psi, tg / alpha, samples, seed=seed)
+    assert np.abs(dephased.values - ref).max() <= DEPHASED_ATOL
+
+
 def test_exact_correlator_trivial_cases():
     tg = 0.3 * np.arange(32)
-    ser = correlator_exact(np.zeros((3, 3)), np.array([1.0, 0, 0]), tg)
+    ser = correlator_exact(np.zeros((3, 3)), np.array([1.0, 0, 0]), 0.3, 32)
     assert np.allclose(ser.values, 1.0)
     evals, evecs = np.linalg.eigh(L1_C4)
     probe = evecs[:, 3]
-    ser = correlator_exact(L1_C4, probe, tg, alpha=2.0)
+    ser = correlator_exact(L1_C4, probe, 0.3, 32, alpha=2.0)
     assert np.allclose(ser.values, np.exp(-1j * evals[3] / 2.0 * tg), atol=1e-12)
     assert np.allclose(np.abs(ser.values), 1.0, atol=1e-12)
 
 
 def test_exact_correlator_matches_projection_weights():
     tg = 0.25 * np.arange(64)
-    weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
-    ser = correlator_exact(L1_C4, None, tg, ensemble_weights=weights)
-    evals = np.linalg.eigvalsh(L1_C4)
+    ser = correlator_exact(L1_C4, np.eye(4), 0.25, 64)
+    evals, evecs = np.linalg.eigh(L1_C4)
+    weights = (evecs**2).mean(axis=1)
     expect = (weights * np.exp(-1j * np.outer(tg, evals))).sum(axis=1)
     assert np.abs(ser.values - expect).max() < 1e-12
     # nearly periodic revivals: |C| returns close to 1 at t = pi (period of
@@ -67,17 +136,15 @@ def test_exact_correlator_matches_projection_weights():
 
 
 def test_exact_correlator_nyquist_guard():
-    tg = 1.0 * np.arange(16)
     with pytest.raises(AliasingConfigError) as exc:
-        correlator_exact(L1_C4, np.ones(4) / 2, tg, alpha=1.0)
+        correlator_exact(L1_C4, np.ones(4) / 2, 1.0, 16, alpha=1.0)
     assert f"{minimal_alpha(np.abs(np.linalg.eigvalsh(L1_C4)).max(), 1.0):.6g}"[:4] in str(exc.value)
 
 
 def test_hadamard_h0_exact():
     ham = onehot_hamiltonian(np.zeros((2, 2)))
-    tg = 0.4 * np.arange(6)
     psi = w_state_vector(2)
-    ser = correlator_hadamard(ham, psi, tg, shots=0)
+    ser = correlator_hadamard(ham, psi, 0.4, 6, shots=0)
     assert np.allclose(ser.values, 1.0, atol=1e-12)
 
 
@@ -86,11 +153,10 @@ def test_hadamard_matches_exact_within_trotter():
     A = rng.normal(size=(3, 3))
     M = (A + A.T) / 2
     ham = onehot_hamiltonian(M)
-    tg = 0.3 * np.arange(12)
     psi = w_state_vector(3)
     alpha = 2.0
-    exact = correlator_exact(M, np.ones(3) / math.sqrt(3), tg, alpha=alpha)
-    approx = correlator_hadamard(ham, psi, tg, shots=0, order=2, steps=24, alpha=alpha)
+    exact = correlator_exact(M, np.ones(3) / math.sqrt(3), 0.3, 12, alpha=alpha)
+    approx = correlator_hadamard(ham, psi, 0.3, 12, shots=0, order=2, steps=24, alpha=alpha)
     assert np.abs(exact.values - approx.values).max() < 5e-4
 
 
@@ -122,36 +188,18 @@ def test_hadamard_stepped_series_matches_per_sample_circuits():
     tg = 0.3 * np.arange(12)
     psi = w_state_vector(3)
     alpha, n_sub = 2.0, 2
-    ser = correlator_hadamard(ham, psi, tg, shots=0, order=2, steps=n_sub, alpha=alpha)
+    ser = correlator_hadamard(ham, psi, 0.3, 12, shots=0, order=2, steps=n_sub, alpha=alpha)
     ref = _per_sample_reference(ham, psi, tg, n_sub, alpha)
     assert np.abs(ser.values - ref).max() < 1e-10
-    exact = correlator_exact(M, np.ones(3) / math.sqrt(3), tg, alpha=alpha)
+    exact = correlator_exact(M, np.ones(3) / math.sqrt(3), 0.3, 12, alpha=alpha)
     assert np.abs(exact.values - ser.values).max() < 5e-4
 
 
-@pytest.mark.parametrize(
-    "t_grid",
-    [
-        np.array([0.0, 0.3, 0.7, 0.9]),  # uneven spacing
-        0.3 * np.arange(1, 8),  # does not start at t = 0
-        0.3 * np.arange(8)[::-1],  # decreasing
-        np.array([0.0]),  # a single sample
-        np.array([]),
-    ],
-)
-def test_hadamard_rejects_grids_other_than_k_dt(t_grid):
+def test_hadamard_rejects_fewer_than_two_samples_or_a_nonpositive_step():
     ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
-    with pytest.raises(ValueError, match="Hadamard readout needs"):
-        correlator_hadamard(ham, w_state_vector(2), t_grid)
-
-
-def test_hadamard_accepts_the_secondary_grid():
-    h = np.array([[0.0, 0.5], [0.5, 0.8]])
-    ham = onehot_hamiltonian(h)
-    tg = 0.3 * 0.6180339887 * np.arange(10)  # an irrational dt, off any simple lattice
-    ser = correlator_hadamard(ham, w_state_vector(2), tg, steps=4)
-    exact = correlator_exact(h, np.ones(2) / math.sqrt(2), tg)
-    assert ser.dt == tg[1] and np.abs(ser.values - exact.values).max() < 1e-3
+    for dt, m in ((0.3, 1), (0.3, 0), (0.0, 8), (-0.3, 8)):
+        with pytest.raises(ValueError, match="Hadamard readout needs"):
+            correlator_hadamard(ham, w_state_vector(2), dt, m)
 
 
 def test_hadamard_raises_when_the_work_qubit_is_left_set(monkeypatch):
@@ -164,7 +212,7 @@ def test_hadamard_raises_when_the_work_qubit_is_left_set(monkeypatch):
     monkeypatch.setattr(spectro, "controlled_evolution", leaky)
     ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
     with pytest.raises(RuntimeError, match="work qubit"):
-        correlator_hadamard(ham, w_state_vector(2), 0.3 * np.arange(4))
+        correlator_hadamard(ham, w_state_vector(2), 0.3, 4)
 
 
 def test_shot_noise_matches_model():
@@ -173,14 +221,14 @@ def test_shot_noise_matches_model():
     # variance (2 - |C|^2)/M sits within 2x of the quoted (1 - |C|^2)/M
     h = np.array([[0.0, 0.5], [0.5, 0.8]])
     ham = onehot_hamiltonian(h)
-    t_grid = 0.3 * np.arange(9)  # last point sits near the beat minimum
+    dt, m = 0.3, 9  # last point sits near the beat minimum
     psi = w_state_vector(2)
     shots = 4096
-    exact = correlator_exact(h, np.ones(2) / math.sqrt(2), t_grid, alpha=1.0).values[-1]
+    exact = correlator_exact(h, np.ones(2) / math.sqrt(2), dt, m, alpha=1.0).values[-1]
     reps = []
     for rep in range(100):
         ser = correlator_hadamard(
-            ham, psi, t_grid, shots=shots, order=2, steps=16, alpha=1.0, seed=rep
+            ham, psi, dt, m, shots=shots, order=2, steps=16, alpha=1.0, seed=rep
         )
         reps.append(ser.values[-1])
     reps = np.array(reps)
@@ -327,8 +375,7 @@ def test_zero_mode_gradient_probe_false():
     # probe in the gradient space of C4 has no kernel weight
     evals, evecs = np.linalg.eigh(L1_C4)
     probe = evecs[:, 2]
-    tg = 0.25 * np.arange(256)
-    ser = correlator_exact(L1_C4, probe, tg)
+    ser = correlator_exact(L1_C4, probe, 0.25, 256)
     om, pw = periodogram(ser)
     ratio, is_zero = zero_mode_test(om, pw, 2 * ser.delta_omega, ser.dt)
     assert not is_zero
@@ -337,8 +384,7 @@ def test_zero_mode_gradient_probe_false():
 def test_zero_mode_harmonic_probe_true():
     evals, evecs = np.linalg.eigh(L1_C4)
     probe = evecs[:, 0]
-    tg = 0.25 * np.arange(256)
-    ser = correlator_exact(L1_C4, probe, tg)
+    ser = correlator_exact(L1_C4, probe, 0.25, 256)
     om, pw = periodogram(ser)
     ratio, is_zero = zero_mode_test(om, pw, 2 * ser.delta_omega, ser.dt)
     assert is_zero
@@ -352,19 +398,15 @@ def test_zero_mode_fivepoint_contractible_is_false():
 
     l1, edges = laplacian_at(rips_filtration(FIVE_POINT_CLOUD, eps_max=1.0), 1.0, 1)
     assert spectrum(l1).beta_k == 0
-    tg = 0.25 * np.arange(256)
-    weights = diagonal_ensemble_weights(l1, np.eye(len(edges)))
     alpha = float(np.abs(np.linalg.eigvalsh(l1)).max()) * 0.25 / (0.8 * math.pi)
-    ser = correlator_exact(l1, None, tg, alpha=max(1.0, alpha), ensemble_weights=weights)
+    ser = correlator_exact(l1, np.eye(len(edges)), 0.25, 256, alpha=max(1.0, alpha))
     om, pw = periodogram(ser)
     ratio, is_zero = zero_mode_test(om, pw, 2 * ser.delta_omega, ser.dt)
     assert not is_zero
 
 
 def test_estimate_c4_beta_and_gap():
-    tg = 0.25 * np.arange(256)
-    weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
-    ser = correlator_exact(L1_C4, None, tg, ensemble_weights=weights)
+    ser = correlator_exact(L1_C4, np.eye(4), 0.25, 256)
     est = estimate(ser, ensemble_dim=4)
     assert est.beta1_hat == 1
     assert abs(est.gap_hat - 2.0) <= ser.delta_omega
@@ -374,12 +416,10 @@ def test_estimate_c4_beta_and_gap():
 def test_estimate_beta1_matches_kernel_on_fivepoint():
     from topospec.fixtures import FIVE_POINT_CLOUD, FIVE_POINT_RADII
 
-    tg = 0.25 * np.arange(256)
     for eps in FIVE_POINT_RADII:
         l1, edges = laplacian_at(rips_filtration(FIVE_POINT_CLOUD, eps_max=eps), eps, 1)
         alpha = max(1.0, float(np.abs(np.linalg.eigvalsh(l1)).max()) * 0.25 / (0.8 * math.pi))
-        weights = diagonal_ensemble_weights(l1, np.eye(len(edges)))
-        ser = correlator_exact(l1, None, tg, alpha=alpha, ensemble_weights=weights)
+        ser = correlator_exact(l1, np.eye(len(edges)), 0.25, 256, alpha=alpha)
         est = estimate(ser, ensemble_dim=len(edges))
         assert est.beta1_hat == spectrum(l1).beta_k
 
@@ -391,19 +431,15 @@ def test_estimate_counts_multiplicity_two():
     g = graph_from_edges(8, edges8, triangle_mode="none")
     l1 = laplacian_k(g.B1, None)
     assert spectrum(l1).beta_k == 2
-    tg = 0.25 * np.arange(256)
-    weights = diagonal_ensemble_weights(l1, np.eye(8))
-    ser = correlator_exact(l1, None, tg, ensemble_weights=weights)
+    ser = correlator_exact(l1, np.eye(8), 0.25, 256)
     est = estimate(ser, ensemble_dim=8)
     assert est.beta1_hat == 2
 
 
 def test_estimate_alpha_sweep_invariance():
-    tg = 0.25 * np.arange(256)
-    weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
     gaps, betas = [], []
     for alpha in (1.0, 1.7, 2.9):
-        ser = correlator_exact(L1_C4, None, tg, alpha=alpha, ensemble_weights=weights)
+        ser = correlator_exact(L1_C4, np.eye(4), 0.25, 256, alpha=alpha)
         est = estimate(ser, ensemble_dim=4)
         gaps.append(est.gap_hat)
         betas.append(est.beta1_hat)
@@ -422,18 +458,14 @@ def test_estimate_gap_absent_is_valid():
 
 
 def test_estimate_median_rank_order_invariance():
-    tg = 0.25 * np.arange(256)
-    weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
-    ser = correlator_exact(L1_C4, None, tg, ensemble_weights=weights)
+    ser = correlator_exact(L1_C4, np.eye(4), 0.25, 256)
     a, _ = prony_esprit(ser, ranks=(2, 3, 4, 5))
     b, _ = prony_esprit(ser, ranks=(5, 4, 3, 2))
     assert len(a) and a == pytest.approx(b, abs=1e-12)
 
 
 def test_bootstrap_ci_contains_gap():
-    tg = 0.25 * np.arange(256)
-    weights = diagonal_ensemble_weights(L1_C4, np.eye(4))
-    ser = correlator_exact(L1_C4, None, tg, ensemble_weights=weights)
+    ser = correlator_exact(L1_C4, np.eye(4), 0.25, 256)
     est = estimate(ser, ensemble_dim=4, bootstrap=True)
     assert est.gap_ci is not None
     lo, hi = est.gap_ci
@@ -446,13 +478,12 @@ def test_correlator_magnitude_invariant():
     rng = np.random.default_rng(9)
     A = rng.normal(size=(3, 3))
     M = (A + A.T) / 2
-    tg = 0.2 * np.arange(16)
-    exact = correlator_exact(M, np.ones(3) / math.sqrt(3), tg, alpha=2.0)
+    exact = correlator_exact(M, np.ones(3) / math.sqrt(3), 0.2, 16, alpha=2.0)
     assert np.abs(exact.values).max() <= 1.0 + 1e-12
     ham = onehot_hamiltonian(M)
     psi = w_state_vector(3)
     shots = 512
-    sampled = correlator_hadamard(ham, psi, tg, shots=shots, steps=8, alpha=2.0, seed=3)
+    sampled = correlator_hadamard(ham, psi, 0.2, 16, shots=shots, steps=8, alpha=2.0, seed=3)
     assert np.abs(sampled.values).max() <= 1.0 + 3.0 / math.sqrt(shots) + 1e-12
 
 

@@ -158,6 +158,8 @@ def test_sweep_records_expected_spectro_errors(monkeypatch):
     monkeypatch.setattr(spectro, "correlator_hadamard", aliased)
     records, _ = run_sweep([38.0], TINY_HADAMARD)
     assert records[0].failed_stage == "spectro"
+    # the row keeps the diagnostics computed before the readout
+    assert None not in (records[0].ell_max_h1, records[0].lambda_max, records[0].gamma)
 
 
 def test_sweep_propagates_programming_errors_in_spectro(monkeypatch):
