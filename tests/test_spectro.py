@@ -195,11 +195,25 @@ def test_hadamard_stepped_series_matches_per_sample_circuits():
     assert np.abs(exact.values - ser.values).max() < 5e-4
 
 
-def test_hadamard_rejects_fewer_than_two_samples_or_a_nonpositive_step():
+# the ids keep the names these cases had when the grid was passed as an array
+@pytest.mark.parametrize(
+    "dt, m",
+    [
+        pytest.param(0.3, 1, id="t_grid3"),  # a single sample
+        pytest.param(0.3, 0, id="t_grid4"),  # empty
+    ],
+)
+def test_hadamard_rejects_grids_other_than_k_dt(dt, m):
     ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
-    for dt, m in ((0.3, 1), (0.3, 0), (0.0, 8), (-0.3, 8)):
+    with pytest.raises(ValueError, match="Hadamard readout needs"):
+        correlator_hadamard(ham, w_state_vector(2), dt, m)
+
+
+def test_hadamard_rejects_a_nonpositive_step():
+    ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
+    for dt in (0.0, -0.3):
         with pytest.raises(ValueError, match="Hadamard readout needs"):
-            correlator_hadamard(ham, w_state_vector(2), dt, m)
+            correlator_hadamard(ham, w_state_vector(2), dt, 8)
 
 
 def test_hadamard_raises_when_the_work_qubit_is_left_set(monkeypatch):
