@@ -99,7 +99,10 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
     edge (the 2-skeleton, all that degree-1 persistence needs), up to eps_max.
 
     The default eps_max is just past the diameter, so the full complex is
-    built; the 1e-12 floor keeps a single-point cloud valid.
+    built; the 1e-12 floor keeps a single-point cloud valid. The readers of
+    complexes and Laplacians above the enclosing radius (the gap-persistence
+    bound, validate-fivepoint, scripts/find_fivepoint.py) use this default; a
+    reader of pairs alone takes ``rips_diagram``.
     """
     cloud = PointCloud.of(cloud)
     if eps_max is None:
@@ -116,6 +119,24 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
         cells.append(tuple(map(tuple, verts[order].tolist())))
         radii.append(tuple(r[order].tolist()))
     return Filtration(cells=tuple(cells), radii=tuple(radii))
+
+
+def rips_diagram(cloud: PointCloud | np.ndarray) -> PersistenceDiagram:
+    """The diagram of the full Rips filtration, reduced only up to the
+    enclosing radius r = min_i max_j d(i, j).
+
+    From r on the complex is a cone on the vertex that attains it: one
+    component and no 1-cycles, so every edge longer than r is born and killed
+    at its own length (Bauer, "Ripser", 2021). Those edges are added as
+    zero-length degree-1 pairs instead of being reduced, and the pairs equal
+    the full complex's. The 1e-12 floor is the full rule's.
+    """
+    cloud = PointCloud.of(cloud)
+    dist = cloud.distances()
+    eps_max = max(float(dist.max(axis=1).min()), 1e-12)
+    pairs = compute_persistence(rips_filtration(cloud, eps_max=eps_max)).pairs
+    longer = tuple((1, ell, ell) for ell in dist[np.triu_indices(cloud.n, 1)].tolist() if ell > eps_max)
+    return PersistenceDiagram(pairs=tuple(sorted(pairs + longer)))
 
 
 def _reduce(columns: list[int], cleared: set[int]) -> dict[int, int]:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AliasingConfigError, ResourceLimitError
 from .probe import dephased_probes, diagonal_ensemble_weights, uniform_edge_state, w_state_vector
@@ -335,6 +334,13 @@ def prony_min_samples(ranks: tuple[int, ...] = PRONY_RANKS) -> int:
     return 2 * max(ranks) + 2
 
 
+def _hankel(c: np.ndarray, rows: int) -> np.ndarray:
+    """The rows x (len(c) - rows + 1) Hankel matrix Y[i, j] = c[i + j], copied
+    to C order as scipy.linalg.hankel returns it, so the SVD and the pencil
+    products see that layout and round the same way."""
+    return np.lib.stride_tricks.sliding_window_view(c, len(c) - rows + 1).copy()
+
+
 def prony_esprit(
     series: CorrelatorSeries, ranks: tuple[int, ...] = PRONY_RANKS
 ) -> tuple[np.ndarray, dict]:
@@ -350,7 +356,7 @@ def prony_esprit(
     if m < prony_min_samples(ranks):
         raise ValueError("series too short for the requested rank sweep")
     rows = m // 2
-    Y = scipy.linalg.hankel(c[:rows], c[rows - 1 :])
+    Y = _hankel(c, rows)
     H0, H1 = Y[:, :-1], Y[:, 1:]
     U, s, Vh = np.linalg.svd(H0, full_matrices=False)
     eff_rank = int((s > PRONY_SVD_TOL * s[0]).sum()) if s[0] > 0 else 0

@@ -197,6 +197,8 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
     A sweep keeps one result per rho, so the cloud (with its pairwise
     geometry), the diagram and the representatives are returned only by a
     run that stops at their stage; a full run keeps the graph, L1 and scalars.
+    The stage reads pairs only, so its diagram comes from ``rips_diagram``,
+    the complex cut at the enclosing radius.
     """
     if until not in STAGES:
         raise ValueError(f"unknown pipeline stage {until!r}; expected one of {STAGES}")
@@ -217,7 +219,7 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
         stage = "persistence"
         fps_idx = _farthest_point_indices(cloud.points, cfg.n_fps, cfg.seed)
         fps = embedding.PointCloud(cloud.points[fps_idx])
-        diag = persistence.compute_persistence(persistence.rips_filtration(fps))
+        diag = persistence.rips_diagram(fps)
         res.ell_max = persistence.max_h1_persistence(diag)
         if until == "persistence":
             res.diagram = diag

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topospec import cli, hodge, persistence
 from topospec.embedding import PointCloud
 from topospec.errors import DegenerateGeometryError
 from topospec.fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
@@ -14,8 +15,10 @@ from topospec.persistence import (
     circular_coordinates,
     compute_persistence,
     max_h1_persistence,
+    rips_diagram,
     rips_filtration,
 )
+from topospec.sweep import SweepConfig, _pipeline_stage, _resolve_tau
 
 
 def brute_betti(points: np.ndarray, eps: float, dim: int) -> int:
@@ -128,6 +131,79 @@ def test_persistence_and_complexes_match_the_global_order_reference(kind, seed, 
     assert compute_persistence(filt).pairs == reference_persistence(filt.simplices)
     for eps in filt.critical_radii():
         assert filt.complex_at(eps) == reference_complex_at(filt.simplices, eps)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "grid"])
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_enclosing_radius_cut_keeps_the_full_diagram(kind, seed):
+    pts = _cloud(kind, seed)
+    full = rips_filtration(pts)
+    pairs = compute_persistence(full).pairs
+    assert rips_diagram(pts).pairs == pairs == reference_persistence(full.simplices)
+
+
+def test_enclosing_radius_cut_on_a_line():
+    # the cut is 1, so the edge (0, 2) is left out and comes back as a zero-length pair
+    pts = np.array([[0.0], [1.0], [2.0]])
+    pairs = ((0, 0.0, 1.0), (0, 0.0, 1.0), (0, 0.0, math.inf), (1, 2.0, 2.0))
+    assert rips_diagram(pts).pairs == compute_persistence(rips_filtration(pts)).pairs == pairs
+
+
+def test_enclosing_radius_cut_on_coincident_points():
+    pts = np.ones((4, 2))
+    full = rips_filtration(pts)
+    assert rips_diagram(pts).pairs == compute_persistence(full).pairs == reference_persistence(full.simplices)
+
+
+def _spy_rips(monkeypatch) -> list:
+    """Record (cloud, eps_max, filtration) for every rips_filtration call made
+    through the persistence module or hodge's binding of it."""
+    calls = []
+    real = persistence.rips_filtration
+
+    def spy(cloud, eps_max=None):
+        filt = real(cloud, eps_max)
+        calls.append((PointCloud.of(cloud), eps_max, filt))
+        return filt
+
+    for module in (persistence, hodge):
+        monkeypatch.setattr(module, "rips_filtration", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def rho40_persistence():
+    """The default-config persistence stage at rho 40 and its Rips calls."""
+    cfg = SweepConfig()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_rips(mp)
+        stage = _pipeline_stage(40.0, cfg, _resolve_tau([40.0], cfg), until="persistence")
+    return stage, calls
+
+
+def test_pipeline_diagram_is_the_full_diagram_at_rho_40(rho40_persistence):
+    stage, [(fps, _, _)] = rho40_persistence
+    assert stage.failed_stage is None
+    assert stage.diagram.pairs == compute_persistence(rips_filtration(fps)).pairs
+
+
+def test_pipeline_cuts_at_the_enclosing_radius(rho40_persistence):
+    _, calls = rho40_persistence
+    assert len(calls) == 1
+    fps, eps_max, filt = calls[0]
+    dist = fps.distances()
+    assert eps_max == dist.max(axis=1).min() < fps.diameter()
+    assert len(filt.cells[1]) < fps.n * (fps.n - 1) // 2
+
+
+def test_bound_check_and_fivepoint_read_the_full_complex(monkeypatch, tmp_path):
+    calls = _spy_rips(monkeypatch)
+    hodge.verify_gap_persistence_bound(np.random.default_rng(0).uniform(0, 1, size=(8, 3)))
+    assert cli.main(["--out", str(tmp_path / "out"), "validate-fivepoint"]) == 0
+    assert [eps_max for _, eps_max, _ in calls] == [None, None]
+    for cloud, _, filt in calls:  # every edge and triangle, whatever the enclosing radius
+        assert tuple(map(len, filt.cells)) == (cloud.n, math.comb(cloud.n, 2), math.comb(cloud.n, 3))
 
 
 def _filtration(simplices) -> Filtration:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -378,6 +379,17 @@ def test_prony_overrank_discards_spurious():
     freqs, info = prony_esprit(ser, ranks=(1, 2, 3, 6))
     assert len(freqs) == 1
     assert abs(freqs[0] - 1.1) < 1e-9
+
+
+@given(m=st.integers(2, 300), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_hankel_matches_scipy(m, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=m) + 1j * rng.normal(size=m)
+    rows = m // 2
+    ours, theirs = spectro._hankel(c, rows), scipy.linalg.hankel(c[:rows], c[rows - 1 :])
+    assert np.array_equal(ours, theirs)
+    assert ours.flags.c_contiguous and ours.dtype == theirs.dtype
 
 
 # ---------------------------------------------------------------------------
