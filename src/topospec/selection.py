@@ -14,8 +14,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .embedding import PointCloud
 from .errors import DegenerateBandwidthError, SelectionInfeasibleError
@@ -69,7 +67,7 @@ def density_weights(cloud: PointCloud | np.ndarray, alpha: float) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least 2 points")
     d2 = cloud.d2
-    h = float(np.quantile(np.sqrt(d2[np.triu_indices(n, k=1)]), 0.10))
+    h = float(np.quantile(cloud.distances()[np.triu_indices(n, k=1)], 0.10))
     if h == 0.0:
         raise DegenerateBandwidthError("10th-percentile bandwidth is zero")
     rho = np.exp(-d2 / (2 * h * h)).sum(axis=1) / (n * h**m)
@@ -116,20 +114,104 @@ def renyi_entropy(p: np.ndarray, alpha: float) -> float:
     return float(np.log((p**alpha).sum()) / (1.0 - alpha))
 
 
-def knn_graph(cloud: PointCloud | np.ndarray, knn_k: int) -> csr_matrix:
-    """Symmetrized k-nearest-neighbor graph with Euclidean edge lengths.
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of dist, ordered
+    by (distance, index): the first k columns of a stable argsort, ties at the
+    k-th distance included, without sorting whole rows."""
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(dist <= kth[:, None])  # row-major, so cols ascend within a row
+    order = np.lexsort((dist[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(len(dist)))
+    return cols[order][starts[:, None] + np.arange(k)]
 
-    Geodesics are shortest paths on it; unreachable vertices are at +inf
-    (cross-component distances are infinite by convention).
+
+def knn_graph(cloud: PointCloud | np.ndarray, knn_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized k-nearest-neighbor graph with Euclidean edge lengths, as one
+    padded (n, d) table: row i holds i's neighbors and their edge lengths,
+    padded with i itself at +inf.
+
+    Each point links to the next knn_k of its row in (distance, index) order
+    after the first (normally itself), and each link is kept in both
+    directions. Zero-length links are dropped, so a point that coincides with
+    one of its nearest neighbors gets no edge to it: in
+    ``[[0, 0], [0, 0], [1, 0], [2, 0], [3, 0]]`` at knn_k = 1, point 1's only
+    link is to point 0, and point 1 is isolated.
     """
     cloud = PointCloud.of(cloud)
     n, dist = cloud.n, cloud.distances()
-    k = min(knn_k + 1, n)
-    nn = np.argsort(dist, axis=1, kind="stable")[:, 1:k]
-    rows = np.repeat(np.arange(n), nn.shape[1])
-    cols = nn.ravel()
-    g = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
-    return g.maximum(g.T)
+    nn = _nearest(dist, min(knn_k + 1, n))[:, 1:]
+    src = np.repeat(np.arange(n), nn.shape[1])
+    a = np.concatenate([src, nn.ravel()])
+    b = np.concatenate([nn.ravel(), src])
+    keep = dist[a, b] > 0
+    edges = np.unique(a[keep] * n + b[keep])  # sorted by (a, b), each edge once per direction
+    a, b = edges // n, edges % n
+    degree = np.bincount(a, minlength=n)
+    nbr = np.repeat(np.arange(n)[:, None], max(int(degree.max(initial=0)), 1), axis=1)
+    w = np.full(nbr.shape, np.inf)
+    slot = np.arange(len(a)) - (np.cumsum(degree) - degree)[a]
+    nbr[a, slot] = b
+    w[a, slot] = dist[a, b]
+    return nbr, w
+
+
+def geodesics(graph: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
+    """Shortest-path lengths on a ``knn_graph`` table from the vertices where
+    d is 0, relaxing d (+inf, or a bound already known) to its fixed point.
+
+    Unreachable vertices stay at +inf (cross-component distances are
+    infinite by convention). Each relaxation extends a path sum by one edge,
+    as Dijkstra does, so the lengths equal Dijkstra's bit for bit; starting
+    from the minimum over earlier sources with a new source set to 0 gives the
+    minimum over all of them.
+    """
+    nbr, w = graph
+    while True:
+        nxt = np.minimum(d, (d[nbr] + w).min(axis=1))
+        if np.array_equal(nxt, d):
+            return nxt
+        d = nxt
+
+
+def _gains(
+    cand: np.ndarray,
+    cand_bins: np.ndarray,
+    selected: list[int],
+    hist: np.ndarray,
+    min_geo: np.ndarray,
+    weights: np.ndarray,
+    angles: np.ndarray,
+    cfg: SweepConfig,
+) -> np.ndarray:
+    """Composite gain of every candidate given the selected set (see
+    ``select_topological``), its terms added in the order written there."""
+    lam_theta, lam_D, lam_d, lam_c = cfg.lambdas
+    gain = np.zeros(len(cand))
+    if lam_theta:
+        # the angular term depends on the candidate's bin only
+        base_h = renyi_entropy(hist, cfg.alpha_sel)
+        bin_h = np.empty(cfg.bins)
+        for b in range(cfg.bins):
+            with_b = hist.copy()
+            with_b[b] += 1
+            bin_h[b] = renyi_entropy(with_b, cfg.alpha_sel)
+        gain += lam_theta * (bin_h[cand_bins] - base_h)
+    if lam_D:
+        gain += lam_D * min_geo[cand]
+    if lam_d:
+        # renyi_entropy(weights[selected + [j]]) as row j of one matrix
+        p = np.empty((len(cand), len(selected) + 1))
+        p[:, :-1] = weights[selected]
+        p[:, -1] = weights[cand]
+        dens = np.log(((p / p.sum(axis=1, keepdims=True)) ** cfg.alpha_sel).sum(axis=1)) / (1.0 - cfg.alpha_sel)
+        for r in np.flatnonzero((p <= 0).any(axis=1)):  # renyi_entropy drops such weights
+            dens[r] = renyi_entropy(p[r], cfg.alpha_sel)
+        gain += lam_d * dens
+    if lam_c:
+        dth = np.abs(angles[selected] - angles[cand][:, None])
+        dth = np.minimum(dth, 2 * np.pi - dth)
+        gain -= lam_c * (dth < 2 * np.pi / (1.35 * cfg.k_topo)).sum(axis=1)
+    return gain
 
 
 def select_topological(
@@ -146,53 +228,34 @@ def select_topological(
       + lam_D * min geodesic distance to S on the KNN graph
       + lam_d * Renyi entropy of the density weights of S + {j}
       - lam_c * (count of selected angles within dtheta_min of theta_j)
-    Ties break toward the lowest index.
+    The first pick is the heaviest candidate. Ties break toward the lowest
+    index.
     """
-    cand = sorted(int(i) for i in candidates)
-    if not cand:
-        raise SelectionInfeasibleError("empty candidate set")
-    lam_theta, lam_D, lam_d, lam_c = cfg.lambdas
-    k_topo = cfg.k_topo
-    dtheta_min = 2 * np.pi / (1.35 * k_topo)
+    cloud = PointCloud.of(cloud)
+    cand = np.unique(np.asarray(candidates, dtype=np.intp))
+    if len(cand) < cfg.k_topo:
+        raise SelectionInfeasibleError(f"{len(cand)} candidates for {cfg.k_topo} topological picks")
     bin_edges = np.linspace(0, 2 * np.pi, cfg.bins + 1)
-
-    start = max(cand, key=lambda i: (weights[i], -i))
-    selected = [start]
-
-    hist = np.zeros(cfg.bins)
-    hist[min(np.searchsorted(bin_edges, angles[start], side="right") - 1, cfg.bins - 1)] += 1
-
+    cand_bins = np.minimum(np.searchsorted(bin_edges, angles[cand], side="right") - 1, cfg.bins - 1)
     graph = knn_graph(cloud, cfg.knn_k)
-    min_geo = dijkstra(graph, directed=False, indices=start)
 
-    while len(selected) < k_topo:
-        base_h = renyi_entropy(hist, cfg.alpha_sel)
-        best_j, best_gain = None, -np.inf
-        chosen = set(selected)
-        for j in cand:
-            if j in chosen:
-                continue
-            gain = 0.0
-            if lam_theta:
-                b = min(np.searchsorted(bin_edges, angles[j], side="right") - 1, cfg.bins - 1)
-                hist[b] += 1
-                gain += lam_theta * (renyi_entropy(hist, cfg.alpha_sel) - base_h)
-                hist[b] -= 1
-            if lam_D:
-                gain += lam_D * min_geo[j]
-            if lam_d:
-                gain += lam_d * renyi_entropy(weights[selected + [j]], cfg.alpha_sel)
-            if lam_c:
-                dth = np.abs(angles[np.array(selected)] - angles[j])
-                dth = np.minimum(dth, 2 * np.pi - dth)
-                gain -= lam_c * float((dth < dtheta_min).sum())
-            if gain > best_gain:
-                best_gain, best_j = gain, j
-        selected.append(best_j)
-        b = min(np.searchsorted(bin_edges, angles[best_j], side="right") - 1, cfg.bins - 1)
-        hist[b] += 1
-        min_geo = np.minimum(min_geo, dijkstra(graph, directed=False, indices=best_j))
-    return selected
+    free = np.ones(len(cand), dtype=bool)
+    hist = np.zeros(cfg.bins)
+    min_geo = np.full(cloud.n, np.inf)
+    selected: list[int] = []
+    pick = int(np.argmax(weights[cand]))  # argmax returns the first (lowest) index on ties
+    while True:
+        j = int(cand[pick])
+        selected.append(j)
+        free[pick] = False
+        hist[cand_bins[pick]] += 1
+        if len(selected) == cfg.k_topo:
+            return selected
+        min_geo[j] = 0.0
+        min_geo = geodesics(graph, min_geo)
+        gain = _gains(cand, cand_bins, selected, hist, min_geo, weights, angles, cfg)
+        gain[~free] = -np.inf
+        pick = int(np.argmax(gain))
 
 
 def select_global(

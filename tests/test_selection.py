@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from topospec import selection
+from topospec.embedding import PointCloud
 from topospec.errors import DegenerateBandwidthError, SelectionInfeasibleError
 from topospec.persistence import (
     PersistenceDiagram,
@@ -9,8 +15,11 @@ from topospec.persistence import (
     rips_filtration,
 )
 from topospec.selection import (
+    _nearest,
     candidate_set,
     density_weights,
+    geodesics,
+    knn_graph,
     renyi_entropy,
     select_global,
     select_representatives,
@@ -126,11 +135,7 @@ def test_topo_reduces_to_geodesic_fps():
     got = select_topological(pts, cand, weights, angles, cfg)
 
     # direct farthest-point implementation in the geodesic metric
-    from scipy.sparse.csgraph import dijkstra
-
-    from topospec.selection import knn_graph
-
-    graph = knn_graph(pts, cfg.knn_k)
+    graph = ref_knn_graph(pts, cfg.knn_k)
     start = got[0]
     fps = [start]
     d_min = dijkstra(graph, directed=False, indices=[start])[0]
@@ -251,3 +256,251 @@ def test_representative_json(tmp_path, lorenz_cloud):
     obj = json.loads((tmp_path / "reps.json").read_text())
     assert len(obj["indices"]) == 7
     assert obj["config"]["k"] == 7
+
+
+def test_topo_needs_as_many_candidates_as_picks():
+    pts = ring_cloud(40, seed=9)
+    cfg = SweepConfig(k=7)  # k_topo = 4
+    with pytest.raises(SelectionInfeasibleError, match="3 candidates for 4"):
+        select_topological(pts, np.array([5, 1, 9]), np.full(40, 1 / 40), circular_coordinates(pts), cfg)
+
+
+# Reference implementations: the kNN graph, the Dijkstra pass, the density
+# weights and the greedy loop of the selection stage as they were built on
+# scipy.sparse and a per-candidate loop. The numpy table, the relaxation and
+# the gain arrays must reproduce them bit for bit.
+
+
+def ref_knn_graph(pts, knn_k):
+    cloud = PointCloud.of(pts)
+    n, dist = cloud.n, cloud.distances()
+    k = min(knn_k + 1, n)
+    nn = np.argsort(dist, axis=1, kind="stable")[:, 1:k]
+    rows = np.repeat(np.arange(n), nn.shape[1])
+    cols = nn.ravel()
+    g = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
+    return g.maximum(g.T)
+
+
+def ref_density_weights(pts, alpha):
+    cloud = PointCloud.of(pts)
+    n, m = cloud.points.shape
+    d2 = cloud.d2
+    h = float(np.quantile(np.sqrt(d2[np.triu_indices(n, k=1)]), 0.10))
+    if h == 0.0:
+        raise DegenerateBandwidthError("10th-percentile bandwidth is zero")
+    rho = np.exp(-d2 / (2 * h * h)).sum(axis=1) / (n * h**m)
+    w = rho ** (alpha - 1.0)
+    return w / w.sum()
+
+
+def ref_select_topological(pts, candidates, weights, angles, cfg, gains=None):
+    """The per-candidate loop; with ``gains`` a list, each round's gain array
+    over the sorted candidates (-inf where already chosen) is appended."""
+    cand = sorted(int(i) for i in candidates)
+    lam_theta, lam_D, lam_d, lam_c = cfg.lambdas
+    k_topo = cfg.k_topo
+    dtheta_min = 2 * np.pi / (1.35 * k_topo)
+    bin_edges = np.linspace(0, 2 * np.pi, cfg.bins + 1)
+
+    start = max(cand, key=lambda i: (weights[i], -i))
+    selected = [start]
+
+    hist = np.zeros(cfg.bins)
+    hist[min(np.searchsorted(bin_edges, angles[start], side="right") - 1, cfg.bins - 1)] += 1
+
+    graph = ref_knn_graph(pts, cfg.knn_k)
+    min_geo = dijkstra(graph, directed=False, indices=start)
+
+    while len(selected) < k_topo:
+        base_h = renyi_entropy(hist, cfg.alpha_sel)
+        best_j, best_gain = None, -np.inf
+        chosen = set(selected)
+        round_gains = np.full(len(cand), -np.inf)
+        for pos, j in enumerate(cand):
+            if j in chosen:
+                continue
+            gain = 0.0
+            if lam_theta:
+                b = min(np.searchsorted(bin_edges, angles[j], side="right") - 1, cfg.bins - 1)
+                hist[b] += 1
+                gain += lam_theta * (renyi_entropy(hist, cfg.alpha_sel) - base_h)
+                hist[b] -= 1
+            if lam_D:
+                gain += lam_D * min_geo[j]
+            if lam_d:
+                gain += lam_d * renyi_entropy(weights[selected + [j]], cfg.alpha_sel)
+            if lam_c:
+                dth = np.abs(angles[np.array(selected)] - angles[j])
+                dth = np.minimum(dth, 2 * np.pi - dth)
+                gain -= lam_c * float((dth < dtheta_min).sum())
+            round_gains[pos] = gain
+            if gain > best_gain:
+                best_gain, best_j = gain, j
+        if gains is not None:
+            gains.append(round_gains)
+        selected.append(best_j)
+        b = min(np.searchsorted(bin_edges, angles[best_j], side="right") - 1, cfg.bins - 1)
+        hist[b] += 1
+        min_geo = np.minimum(min_geo, dijkstra(graph, directed=False, indices=best_j))
+    return selected
+
+
+CLOUD_KINDS = ("uniform", "grid", "duplicates")
+
+
+def _oracle_cloud(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    if kind == "grid":  # integer coordinates: tied distances and repeated points
+        return rng.integers(0, 4, size=(n, 2)).astype(float)
+    pts = rng.uniform(0, 1, size=(n, 3))
+    if kind == "duplicates":  # exact copies of some points, shuffled in
+        pts = np.vstack([pts, pts[rng.integers(0, n, n // 3 + 1)]])[rng.permutation(n + n // 3 + 1)]
+    return pts
+
+
+def _greedy_inputs(kind: str, seed: int, zero_weights: bool = False):
+    """A cloud, candidates, weights with ties, angles and a selection config."""
+    rng = np.random.default_rng(seed + 1)
+    pts = _oracle_cloud(kind, seed)
+    n = len(pts)
+    k = int(rng.integers(2, min(n, 20) + 1))
+    cfg = SweepConfig(
+        k=k,
+        r=(int(rng.integers(1, k)) + 0.5) / k,  # k_topo in [1, k - 1]
+        alpha_sel=float(rng.choice([1.5, 2.0, 3.7])),
+        knn_k=int(rng.integers(1, 7)),
+        bins=int(rng.integers(4, 20)),
+        lambdas=tuple(float(x) for x in rng.choice([0.0, 0.5, 1.0, 2.0], 4)),
+    )
+    cand = rng.choice(n, size=int(rng.integers(min(cfg.k_topo, n), n + 1)), replace=False)
+    weights = rng.integers(0 if zero_weights else 1, 4, n).astype(float)
+    weights[cand[0]] = max(weights[cand[0]], 1.0)
+    weights /= weights.sum()
+    angles = rng.uniform(0, 2 * np.pi, n)
+    return pts, cand, weights, angles, cfg
+
+
+def _edges(graph) -> list:
+    """Sorted (i, j, length) of a neighbour table, or of the sparse reference
+    (whose explicit zeros would show as length 0)."""
+    if isinstance(graph, csr_matrix):
+        coo = graph.tocoo()
+        return sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    nbr, w = graph
+    rows, slots = np.nonzero(np.isfinite(w))
+    return sorted(zip(rows.tolist(), nbr[rows, slots].tolist(), w[rows, slots].tolist()))
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_neighbour_order_is_the_stable_argsort(kind, seed):
+    dist = PointCloud(_oracle_cloud(kind, seed)).distances()
+    n = len(dist)
+    for k in sorted({1, 2, min(4, n), min(11, n), n}):
+        assert np.array_equal(_nearest(dist, k), np.argsort(dist, axis=1, kind="stable")[:, :k])
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@given(seed=st.integers(0, 10_000), knn_k=st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_knn_table_is_the_sparse_reference_graph(kind, seed, knn_k):
+    pts = _oracle_cloud(kind, seed)
+    nbr, w = knn_graph(pts, knn_k)
+    assert _edges((nbr, w)) == _edges(ref_knn_graph(pts, knn_k))
+    pad = np.isinf(w)
+    assert np.array_equal(nbr[pad], np.nonzero(pad)[0])
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@given(seed=st.integers(0, 10_000), knn_k=st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_geodesics_are_the_dijkstra_lengths(kind, seed, knn_k):
+    pts = _oracle_cloud(kind, seed)
+    n = len(pts)
+    graph, ref = knn_graph(pts, knn_k), ref_knn_graph(pts, knn_k)
+    # one source at a time, then warm-started over a sequence of sources
+    min_geo, ref_min = np.full(n, np.inf), np.full(n, np.inf)
+    for s in np.random.default_rng(seed).permutation(n)[:6]:
+        d = np.full(n, np.inf)
+        d[s] = 0.0
+        expect = dijkstra(ref, directed=False, indices=s)
+        assert np.array_equal(geodesics(graph, d), expect)
+        min_geo[s] = 0.0
+        min_geo = geodesics(graph, min_geo)
+        ref_min = np.minimum(ref_min, expect)
+        assert np.array_equal(min_geo, ref_min)
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@given(seed=st.integers(0, 10_000), zero_weights=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_greedy_gain_arrays_match_the_loop(kind, seed, zero_weights):
+    pts, cand, weights, angles, cfg = _greedy_inputs(kind, seed, zero_weights)
+    got = []
+
+    def recording(*args):
+        gain = real_gains(*args)
+        got.append(gain.copy())
+        return gain
+
+    real_gains = selection._gains
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(selection, "_gains", recording)
+        picks = select_topological(pts, cand, weights, angles, cfg)
+    expect = []
+    ref_select_topological(pts, cand, weights, angles, cfg, gains=expect)
+    assert len(got) == len(expect) == cfg.k_topo - 1
+    order = np.sort(cand)
+    for r, (g, e) in enumerate(zip(got, expect)):
+        g[np.isin(order, picks[: r + 1])] = -np.inf
+        assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@given(seed=st.integers(0, 10_000), zero_weights=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_greedy_picks_match_the_loop(kind, seed, zero_weights):
+    pts, cand, weights, angles, cfg = _greedy_inputs(kind, seed, zero_weights)
+    assert select_topological(pts, cand, weights, angles, cfg) == ref_select_topological(
+        pts, cand, weights, angles, cfg
+    )
+
+
+@pytest.mark.parametrize("kind", ("uniform", "duplicates"))
+@given(seed=st.integers(0, 10_000), alpha=st.sampled_from([1.5, 2.0]))
+@settings(max_examples=30, deadline=None)
+def test_density_weights_match_the_reference(kind, seed, alpha):
+    cloud = PointCloud(_oracle_cloud(kind, seed))
+    upper = np.triu_indices(cloud.n, k=1)
+    # the bandwidth read from the cached distances is the recomputed one
+    assert np.quantile(cloud.distances()[upper], 0.10) == np.quantile(np.sqrt(cloud.d2[upper]), 0.10)
+    assert np.array_equal(density_weights(cloud, alpha), ref_density_weights(cloud, alpha))
+
+
+def test_duplicate_point_is_isolated_in_the_knn_graph():
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    nbr, w = knn_graph(pts, 1)
+    assert np.isinf(w[1]).all()
+    assert _edges((nbr, w)) == _edges(ref_knn_graph(pts, 1))
+    d = np.full(5, np.inf)
+    d[0] = 0.0
+    got = geodesics((nbr, w), d)
+    assert np.array_equal(got, [0.0, np.inf, 1.0, 2.0, 3.0])
+    assert np.array_equal(got, dijkstra(ref_knn_graph(pts, 1), directed=False, indices=0))
+
+
+def test_default_clouds_keep_their_topological_picks():
+    from topospec.sweep import _pipeline_stage
+
+    cfg = SweepConfig()
+    for rho in (36.0, 40.0):
+        cloud = _pipeline_stage(rho, cfg, 15, until="cloud").cloud
+        diag = _pipeline_stage(rho, cfg, 15, until="persistence").diagram
+        weights = density_weights(cloud, cfg.alpha_sel)
+        cand, _ = candidate_set(cloud, diag)
+        angles = circular_coordinates(cloud.points, cand)
+        got = select_topological(cloud, cand, weights, angles, cfg)
+        assert got == ref_select_topological(cloud, cand, weights, angles, cfg)
