@@ -10,7 +10,8 @@ class TopospecError(Exception):
 
 
 class IntegrationDivergedError(TopospecError):
-    """State became non-finite during integration; carries the step index."""
+    """State became non-finite during integration (in a Lyapunov run, also the
+    tangent or its norm); carries the step index."""
 
     def __init__(self, step: int):
         self.step = step

@@ -243,3 +243,16 @@ def test_smoothed_columns_shape(short_sweep):
     }
     for v in cols.values():
         assert len(v) == 3
+
+
+@pytest.mark.parametrize("lyap_dt", [0.15, 0.2])
+def test_sweep_records_a_diverging_lyapunov_run(lyap_dt):
+    # both steps pass SweepConfig, but RK4 at rho 40 blows up in the first block
+    cfg = SweepConfig(t_total=90.0, n_fps=48, m_samples=128, lyap_dt=lyap_dt)
+    records, _ = run_sweep([40.0], cfg)
+    rec = records[0]
+    assert rec.failed_stage == "lyapunov"
+    assert rec.error == "IntegrationDivergedError: integration diverged (non-finite state) at step 20"
+    assert rec.lambda_max is None
+    # the diagnostics computed before the failure stay on the row
+    assert rec.ell_max_h1 is not None and rec.ell_max_h1 > 0
