@@ -124,6 +124,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     )
 
 
+def _stamped(digest: str, **fields) -> dict:
+    """A JSON artifact: the config digest and package version, then ``fields``
+    in the order given."""
+    return {"digest": digest, "version": __version__, **fields}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -178,7 +184,7 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
         series.to_csv(out / f"fivepoint_correlator_eps{eps}.csv")
     write_json(
         out / "fivepoint_report.json",
-        {"digest": digest, "version": __version__, "eta": eta, "results": results},
+        _stamped(digest, eta=eta, results=results),
     )
     for r in results:
         print(
@@ -263,7 +269,7 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None
     write_json(out / "sweep_correlations.json", report)
     write_json(
         out / "manifest.json",
-        {"digest": digest, "version": __version__, "grid": list(grid), "seed": cfg.seed, "mode": cfg.sweep.mode},
+        _stamped(digest, grid=list(grid), seed=cfg.seed, mode=cfg.sweep.mode),
     )
     for r in records:
         status = f"pipeline failed at {r.failed_stage}: {r.error}" if r.failed_stage else "ok"
@@ -290,14 +296,7 @@ def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
     write_csv(out / "bound_check.csv", header, rows)
     write_json(
         out / "bound_summary.json",
-        {
-            "digest": cfg.digest(),
-            "version": __version__,
-            "clouds": n_clouds,
-            "points": n_points,
-            "pairs_checked": checked,
-            "violations": violations,
-        },
+        _stamped(cfg.digest(), clouds=n_clouds, points=n_points, pairs_checked=checked, violations=violations),
     )
     print(f"checked {checked} H1 pairs over {n_clouds} clouds: {violations} violations")
     return 0 if violations == 0 else 1
@@ -324,7 +323,7 @@ def cmd_compile_report(cfg: RunConfig, phase_bits: int = 6, grid_rho: float = 40
     stats = baseline_qpe_cost(ham, phase_bits)
     write_json(
         out / "compile_report.json",
-        {"digest": cfg.digest(), "version": __version__, **stats.as_dict()},
+        _stamped(cfg.digest(), **stats.as_dict()),
     )
     print(
         f"compiled 2q = {stats.two_qubit_count}, baseline = {stats.baseline_two_qubit_count}, "
@@ -334,19 +333,15 @@ def cmd_compile_report(cfg: RunConfig, phase_bits: int = 6, grid_rho: float = 40
 
 
 def cmd_lorenz(cfg: RunConfig, rho: float) -> int:
+    """The trajectory and its Lyapunov exponent at one rho; both are computed
+    before either file is written, so a diverging run leaves neither."""
     out = Path(cfg.out)
     sw = cfg.sweep
-    traj = dynamics.integrate(
-        dynamics.LorenzParams(rho=rho), sw.x0, sw.dt, sw.t_trans, sw.t_total
-    )
+    params = dynamics.LorenzParams(rho=rho)
+    traj = dynamics.integrate(params, sw.x0, sw.dt, sw.t_trans, sw.t_total)
+    lyap = dynamics.lyapunov_max(params, sw.x0, sw.lyap_dt, sw.lyap_t_total, sw.lyap_renorm)
     traj.to_csv(out / f"lorenz_rho{rho}.csv")
-    lyap = dynamics.lyapunov_max(
-        dynamics.LorenzParams(rho=rho), sw.x0, sw.lyap_dt, sw.lyap_t_total, sw.lyap_renorm
-    )
-    write_json(
-        out / f"lyapunov_rho{rho}.json",
-        {"digest": cfg.digest(), "version": __version__, "rho": rho, "lambda_max": lyap.lambda_max},
-    )
+    write_json(out / f"lyapunov_rho{rho}.json", _stamped(cfg.digest(), rho=rho, lambda_max=lyap.lambda_max))
     print(f"rho={rho}: lambda_max = {lyap.lambda_max:.4f}")
     return 0
 
@@ -402,7 +397,7 @@ def cmd_susy(cfg: RunConfig, rho: float) -> int:
     rep = verify_block_equivalence(stage.graph, k_max=3)
     write_json(
         out / f"susy_equivalence_rho{rho}.json",
-        {"digest": cfg.digest(), "version": __version__, "passed": rep.passed, "max_deviation": rep.max_deviation},
+        _stamped(cfg.digest(), passed=rep.passed, max_deviation=rep.max_deviation),
     )
     print(f"rho={rho}: {len(ham.terms)} terms, block equivalence {'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1
@@ -439,13 +434,7 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
     write_csv(out / f"qpe_spectrum_rho{rho}.csv", ("omega", "power"), zip(*spectro.periodogram(series)))
     write_json(
         out / f"qpe_estimate_rho{rho}.json",
-        {
-            "digest": cfg.digest(),
-            "version": __version__,
-            "probe": probe_kind,
-            "mode": sw.mode,
-            **est.as_dict(),
-        },
+        _stamped(cfg.digest(), probe=probe_kind, mode=sw.mode, **est.as_dict()),
     )
     print(f"rho={rho}: beta1_hat={est.beta1_hat}, gap_hat={est.gap_hat}")
     return 0

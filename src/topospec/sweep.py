@@ -371,9 +371,15 @@ def correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 
     permutation p-values and a pair-resampling bootstrap CI.
 
     Degenerate (constant) columns yield absent correlations rather than NaN.
+    The ``n_perm`` permutations and the 1000 bootstrap resamples are drawn
+    one round at a time, as one ``rng.permutation`` or ``rng.integers`` call
+    each, and scored as arrays (``_resampled_rounds``); every statistic is
+    bit-equal to one scipy ``pearsonr``/``spearmanr`` call per round.
     """
-    from scipy.stats import pearsonr, spearmanr
+    from scipy.stats import pearsonr
 
+    if n_perm < 1:
+        raise ValueError(f"n_perm = {n_perm!r}: a permutation p-value needs n_perm >= 1")
     pairs = [
         (r.ell_max_h1, r.delta1_susy_sim)
         for r in records
@@ -392,28 +398,64 @@ def correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 
         out["note"] = "constant diagnostic; correlation undefined"
         return out
     r = float(pearsonr(x, y).statistic)
-    rho_s = float(spearmanr(x, y).statistic)
-    rng = np.random.default_rng(seed)
-    perm_r = np.empty(n_perm)
-    perm_s = np.empty(n_perm)
-    for i in range(n_perm):
-        yp = rng.permutation(y)
-        perm_r[i] = pearsonr(x, yp).statistic
-        perm_s[i] = spearmanr(x, yp).statistic
+    rho_s = float(_spearman_rows(x, y[None])[0])
+    perm_r, perm_s, boots = _resampled_rounds(x, y, np.random.default_rng(seed), n_perm)
     out["pearson_r"] = r
     out["spearman_rho"] = rho_s
     out["pearson_p_perm"] = float((np.abs(perm_r) >= abs(r)).mean())
     out["spearman_p_perm"] = float((np.abs(perm_s) >= abs(rho_s)).mean())
-    boots = []
-    for _ in range(1000):
-        idx = rng.integers(0, len(x), len(x))
-        if np.ptp(x[idx]) == 0 or np.ptp(y[idx]) == 0:
-            continue
-        boots.append(pearsonr(x[idx], y[idx]).statistic)
-    if boots:
+    if len(boots):
         lo, hi = np.percentile(boots, [2.5, 97.5])
         out["pearson_ci"] = [float(lo), float(hi)]
     return out
+
+
+def _resampled_rounds(
+    x: np.ndarray, y: np.ndarray, rng: np.random.Generator, n_perm: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-round Pearson and Spearman of ``n_perm`` permutations of y, then
+    the Pearson of 1000 pair resamples, skipping a resample with a constant
+    column.
+
+    Each round draws as the per-call loop did (one ``rng.permutation(y)``,
+    then one ``rng.integers(0, n, n)``), so the stream does not rest on how
+    numpy buffers a single bounded draw of shape (1000, n). scipy's
+    ``pearsonr`` along the last axis scores every row as its own call would.
+    """
+    from scipy.stats import pearsonr
+
+    n = len(x)
+    perms = np.stack([rng.permutation(y) for _ in range(n_perm)])
+    perm_r = pearsonr(np.broadcast_to(x, perms.shape), perms, axis=-1).statistic
+    perm_s = _spearman_rows(x, perms)
+    idx = np.stack([rng.integers(0, n, n) for _ in range(1000)])
+    xb, yb = x[idx], y[idx]
+    keep = (np.ptp(xb, axis=1) != 0) & (np.ptp(yb, axis=1) != 0)
+    boots = pearsonr(xb[keep], yb[keep], axis=-1).statistic if keep.any() else np.empty(0)
+    return perm_r, perm_s, boots
+
+
+def _spearman_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Spearman rho of x against each row of ys, bit-equal to
+    ``spearmanr(x, row).statistic``.
+
+    It repeats the operations ``spearmanr`` -> ``np.corrcoef`` -> ``np.cov``
+    perform on the ranks: centre each rank row on its mean, take
+    c_xy = (y_c . x_c) * (1/(n-1)) and s = sqrt((v . v) * (1/(n-1))), and
+    return clip(c_xy / s_y / s_x, -1, 1), s_y first because ``spearmanr``
+    reads entry [1, 0]. Ranks sum to n(n+1)/2, so every centred rank is a
+    multiple of 0.5 and each dot product is exact in any summation order.
+    """
+    from scipy.stats import rankdata
+
+    inv = np.true_divide(1, len(x) - 1)
+    xc = rankdata(x)
+    xc -= xc.mean()
+    yc = rankdata(ys, axis=-1)
+    yc -= yc.mean(axis=-1, keepdims=True)
+    sx = np.sqrt((xc @ xc) * inv)
+    sy = np.sqrt(np.einsum("ij,ij->i", yc, yc) * inv)
+    return np.clip((yc @ xc) * inv / sy / sx, -1.0, 1.0)
 
 
 def smoothed_columns(records: list[SweepRecord]) -> dict[str, np.ndarray]:

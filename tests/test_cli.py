@@ -340,6 +340,23 @@ def test_stage_commands_produce_artifacts(tmp_path):
     assert est["beta1_hat"] >= 1
 
 
+def test_lorenz_writes_nothing_when_the_lyapunov_run_diverges(tmp_path, capsys):
+    # lyap_dt 0.2 passes SweepConfig, but RK4 at rho 40 blows up in the first block
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep.t_total = 70.0\nsweep.lyap_dt = 0.2\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "lorenz", "--rho", "40"]) == 1
+    assert "integration diverged" in capsys.readouterr().err
+    assert not list(out.glob("lorenz_rho*.csv")) and not list(out.glob("lyapunov_rho*.json"))
+
+
+def test_json_artifacts_open_with_their_stamps():
+    doc = cli._stamped("abc", rho=40.0, lambda_max=0.5)
+    assert list(doc.items()) == [
+        ("digest", "abc"), ("version", cli.__version__), ("rho", 40.0), ("lambda_max", 0.5)
+    ]
+
+
 def test_qpe_hadamard_mode_small_instance(tmp_path):
     # circuit-simulated readout end to end on a reduced instance: fewer
     # representatives keep the edge register small enough for quick dense runs

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from scipy.stats import pearsonr, spearmanr
 
-from topospec import spectro
+from topospec import spectro, sweep
 from topospec.errors import AliasingConfigError, ConfigError, UndefinedEntropyError
 from topospec.qcompile import Circuit, Gate
 from topospec.spectro import CorrelatorSeries
@@ -95,6 +98,170 @@ def test_correlation_report_simple():
     rep = correlation_report(recs, n_perm=200)
     assert rep["pearson_r"] == pytest.approx(1.0, abs=1e-9)
     assert rep["spearman_rho"] == pytest.approx(1.0, abs=1e-9)
+
+
+def oracle_correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 2000) -> dict:
+    """The per-call scipy form of ``correlation_report``: one ``pearsonr`` and
+    one ``spearmanr`` call per permutation and one ``pearsonr`` per bootstrap
+    resample. The batched report must equal it bit for bit."""
+    pairs = [
+        (r.ell_max_h1, r.delta1_susy_sim)
+        for r in records
+        if r.ell_max_h1 is not None and r.delta1_susy_sim is not None
+    ]
+    out: dict = {"n_pairs": len(pairs)}
+    if len(pairs) < 3:
+        out["pearson_r"] = None
+        out["spearman_rho"] = None
+        return out
+    x = np.array([p[0] for p in pairs])
+    y = np.array([p[1] for p in pairs])
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        out["pearson_r"] = None
+        out["spearman_rho"] = None
+        out["note"] = "constant diagnostic; correlation undefined"
+        return out
+    r = float(pearsonr(x, y).statistic)
+    rho_s = float(spearmanr(x, y).statistic)
+    rng = np.random.default_rng(seed)
+    perm_r = np.empty(n_perm)
+    perm_s = np.empty(n_perm)
+    for i in range(n_perm):
+        yp = rng.permutation(y)
+        perm_r[i] = pearsonr(x, yp).statistic
+        perm_s[i] = spearmanr(x, yp).statistic
+    out["pearson_r"] = r
+    out["spearman_rho"] = rho_s
+    out["pearson_p_perm"] = float((np.abs(perm_r) >= abs(r)).mean())
+    out["spearman_p_perm"] = float((np.abs(perm_s) >= abs(rho_s)).mean())
+    boots = []
+    for _ in range(1000):
+        idx = rng.integers(0, len(x), len(x))
+        if np.ptp(x[idx]) == 0 or np.ptp(y[idx]) == 0:
+            continue
+        boots.append(pearsonr(x[idx], y[idx]).statistic)
+    if boots:
+        lo, hi = np.percentile(boots, [2.5, 97.5])
+        out["pearson_ci"] = [float(lo), float(hi)]
+    return out
+
+
+def oracle_rounds(x: np.ndarray, y: np.ndarray, seed: int, n_perm: int):
+    """The oracle's per-round statistics, drawn from ``seed`` as it draws them."""
+    rng = np.random.default_rng(seed)
+    perm_r = np.empty(n_perm)
+    perm_s = np.empty(n_perm)
+    for i in range(n_perm):
+        yp = rng.permutation(y)
+        perm_r[i] = pearsonr(x, yp).statistic
+        perm_s[i] = spearmanr(x, yp).statistic
+    boots = []
+    for _ in range(1000):
+        idx = rng.integers(0, len(x), len(x))
+        if np.ptp(x[idx]) == 0 or np.ptp(y[idx]) == 0:
+            continue
+        boots.append(pearsonr(x[idx], y[idx]).statistic)
+    return perm_r, perm_s, np.array(boots)
+
+
+def _hexed(value):
+    """Floats as ``float.hex``, so a comparison sees every bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def _report_items(report: dict) -> list:
+    return [(k, type(v).__name__, _hexed(v)) for k, v in report.items()]
+
+
+@st.composite
+def _column(draw, n: int) -> list[float]:
+    kind = draw(st.sampled_from(("free", "tied", "near_constant", "constant")))
+    if kind == "free":
+        finite = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+        return draw(st.lists(finite, min_size=n, max_size=n))
+    if kind == "tied":  # the gap repeats on graphs of the same shape
+        return draw(st.lists(st.sampled_from((0.6766, 1.0, 1.9999, 2.0)), min_size=n, max_size=n))
+    base = draw(st.floats(0.1, 100.0))
+    if kind == "near_constant":
+        steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return [base + k * base * 1e-13 for k in steps]
+    return [base] * n
+
+
+@st.composite
+def _records(draw) -> list[SweepRecord]:
+    n = draw(st.integers(3, 12))
+    ell, gap = draw(_column(n)), draw(_column(n))
+    # a diagnostic missing on a row drops that pair, down to fewer than 3
+    present = draw(st.lists(st.sampled_from(("both", "both", "both", "ell", "gap")), min_size=n, max_size=n))
+    return [
+        SweepRecord(
+            rho=float(i),
+            ell_max_h1=ell[i] if p != "gap" else None,
+            delta1_susy_sim=gap[i] if p != "ell" else None,
+        )
+        for i, p in enumerate(present)
+    ]
+
+
+# each oracle call makes at least 1000 scipy calls, so a failing example is
+# reported as found rather than shrunk for minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(_records(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_correlation_report_equals_the_per_call_oracle(records, seed, n_perm):
+    got = correlation_report(records, seed=seed, n_perm=n_perm)
+    assert _report_items(got) == _report_items(oracle_correlation_report(records, seed=seed, n_perm=n_perm))
+
+
+# the (ell_max_h1, delta1_susy_sim) pairs of the default sweep at run.seed 0;
+# the gap 0.6766... repeats three times
+DEFAULT_SWEEP_PAIRS = [
+    ("0x1.358e783fa9e88p-2", "0x1.b6a558b911638p-1"),
+    ("0x1.3a8fa32b14ecep-2", "0x1.6c0b55ac08333p-1"),
+    ("0x1.74f4486bbb954p-2", "0x1.5a6b01ec33d40p-1"),
+    ("0x1.842d904abc502p-2", "0x1.36a86ae0a3b8ap+0"),
+    ("0x1.4d29f80821024p-2", "0x1.64a53356f52bcp-1"),
+    ("0x1.2351cf874fd50p-2", "0x1.5a6b01ec33d40p-1"),
+    ("0x1.4ff1d32e76328p-2", "0x1.5a6b01ec33d40p-1"),
+]
+
+
+def test_correlation_report_of_the_default_sweep_equals_the_oracle():
+    records = [
+        SweepRecord(rho=36.0 + i, ell_max_h1=float.fromhex(e), delta1_susy_sim=float.fromhex(g))
+        for i, (e, g) in enumerate(DEFAULT_SWEEP_PAIRS)
+    ]
+    got = correlation_report(records)
+    assert _report_items(got) == _report_items(oracle_correlation_report(records))
+    assert (got["pearson_p_perm"], got["spearman_p_perm"]) == (0.191, 0.7645)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(_column(n), _column(n))), st.integers(0, 2**32 - 1))
+def test_resampled_rounds_are_bytewise_the_oracle_rounds(columns, seed):
+    x, y = (np.array(c) for c in columns)
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        return  # the report stops before any round
+    n_perm = 50
+    got = sweep._resampled_rounds(x, y, np.random.default_rng(seed), n_perm)
+    for a, b in zip(got, oracle_rounds(x, y, seed, n_perm)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_perm", [0, -1])
+def test_correlation_report_rejects_no_permutations(n_perm):
+    recs = [SweepRecord(rho=r, ell_max_h1=r, delta1_susy_sim=r * r) for r in (1.0, 2.0, 3.0, 5.0)]
+    with pytest.raises(ValueError, match="n_perm"):
+        correlation_report(recs, n_perm=n_perm)
 
 
 @pytest.fixture(scope="module")

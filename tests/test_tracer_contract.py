@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from topospec import dynamics
+from topospec import dynamics, sweep
 from topospec.sweep import SweepConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -45,3 +45,27 @@ def test_rk4_step_hooks_count_the_default_sweep(tracer):
     lyap = _bound(dynamics.lyapunov_max, params, cfg.x0, cfg.lyap_dt, cfg.lyap_t_total, cfg.lyap_renorm)
     assert tracer._rk4_integrate(flow, None) == {"dynamics.rk4_steps": 17_000}
     assert tracer._rk4_lyapunov(lyap, None) == {"dynamics.rk4_steps": 90_000}
+
+
+def test_correlation_report_patch_reaches_the_call_in_run_sweep(tracer, monkeypatch):
+    # rebind the report the way install() does and check that run_sweep's
+    # call lands in the replacement; the stubbed stages fail at once
+    assert ("sweep", "correlation_report") in {(mod, attr) for mod, attr, _ in tracer.PATCHES}
+    real = sweep.correlation_report
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def failed(rho, cfg, tau):
+        return sweep._StageResult(rho=rho, tau=tau, failed_stage="dynamics", error="stub")
+
+    monkeypatch.setattr(sweep, "_pipeline_stage", failed)
+    tracer._rebind(real, spy)
+    try:
+        sweep.run_sweep([36.0, 37.0, 38.0], SweepConfig(alpha_scale=1.0))
+    finally:
+        tracer._rebind(spy, real)
+    assert sweep.correlation_report is real
+    assert [len(records) for records, in calls] == [3]
