@@ -216,9 +216,8 @@ def _run_is_complete(out: Path, digest: str, grid: list[float]) -> bool:
 def _hardware_correlation(records, hardware_csv: str) -> dict:
     """Join imported hardware gap values on rho and correlate with the
     classical persistence and the simulator gap (import slot only; there is
-    no execution path to a device)."""
-    from scipy.stats import pearsonr
-
+    no execution path to a device). As in ``correlation_report``, a constant
+    column gives None, not NaN."""
     hw: dict[float, float] = {}
     lines = Path(hardware_csv).read_text().splitlines()
     for line in lines[1:]:
@@ -232,13 +231,11 @@ def _hardware_correlation(records, hardware_csv: str) -> dict:
     ]
     out: dict = {"n_joined": len(joined)}
     if len(joined) >= 3:
-        ell = [j[0] for j in joined]
-        sim = [j[1] for j in joined]
-        dev = [j[2] for j in joined]
-        if len(set(dev)) > 1:
-            out["pearson_h1_hw"] = float(pearsonr(ell, dev).statistic)
-            out["pearson_sim_hw"] = float(pearsonr(sim, dev).statistic)
-            out["mae_sim_hw"] = float(np.mean(np.abs(np.array(sim) - np.array(dev))))
+        ell, sim, dev = (np.array(col) for col in zip(*joined))
+        if np.ptp(dev) != 0:
+            for key, col in (("pearson_h1_hw", ell), ("pearson_sim_hw", sim)):
+                out[key] = float(sweep._pearson_rows(col, dev)) if np.ptp(col) != 0 else None
+            out["mae_sim_hw"] = float(np.mean(np.abs(sim - dev)))
     return out
 
 

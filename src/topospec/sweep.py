@@ -373,11 +373,10 @@ def correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 
     Degenerate (constant) columns yield absent correlations rather than NaN.
     The ``n_perm`` permutations and the 1000 bootstrap resamples are drawn
     one round at a time, as one ``rng.permutation`` or ``rng.integers`` call
-    each, and scored as arrays (``_resampled_rounds``); every statistic is
-    bit-equal to one scipy ``pearsonr``/``spearmanr`` call per round.
+    each, and scored as arrays (``_resampled_rounds``). Every statistic is
+    computed with numpy alone; scipy is the oracle: each one is bit-equal to
+    one scipy ``pearsonr``/``spearmanr`` call per round.
     """
-    from scipy.stats import pearsonr
-
     if n_perm < 1:
         raise ValueError(f"n_perm = {n_perm!r}: a permutation p-value needs n_perm >= 1")
     pairs = [
@@ -397,7 +396,7 @@ def correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 
         out["spearman_rho"] = None
         out["note"] = "constant diagnostic; correlation undefined"
         return out
-    r = float(pearsonr(x, y).statistic)
+    r = float(_pearson_rows(x, y))
     rho_s = float(_spearman_rows(x, y[None])[0])
     perm_r, perm_s, boots = _resampled_rounds(x, y, np.random.default_rng(seed), n_perm)
     out["pearson_r"] = r
@@ -419,25 +418,50 @@ def _resampled_rounds(
 
     Each round draws as the per-call loop did (one ``rng.permutation(y)``,
     then one ``rng.integers(0, n, n)``), so the stream does not rest on how
-    numpy buffers a single bounded draw of shape (1000, n). scipy's
-    ``pearsonr`` along the last axis scores every row as its own call would.
+    numpy buffers a single bounded draw of shape (1000, n). ``_pearson_rows``
+    scores every row bit-equal to its own scipy ``pearsonr`` call, the oracle.
     """
-    from scipy.stats import pearsonr
-
     n = len(x)
     perms = np.stack([rng.permutation(y) for _ in range(n_perm)])
-    perm_r = pearsonr(np.broadcast_to(x, perms.shape), perms, axis=-1).statistic
+    perm_r = _pearson_rows(x, perms)
     perm_s = _spearman_rows(x, perms)
     idx = np.stack([rng.integers(0, n, n) for _ in range(1000)])
     xb, yb = x[idx], y[idx]
     keep = (np.ptp(xb, axis=1) != 0) & (np.ptp(yb, axis=1) != 0)
-    boots = pearsonr(xb[keep], yb[keep], axis=-1).statistic if keep.any() else np.empty(0)
-    return perm_r, perm_s, boots
+    return perm_r, perm_s, _pearson_rows(xb[keep], yb[keep])
+
+
+def _pearson_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Pearson r of x against ys along the last axis (either may be batched),
+    for columns that are not constant.
+
+    It repeats the operations of scipy 1.17's ``pearsonr(x, ys,
+    axis=-1).statistic``, its oracle, so each r is bit-equal to it: centre on
+    the mean, take the norm as max|v_c| * ||v_c / max|v_c|||, and return
+    clip(vecdot(x_c / |x_c|, y_c / |y_c|), -1, 1).
+    """
+
+    def unit(v: np.ndarray) -> np.ndarray:
+        vc = v - v.mean(axis=-1, keepdims=True)
+        vmax = np.abs(vc).max(axis=-1, keepdims=True)
+        return vc / (vmax * np.linalg.norm(vc / vmax, axis=-1, keepdims=True))
+
+    return np.clip(np.vecdot(unit(x), unit(ys)), -1.0, 1.0)
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks from 1 along the last axis, tied values sharing their mean rank,
+    as scipy's ``rankdata`` (the oracle) gives them: a value with L values
+    below it and U at or below it has rank (L + U + 1) / 2. Every rank is a
+    multiple of 0.5, so the result is exact."""
+    below = (a[..., None, :] < a[..., :, None]).sum(axis=-1)
+    upto = (a[..., None, :] <= a[..., :, None]).sum(axis=-1)
+    return (below + upto + 1) / 2
 
 
 def _spearman_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Spearman rho of x against each row of ys, bit-equal to
-    ``spearmanr(x, row).statistic``.
+    """Spearman rho of x against each row of ys, bit-equal to its oracle
+    ``scipy.stats.spearmanr(x, row).statistic``.
 
     It repeats the operations ``spearmanr`` -> ``np.corrcoef`` -> ``np.cov``
     perform on the ranks: centre each rank row on its mean, take
@@ -446,30 +470,61 @@ def _spearman_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     reads entry [1, 0]. Ranks sum to n(n+1)/2, so every centred rank is a
     multiple of 0.5 and each dot product is exact in any summation order.
     """
-    from scipy.stats import rankdata
-
     inv = np.true_divide(1, len(x) - 1)
-    xc = rankdata(x)
+    xc = _average_ranks(x)
     xc -= xc.mean()
-    yc = rankdata(ys, axis=-1)
+    yc = _average_ranks(ys)
     yc -= yc.mean(axis=-1, keepdims=True)
     sx = np.sqrt((xc @ xc) * inv)
     sy = np.sqrt(np.einsum("ij,ij->i", yc, yc) * inv)
     return np.clip((yc @ xc) * inv / sy / sx, -1.0, 1.0)
 
 
+def _savgol5(v: np.ndarray) -> np.ndarray:
+    """Savitzky-Golay smoothing, window 5 and order 2, of a series of at least
+    5 values, bit-equal to its oracle, scipy 1.17's ``savgol_filter(v, 5, 2)``
+    (mode "interp"), by repeating its operations.
+
+    The taps solve ``savgol_coeffs``' flipped Vandermonde design by least
+    squares (rcond 5 eps). Each interior value sums as ``ndimage``'s symmetric
+    correlation does: the centre tap, then the outer pair, then the inner
+    pair. Each end fits a quadratic to its 5 values as scipy's ``polyfit``
+    does (column-scaled Vandermonde, least squares, unscale) and evaluates it
+    at the 2 end offsets by Horner's rule.
+    """
+    rcond = 5 * np.finfo(float).eps
+    offsets = np.arange(2.0, -3.0, -1.0)
+    taps = np.linalg.lstsq(offsets ** np.arange(3.0)[:, None], np.array([1.0, 0.0, 0.0]), rcond=rcond)[0]
+    w = taps[::-1]  # convolution taps, reversed into correlation order
+    out = np.empty_like(v)
+    mid = v[2:-2] * w[2]
+    mid += (v[:-4] + v[4:]) * w[0]
+    mid += (v[1:-3] + v[3:-1]) * w[1]
+    out[2:-2] = mid
+    design = np.arange(5.0)[:, None] ** np.array([2.0, 1.0, 0.0])
+    scale = np.sqrt(np.sum(design * design, axis=0))
+    design /= scale
+    for lo, ends in ((0, slice(0, 2)), (len(v) - 5, slice(-2, None))):
+        coef = np.linalg.lstsq(design, v[lo : lo + 5, None], rcond=rcond)[0][:, 0] / scale
+        at = np.arange(5.0)[ends]
+        fit = np.zeros(2)
+        for c in coef:
+            fit = fit * at + c
+        out[ends] = fit
+    return out
+
+
 def smoothed_columns(records: list[SweepRecord]) -> dict[str, np.ndarray]:
     """Savitzky-Golay (window 5, order 2) smoothed copies of the exported
-    observables; raw columns are never smoothed."""
-    from scipy.signal import savgol_filter
-
+    observables, by ``_savgol5`` (numpy alone; scipy's ``savgol_filter`` is
+    the oracle); raw columns are never smoothed."""
     cols = {}
     for name in ("h_spec", "ell_max_h1", "gamma", "delta1_susy_sim", "lambda_max"):
         vals = np.array(
             [getattr(r, name) if getattr(r, name) is not None else np.nan for r in records]
         )
         if np.isfinite(vals).all() and len(vals) >= 5:
-            cols[name + "_smooth"] = savgol_filter(vals, 5, 2)
+            cols[name + "_smooth"] = _savgol5(vals)
         else:
             cols[name + "_smooth"] = vals
     return cols

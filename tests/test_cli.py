@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topospec import cli, dynamics
+from topospec import cli, dynamics, sweep
 from topospec.errors import ConfigError
 from topospec.sweep import SweepConfig
 
@@ -456,6 +456,32 @@ def test_sweep_hardware_import_slot(tmp_path):
     report = json.loads((out / "sweep_correlations.json").read_text())
     assert report["hardware"]["n_joined"] == 3
     assert "pearson_h1_hw" in report["hardware"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token} in the file")
+
+
+def test_sweep_hardware_csv_writes_null_for_a_constant_column(tmp_path, monkeypatch):
+    # the gap repeats across rho (0.6766... on graphs of one shape), so a joined
+    # simulator column can be constant while the device column varies
+    gap = float.fromhex("0x1.5a6b01ec33d40p-1")
+    records = [
+        sweep.SweepRecord(rho=rho, ell_max_h1=ell, delta1_susy_sim=gap)
+        for rho, ell in ((38.0, 0.36), (41.0, 0.33), (42.0, 0.31))
+    ]
+    monkeypatch.setattr(cli, "run_sweep", lambda grid, cfg: (records, sweep.correlation_report(records)))
+    hw = tmp_path / "hw.csv"
+    hw.write_text("rho,gap\n38,0.5\n41,0.9\n42,0.7\n")
+    out = tmp_path / "out"
+    rc = cli.main(["--out", str(out), "sweep", "--grid", "38,41,42", "--hardware-csv", str(hw)])
+    assert rc == 0
+    report = json.loads((out / "sweep_correlations.json").read_text(), parse_constant=_reject_constant)
+    hardware = report["hardware"]
+    assert hardware["n_joined"] == 3
+    assert hardware["pearson_sim_hw"] is None
+    assert -1.0 <= hardware["pearson_h1_hw"] <= 1.0
+    assert hardware["mae_sim_hw"] > 0
 
 
 def test_artifacts_carry_version(tmp_path):

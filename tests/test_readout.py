@@ -2,6 +2,7 @@
 `validate-fivepoint`, `qpe` in both modes and probes, and a hadamard sweep,
 plus the one alpha calibration and the one edge readout they share."""
 
+import json
 import math
 import os
 import subprocess
@@ -234,7 +235,7 @@ def _src_env() -> dict:
 
 
 def test_cli_import_defers_scipy_signal_and_stats():
-    code = "import sys, topospec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "import sys, topospec.cli, topospec.sweep; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -256,10 +257,27 @@ raise SystemExit(main(sys.argv[1:]))
 """
 
 
+# five points, so the Savitzky-Golay smoothing runs; paths are relative to the
+# test's working directory, where the fast config and the hardware CSV are written
+FAST_SWEEP = ["sweep", "--config", "run.cfg", "--grid", "36:40:1"]
+
+
 @pytest.mark.parametrize(
-    "command", [["graph", "--rho", "40"], ["bound-check", "--clouds", "2", "--points", "6"]], ids=["graph", "bound-check"]
+    "command",
+    [
+        ["graph", "--rho", "40"],
+        ["bound-check", "--clouds", "2", "--points", "6"],
+        FAST_SWEEP,
+        FAST_SWEEP + ["--hardware-csv", "hw.csv"],
+    ],
+    ids=["graph", "bound-check", "sweep", "sweep-hardware-csv"],
 )
 def test_stage_commands_run_without_scipy(command, tmp_path):
-    argv = [sys.executable, "-c", NO_SCIPY_CLI, "--out", str(tmp_path), *command]
-    proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=300)
+    write_fast_config(tmp_path)
+    (tmp_path / "hw.csv").write_text("rho,gap\n36,0.5\n37,0.9\n38,0.7\n39,0.6\n40,1.1\n")
+    argv = [sys.executable, "-c", NO_SCIPY_CLI, "--out", str(tmp_path / "out"), *command]
+    proc = subprocess.run(argv, cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    if "--hardware-csv" in command:
+        report = json.loads((tmp_path / "out" / "sweep_correlations.json").read_text())
+        assert set(report["hardware"]) == {"n_joined", "pearson_h1_hw", "pearson_sim_hw", "mae_sim_hw"}

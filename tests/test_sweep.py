@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import pearsonr, spearmanr
+from scipy.signal import savgol_filter
+from scipy.stats import pearsonr, rankdata, spearmanr
 
 from topospec import spectro, sweep
 from topospec.errors import AliasingConfigError, ConfigError, UndefinedEntropyError
@@ -255,6 +256,61 @@ def test_resampled_rounds_are_bytewise_the_oracle_rounds(columns, seed):
     got = sweep._resampled_rounds(x, y, np.random.default_rng(seed), n_perm)
     for a, b in zip(got, oracle_rounds(x, y, seed, n_perm)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _series(draw, n: int) -> np.ndarray:
+    """n values over wide magnitudes, with ties or nearly constant."""
+    kind = draw(st.sampled_from(("free", "rounded", "tied", "near_constant")))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if kind == "near_constant":
+        base = draw(st.floats(0.1, 100.0))
+        steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return np.array([base + k * base * 1e-13 for k in steps]) * scale
+    if kind == "tied":
+        return np.array(draw(st.lists(st.sampled_from((0.6766, 1.0, 1.9999, 2.0)), min_size=n, max_size=n))) * scale
+    vals = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))) * scale
+    return np.round(vals, 1) if kind == "rounded" else vals
+
+
+def _rows(draw, n: int, count: int) -> np.ndarray:
+    return np.stack([draw(_series(n)) for _ in range(count)])
+
+
+# the helpers stand in for scipy on the sweep path; scipy stays their oracle
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(3, 40), st.sampled_from(("single", "rows", "both_rows")))
+def test_pearson_rows_is_bitwise_scipy_pearsonr(data, n, shape):
+    count = data.draw(st.integers(1, 6))
+    if shape == "single":
+        x, ys = data.draw(_series(n)), data.draw(_series(n))
+    else:  # a permutation batch (x shared) or a bootstrap batch (x per row)
+        x = data.draw(_series(n)) if shape == "rows" else _rows(data.draw, n, count)
+        ys = _rows(data.draw, n, count)
+    assume(np.ptp(x, axis=-1).all() and np.ptp(ys, axis=-1).all())  # constant columns never reach it
+    got = sweep._pearson_rows(x, ys)
+    if shape == "single":
+        assert float(got).hex() == float(pearsonr(x, ys).statistic).hex()
+    else:
+        want = pearsonr(np.broadcast_to(x, ys.shape), ys, axis=-1).statistic
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(0, 5))
+def test_average_ranks_are_bitwise_scipy_rankdata(data, n, count):
+    a = data.draw(_series(n)) if count == 0 else _rows(data.draw, n, count)
+    got, want = sweep._average_ranks(a), rankdata(a, axis=-1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 40).flatmap(_series))
+@example(np.array([0.3, 0.8, 0.1, 0.9, 0.4]))  # exactly one window: one interior value
+def test_savgol5_is_bitwise_scipy_savgol_filter(v):
+    got, want = sweep._savgol5(v), savgol_filter(v, 5, 2)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_perm", [0, -1])
