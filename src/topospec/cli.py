@@ -460,7 +460,9 @@ def _float_grid(spec_str: str) -> list[float]:
         lo, hi, step = vals
         if step <= 0 or hi < lo:
             raise ConfigError(f"--grid {spec_str!r}: need step > 0 and hi >= lo")
-        vals = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+        # the last point may not pass hi; the tolerance keeps a grid whose
+        # step divides hi - lo up to rounding (0.1:0.3:0.1) at its full count
+        vals = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-9) + 1)]
     rule, ok = _OPTION_RULES["rho"]
     if not all(map(ok, vals)):
         raise ConfigError(f"--grid {spec_str!r}: every rho must be {rule}")

@@ -1,9 +1,13 @@
-"""Boundary matrices, clique lists, Hodge Laplacians, spectra, projectors,
-and the gap-persistence bound checker.
+"""Boundary matrices, clique lists, Hodge Laplacians, spectra, and the
+gap-persistence bound checker.
 
 This module is the one owner of the face and sign rule (`boundary_matrix`)
 and of the sum B_k^T B_k + B_{k+1} B_{k+1}^T (`laplacian_k`); topograph's
 incidence matrices and susy's clique Laplacians are built from them.
+
+The Laplacians of a filtration's complex at a radius are prefix slices of one
+B1/B2 pair built per filtration (`FiltrationLaplacians`), not rebuilt from
+simplex lists at each radius.
 
 All eigensolves are dense symmetric decompositions; desk-scale complexes stay
 well under a few hundred simplices.
@@ -11,8 +15,8 @@ well under a few hundred simplices.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,31 +69,6 @@ def spectrum(L: np.ndarray) -> HodgeSpectrum:
     return HodgeSpectrum(eigenvalues=ev, tau0=tau0, beta_k=beta, gap=gap)
 
 
-def hodge_projectors(
-    B_k: np.ndarray | None, B_k1: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P_grad, P_harm, P_curl) on k-chains via Moore-Penrose pseudoinverses."""
-    if B_k is not None:
-        dim = np.asarray(B_k).shape[1]
-    elif B_k1 is not None:
-        dim = np.asarray(B_k1).shape[0]
-    else:
-        raise ValueError("need at least one incidence matrix")
-    ident = np.eye(dim)
-    if B_k is None:
-        P_grad = np.zeros((dim, dim))
-    else:
-        Bk = np.asarray(B_k, dtype=float)
-        P_grad = Bk.T @ np.linalg.pinv(Bk @ Bk.T) @ Bk
-    if B_k1 is None:
-        P_curl = np.zeros((dim, dim))
-    else:
-        Bk1 = np.asarray(B_k1, dtype=float)
-        P_curl = Bk1 @ np.linalg.pinv(Bk1.T @ Bk1) @ Bk1.T
-    P_harm = ident - P_grad - P_curl
-    return P_grad, P_harm, P_curl
-
-
 # ---------------------------------------------------------------------------
 # boundaries, cliques and complexes; the one face and sign rule
 # ---------------------------------------------------------------------------
@@ -135,10 +114,62 @@ def complex_laplacian(cx: dict[int, list[tuple[int, ...]]], p: int) -> np.ndarra
     return laplacian_k(down, boundary_matrix(cx.get(p + 1, []), simp_p))
 
 
+class FiltrationLaplacians:
+    """The boundaries of one filtration, built once in table order, so the
+    Laplacian of the complex at any radius is a slice of them.
+
+    The complex at radius eps is the first ``bisect_right(radii[d], eps)``
+    rows of each table. Its L_p is B_p and B_{p+1} cut to those rows and
+    columns, with the p-simplices put in lexicographic order: the order of
+    ``Filtration.complex_at``, in which the table rows below a count appear
+    as ``lex[d][lex[d] < count]``. Every entry is a sum of products of 0 and
+    +-1, so slicing and reordering leave each float exactly as a rebuild
+    from the simplex lists would give it.
+    """
+
+    def __init__(self, filt: Filtration):
+        self.filt = filt
+        cells = filt.cells
+        # boundaries[d] is B_d, the boundary of the d-cells; the top dimension has no cofaces
+        self.boundaries = (
+            None,
+            *(boundary_matrix(cells[d], cells[d - 1]) for d in range(1, len(cells))),
+            boundary_matrix((), cells[-1]),
+        )
+        self.lex = tuple(
+            np.lexsort(np.array(c, dtype=np.intp).reshape(len(c), d + 1).T[::-1]) for d, c in enumerate(cells)
+        )
+        self.faces = tuple(np.array(f, dtype=np.intp) for f in filt.faces)
+        self.critical_radii = filt.critical_radii()
+
+    def counts(self, eps: float) -> list[int]:
+        """Number of cells of each dimension present at radius eps, and 0
+        cofaces above the top."""
+        return [bisect.bisect_right(radii, eps) for radii in self.filt.radii] + [0]
+
+    def laplacian(self, eps: float, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Dense L_p of the complex at radius eps, with the table rows of its
+        p-simplex basis in lexicographic order."""
+        n = self.counts(eps)
+        rows = self.lex[p][self.lex[p] < n[p]]
+        if not len(rows):
+            return np.zeros((0, 0)), rows
+        down = self.boundaries[p][: n[p - 1], rows] if p >= 1 else None
+        return laplacian_k(down, self.boundaries[p + 1][rows, : n[p + 1]]), rows
+
+    def d_p_max(self, eps: float, p: int) -> tuple[int, int]:
+        """Both readings of d_{p,max} at radius eps: (max cofacet count over
+        (p-1)-simplices, faces per p-simplex)."""
+        n = self.counts(eps)[p]
+        cofacets = int(np.bincount(self.faces[p][:n].ravel(), minlength=1).max()) if p >= 1 else 0
+        return cofacets, (p + 1) if n else 0
+
+
 def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Dense p-Laplacian of the complex at radius eps, with its p-simplex basis."""
-    cx = filt.complex_at(eps)
-    return complex_laplacian(cx, p), cx[p]
+    """Dense p-Laplacian of the complex at radius eps, with its p-simplex
+    basis in lexicographic order."""
+    L, rows = FiltrationLaplacians(filt).laplacian(eps, p)
+    return L, [filt.cells[p][r] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -160,40 +191,27 @@ class BoundReport:
     holds: bool
 
 
-def _padded_norm_diff(La: np.ndarray, basis_a, Lb: np.ndarray, basis_b) -> float:
-    """Spectral norm of Lb - La, embedding La's chain space into the larger
-    one of Lb (basis_a is a subset of basis_b) with zero blocks."""
-    if not basis_b:
-        return 0.0
-    idx = {s: i for i, s in enumerate(basis_b)}
-    ia = [idx[s] for s in basis_a]
-    diff = np.array(Lb, dtype=float)
-    diff[np.ix_(ia, ia)] -= La
-    return float(np.linalg.norm(diff, ord=2))
-
-
-def empirical_lipschitz(filt: Filtration, b: float, d: float, p: int) -> float:
+def empirical_lipschitz(filt: Filtration | FiltrationLaplacians, b: float, d: float, p: int) -> float:
     """Max over consecutive critical radii in [b, d] of
-    ||Delta_p(K_{t+}) - Delta_p(K_t)||_2 / (t+ - t)."""
-    radii = [r for r in filt.critical_radii() if b - 1e-12 <= r <= d + 1e-12]
-    laps = [laplacian_at(filt, r, p) for r in radii]
+    ||Delta_p(K_{t+}) - Delta_p(K_t)||_2 / (t+ - t), with Delta_p(K_t)
+    embedded in the larger chain space of K_{t+} by zero blocks."""
+    laps = filt if isinstance(filt, FiltrationLaplacians) else FiltrationLaplacians(filt)
+    radii = laps.critical_radii
+    radii = radii[(b - 1e-12 <= radii) & (radii <= d + 1e-12)]
+    slices = [laps.laplacian(r, p) for r in radii]
     best = 0.0
-    for r0, r1, (L0, s0), (L1, s1) in zip(radii, radii[1:], laps, laps[1:]):
+    for r0, r1, (L0, rows0), (L1, rows1) in zip(radii, radii[1:], slices, slices[1:]):
         if r1 - r0 <= 1e-15:
             continue
-        best = max(best, _padded_norm_diff(L0, s0, L1, s1) / (r1 - r0))
+        norm = 0.0
+        if len(rows1):
+            # K_t's simplices are the first len(rows0) table rows, in the same order within K_{t+}
+            kept = np.flatnonzero(rows1 < len(rows0))
+            diff = L1.copy()
+            diff[np.ix_(kept, kept)] -= L0
+            norm = float(np.linalg.norm(diff, ord=2))
+        best = max(best, norm / (r1 - r0))
     return best
-
-
-def _d_p_max(filt: Filtration, eps: float, p: int) -> tuple[int, int]:
-    """Both readings of d_{p,max} at radius eps: (max cofacet count over
-    (p-1)-simplices, faces per p-simplex)."""
-    cx = filt.complex_at(eps)
-    simp_p = cx[p]
-    faces = (p + 1) if simp_p else 0
-    counts = Counter(face for i in range(p + 1) for face in _faces(simp_p, i))
-    cofacets = max((counts[s] for s in cx[p - 1]), default=0) if p >= 1 else 0
-    return cofacets, faces
 
 
 def verify_gap_persistence_bound(cloud: PointCloud | np.ndarray, p: int = 1) -> list[BoundReport]:
@@ -209,13 +227,14 @@ def verify_gap_persistence_bound(cloud: PointCloud | np.ndarray, p: int = 1) -> 
         raise ValueError("bound checker is limited to clouds of <= 12 points")
     filt = rips_filtration(cloud)
     diag = compute_persistence(filt)
+    laps = FiltrationLaplacians(filt)
     reports: list[BoundReport] = []
     for b, d in diag.in_dim(p, finite_only=True):
-        L_b, simp_b = laplacian_at(filt, b, p)
-        spec_b = spectrum(L_b) if simp_b else None
+        L_b, basis_b = laps.laplacian(b, p)
+        spec_b = spectrum(L_b) if len(basis_b) else None
         lam = spec_b.gap if spec_b is not None and spec_b.gap is not None else 0.0
-        lip = empirical_lipschitz(filt, b, d, p) if d > b else 0.0
-        cof, fac = _d_p_max(filt, d, p)
+        lip = empirical_lipschitz(laps, b, d, p) if d > b else 0.0
+        cof, fac = laps.d_p_max(d, p)
         dmax = max(cof, fac)
         lhs = lip * (d - b) + (p + 1) * dmax
         rhs = lam

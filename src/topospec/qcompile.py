@@ -158,19 +158,6 @@ def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
     return psi
 
 
-def circuit_unitary(circ: Circuit) -> np.ndarray:
-    """Materialize the circuit matrix by simulating every basis state."""
-    if circ.n_qubits > 12:
-        raise ResourceLimitError("unitary materialization limited to 12 qubits")
-    dim = 1 << circ.n_qubits
-    U = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        U[:, j] = simulate(circ, e)
-    return U
-
-
 # ---------------------------------------------------------------------------
 # term compilation
 # ---------------------------------------------------------------------------
@@ -331,19 +318,6 @@ def _order_masks(masks: list[int], bits: int) -> list[int]:
     return min(tours, key=lambda o: (_toggle_sum(o), tuple(o)))
 
 
-def toggle_count_for_order(terms: list[PauliTerm]) -> int:
-    """Hamming toggles between consecutive same-pattern terms in the given order."""
-    total = 0
-    prev: dict[tuple, int] = {}
-    for t in terms:
-        key = _pattern_key(t)
-        _, mask = _mask_bits(t)
-        if key in prev:
-            total += bin(prev[key] ^ mask).count("1")
-        prev = {key: mask}
-    return total
-
-
 def _toggle_sum(order: list[int]) -> int:
     return sum(bin(a ^ b).count("1") for a, b in zip(order, order[1:]))
 
@@ -355,7 +329,7 @@ def schedule_gray(terms: list[PauliTerm]) -> list[PauliTerm]:
 
     A group falls back to its input mask order when the heuristic traversal
     would toggle more, so the schedule never costs more than the input order
-    (see toggle_count_for_order).
+    in Hamming toggles between consecutive masks of a group (``_toggle_sum``).
     """
     groups: dict[tuple, list[PauliTerm]] = {}
     for t in terms:

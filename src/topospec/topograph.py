@@ -218,20 +218,3 @@ def build_graph(
         B1=B1,
         B2=B2,
     )
-
-
-def graph_from_edges(n_vertices: int, edges, triangle_mode: str = "all_3_cliques") -> TopoGraph:
-    """Graph on abstract vertices (coords default to a unit circle layout)."""
-    edges = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
-    tris = enumerate_triangles(edges, triangle_mode)
-    B1, B2 = incidence_matrices(n_vertices, edges, tris)
-    theta = 2 * np.pi * np.arange(n_vertices) / max(n_vertices, 1)
-    coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return TopoGraph(
-        coords=coords,
-        edges=edges,
-        provenance=tuple("mst" for _ in edges),
-        triangles=tris,
-        B1=B1,
-        B2=B2,
-    )

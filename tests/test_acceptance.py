@@ -11,7 +11,6 @@ import scipy.linalg
 
 from topospec import cli, dynamics, persistence, spectro, topograph
 from topospec.hodge import (
-    hodge_projectors,
     laplacian_at,
     laplacian_k,
     spectrum,
@@ -21,7 +20,7 @@ from topospec.probe import w_state_vector
 from topospec.qcompile import baseline_qpe_cost, controlled_evolution, simulate, Circuit, Gate
 from topospec.susy import onehot_hamiltonian, verify_block_equivalence
 from topospec.sweep import SweepConfig, run_sweep
-from topospec.topograph import graph_from_edges
+from helpers import circuit_unitary, graph_from_edges, hodge_projectors
 
 
 class Budget:
@@ -186,8 +185,6 @@ def test_07_trotter_order_scaling():
 
 
 def _anc1_block(circ, dim):
-    from topospec.qcompile import circuit_unitary
-
     U = circuit_unitary(circ)
     n = circ.n_qubits
     anc, work = 1 << (n - 1), 1 << (n - 2)

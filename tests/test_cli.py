@@ -394,6 +394,24 @@ def test_compile_report_cli(tmp_path, capsys):
 def test_grid_parsing():
     assert cli._float_grid("36:42:1") == [36.0, 37.0, 38.0, 39.0, 40.0, 41.0, 42.0]
     assert cli._float_grid("1.5,2.5") == [1.5, 2.5]
+    assert cli._float_grid("20:46:1") == [float(r) for r in range(20, 47)]
+    assert cli._float_grid("0.1:0.3:0.1") == [0.1, 0.1 + 0.1, 0.1 + 2 * 0.1]
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("36:42:4", [36.0, 40.0]),
+        ("36:42:0.7", [36 + i * 0.7 for i in range(9)]),
+        ("36:36:1", [36.0]),
+        ("36:36.5:1", [36.0]),
+    ],
+)
+def test_grid_range_stops_at_its_upper_end(spec, expected):
+    # a step that does not divide hi - lo stops at the last point not past hi
+    grid = cli._float_grid(spec)
+    assert grid == expected
+    assert max(grid) <= float(spec.split(":")[1])
 
 
 @pytest.mark.parametrize(

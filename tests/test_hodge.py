@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from topospec import cli
 from topospec.hodge import (
+    FiltrationLaplacians,
+    complex_laplacian,
     empirical_lipschitz,
-    hodge_projectors,
     laplacian_at,
     laplacian_k,
     spectrum,
@@ -16,7 +18,7 @@ from topospec.hodge import (
 )
 from topospec.persistence import compute_persistence, rips_filtration
 from topospec.susy import clique_laplacian
-from topospec.topograph import graph_from_edges
+from helpers import graph_from_edges, hodge_projectors
 from test_pipeline import artifact_digests
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -148,6 +150,81 @@ def test_filtration_clique_and_incidence_laplacians_agree(pts, pick):
     assert simp == list(g.edges)
     assert np.array_equal(L, clique_laplacian(g, 1))
     assert np.array_equal(L, laplacian_k(g.B1, g.B2))
+
+
+# ---------------------------------------------------------------------------
+# Laplacians sliced from one boundary pair, against rebuilds from simplex lists
+# ---------------------------------------------------------------------------
+
+
+def oracle_laplacian_at(filt, eps, p):
+    """Dense L_p rebuilt from the sorted simplex lists of the complex at eps."""
+    cx = filt.complex_at(eps)
+    return complex_laplacian(cx, p), cx[p]
+
+
+def oracle_padded_norm_diff(La, basis_a, Lb, basis_b) -> float:
+    """Spectral norm of Lb - La, embedding La's chain space into the larger
+    one of Lb (basis_a is a subset of basis_b) with zero blocks."""
+    if not basis_b:
+        return 0.0
+    idx = {s: i for i, s in enumerate(basis_b)}
+    ia = [idx[s] for s in basis_a]
+    diff = np.array(Lb, dtype=float)
+    diff[np.ix_(ia, ia)] -= La
+    return float(np.linalg.norm(diff, ord=2))
+
+
+def oracle_empirical_lipschitz(filt, b, d, p) -> float:
+    radii = [r for r in filt.critical_radii() if b - 1e-12 <= r <= d + 1e-12]
+    laps = [oracle_laplacian_at(filt, r, p) for r in radii]
+    best = 0.0
+    for r0, r1, (L0, s0), (L1, s1) in zip(radii, radii[1:], laps, laps[1:]):
+        if r1 - r0 <= 1e-15:
+            continue
+        best = max(best, oracle_padded_norm_diff(L0, s0, L1, s1) / (r1 - r0))
+    return best
+
+
+def oracle_d_p_max(filt, eps, p) -> tuple[int, int]:
+    """(max cofacet count over (p-1)-simplices, faces per p-simplex), with
+    each face of each p-simplex counted."""
+    cx = filt.complex_at(eps)
+    simp_p = cx[p]
+    faces = (p + 1) if simp_p else 0
+    counts = Counter(s[:i] + s[i + 1 :] for i in range(p + 1) for s in simp_p)
+    cofacets = max((counts[s] for s in cx[p - 1]), default=0) if p >= 1 else 0
+    return cofacets, faces
+
+
+# random clouds, and integer-lattice clouds whose tied radii and duplicate
+# points put many simplices at one radius (duplicates give zero-length edges)
+CLOUDS = st.one_of(
+    st.lists(st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3), min_size=1, max_size=8),
+    st.lists(st.tuples(*[st.integers(0, 2).map(float)] * 2), min_size=1, max_size=8),
+)
+
+
+@given(pts=CLOUDS)
+@settings(max_examples=80, deadline=None)
+def test_sliced_laplacians_are_bitwise_the_rebuilt_ones(pts):
+    filt = rips_filtration(np.array(pts))
+    laps = FiltrationLaplacians(filt)
+    radii = filt.critical_radii()
+    # at every critical radius, between consecutive ones, and below the smallest
+    probes = [*radii, *((radii[:-1] + radii[1:]) / 2), radii[0] - 1.0]
+    for eps in probes:
+        for p in (0, 1):
+            L, basis = laplacian_at(filt, eps, p)
+            L_o, basis_o = oracle_laplacian_at(filt, eps, p)
+            assert (L.dtype, L.shape, L.tobytes()) == (L_o.dtype, L_o.shape, L_o.tobytes())
+            assert basis == basis_o
+            assert laps.d_p_max(eps, p) == oracle_d_p_max(filt, eps, p)
+    for p in (0, 1):
+        b, d = float(radii[0]), float(radii[-1])
+        assert empirical_lipschitz(filt, b, d, p) == oracle_empirical_lipschitz(filt, b, d, p)
+        for b, d in compute_persistence(filt).in_dim(1, finite_only=True):
+            assert empirical_lipschitz(laps, b, d, p) == oracle_empirical_lipschitz(filt, b, d, p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from topospec.probe import (
     w_state_vector,
 )
 from topospec.spectro import correlator_exact
-from topospec.topograph import build_graph, graph_from_edges
+from topospec.topograph import build_graph
+from helpers import graph_from_edges
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 

@@ -11,15 +11,14 @@ from topospec.qcompile import (
     Circuit,
     Gate,
     baseline_qpe_cost,
-    circuit_unitary,
     compile_term,
     controlled_evolution,
     gray_sequence,
     schedule_gray,
     simulate,
-    toggle_count_for_order,
 )
 from topospec.susy import PauliHamiltonian, PauliTerm, onehot_hamiltonian
+from helpers import circuit_unitary, graph_from_edges, toggle_count_for_order
 
 
 def random_pauli_ham(rng, n=3, n_terms=4):
@@ -368,7 +367,6 @@ def test_unitarity_of_compiled_circuits():
 
 def test_excitation_sector_preservation():
     from topospec.susy import susy_hamiltonian
-    from topospec.topograph import graph_from_edges
 
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     ham = susy_hamiltonian(g)

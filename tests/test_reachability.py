@@ -17,14 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "topospec"
 PROGRAM_DIRS = ("src", "scripts", "perfbench")
 
-# test-reference implementations: independent oracles the tests check the
-# program against, so no program path calls them
-ALLOWED = {
-    "circuit_unitary": "dense gate-by-gate unitary, the oracle for qcompile.simulate",
-    "hodge_projectors": "pseudoinverse Hodge projectors, the oracle for the harmonic dimension",
-    "graph_from_edges": "builds a TopoGraph from an explicit edge list for hand-made fixtures",
-    "toggle_count_for_order": "the toggle metric the schedule tests check schedule_gray against",
-}
+# package names no program path calls (name -> why it stays); empty, since
+# test-reference implementations live in tests/helpers.py
+ALLOWED: dict[str, str] = {}
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -17,7 +17,7 @@ from topospec.hodge import laplacian_k
 from topospec.probe import uniform_edge_state
 from topospec.susy import PauliHamiltonian, onehot_hamiltonian
 from topospec.sweep import _pipeline_stage, _resolve_tau, run_sweep
-from topospec.topograph import graph_from_edges
+from helpers import graph_from_edges
 from test_cli import write_fast_config
 from test_pipeline import FAST, ROOT, artifact_digests
 

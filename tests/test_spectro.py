@@ -25,7 +25,7 @@ from topospec.spectro import (
     zero_mode_test,
 )
 from topospec.susy import onehot_hamiltonian
-from topospec.topograph import graph_from_edges
+from helpers import graph_from_edges
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 L1_C4 = laplacian_k(C4.B1, None)

@@ -13,7 +13,7 @@ from topospec.susy import (
     susy_hamiltonian,
     verify_block_equivalence,
 )
-from topospec.topograph import graph_from_edges
+from helpers import graph_from_edges
 
 
 def excitation_number(n):

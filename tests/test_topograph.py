@@ -8,9 +8,9 @@ from topospec.topograph import (
     build_edges,
     build_graph,
     enumerate_triangles,
-    graph_from_edges,
     incidence_matrices,
 )
+from helpers import graph_from_edges
 
 
 def test_eps_layer_closes_short_triangle():
