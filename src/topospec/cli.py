@@ -198,7 +198,8 @@ def _run_is_complete(out: Path, digest: str, grid: list[float]) -> bool:
     """True when out holds the records of a run with the same digest, grid
     and package version. alpha, the curvature and the correlations span the
     grid, so a sub-grid is a different run: a matching run is skipped
-    verbatim, anything else is recomputed."""
+    verbatim, anything else is recomputed. The manifest's ``stages``
+    telemetry differs from run to run and is not read."""
     man_path = out / "manifest.json"
     if not (out / "sweep_records.csv").exists() or not man_path.exists():
         return False
@@ -264,9 +265,13 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None
     if hardware_csv:
         report = {**report, "hardware": _hardware_correlation(records, hardware_csv)}
     write_json(out / "sweep_correlations.json", report)
+    # where each rho's time went, how big its layers were, and why it failed
+    stages = [
+        {"rho": r.rho, "seconds": r.seconds, "sizes": r.sizes, "error": r.error} for r in records
+    ]
     write_json(
         out / "manifest.json",
-        _stamped(digest, grid=list(grid), seed=cfg.seed, mode=cfg.sweep.mode),
+        _stamped(digest, grid=list(grid), seed=cfg.seed, mode=cfg.sweep.mode, stages=stages),
     )
     for r in records:
         status = f"pipeline failed at {r.failed_stage}: {r.error}" if r.failed_stage else "ok"

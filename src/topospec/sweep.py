@@ -3,8 +3,12 @@ cross-indicator correlations."""
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, fields, replace
+import os
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -158,14 +162,19 @@ class SweepRecord:
     seed: int = 0
     config_digest: str = ""
     failed_stage: str | None = None
-    error: str | None = None  # "<type>: <message>" of a failed stage; not a CSV column
+    # not CSV columns: the "<type>: <message>" of a failed stage, and the
+    # run's telemetry, seconds and sizes per stage (timings differ from run
+    # to run, so they take no part in comparing records)
+    error: str | None = None
+    seconds: dict[str, float] = field(default_factory=dict, compare=False)
+    sizes: dict[str, int] = field(default_factory=dict, compare=False)
 
     def as_row(self) -> tuple:
         return tuple(getattr(self, name) for name in self.header())
 
     @staticmethod
     def header() -> tuple[str, ...]:
-        return tuple(f.name for f in fields(SweepRecord) if f.name != "error")
+        return tuple(f.name for f in fields(SweepRecord) if f.name not in ("error", "seconds", "sizes"))
 
 
 STAGES = ("cloud", "persistence", "selection", "graph", "lyapunov")
@@ -188,6 +197,19 @@ class _StageResult:
     lambda_max: float | None = None
     failed_stage: str | None = None
     error: str | None = None
+    # wall seconds per stage reached, in stage order, and the layer sizes
+    seconds: dict[str, float] = field(default_factory=dict)
+    sizes: dict[str, int] = field(default_factory=dict)
+
+
+@contextmanager
+def _timed(seconds: dict[str, float], name: str):
+    """Record the wall time of the block as ``seconds[name]``, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[name] = time.perf_counter() - t0
 
 
 def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapunov") -> _StageResult:
@@ -198,60 +220,67 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
     geometry), the diagram and the representatives are returned only by a
     run that stops at their stage; a full run keeps the graph, L1 and scalars.
     The stage reads pairs only, so its diagram comes from ``rips_diagram``,
-    the complex cut at the enclosing radius.
+    the complex cut at the enclosing radius. Every stage reached is timed
+    into ``seconds``, and ``sizes`` holds the cloud and FPS point counts and
+    the graph's |V|, |E| and |T|.
     """
     if until not in STAGES:
         raise ValueError(f"unknown pipeline stage {until!r}; expected one of {STAGES}")
     res = _StageResult(rho=rho, tau=tau)
-    stage = "dynamics"
     try:
-        params = dynamics.LorenzParams(rho=rho)
-        traj = dynamics.integrate(params, cfg.x0, cfg.dt, cfg.t_trans, cfg.t_total)
-        series = traj.observable(cfg.observable)
+        with _timed(res.seconds, "dynamics"):
+            params = dynamics.LorenzParams(rho=rho)
+            traj = dynamics.integrate(params, cfg.x0, cfg.dt, cfg.t_trans, cfg.t_total)
+            series = traj.observable(cfg.observable)
 
-        stage = "embedding"
-        emb = embedding.delay_embed(series, tau, cfg.m)
-        cloud = embedding.PointCloud(emb.points[:: cfg.cloud_stride or tau])
-        if until == "cloud":
-            res.cloud = cloud
-            return res
+        with _timed(res.seconds, "embedding"):
+            emb = embedding.delay_embed(series, tau, cfg.m)
+            cloud = embedding.PointCloud(emb.points[:: cfg.cloud_stride or tau])
+            res.sizes["cloud_points"] = cloud.n
+            if until == "cloud":
+                res.cloud = cloud
+                return res
 
-        stage = "persistence"
-        fps_idx = _farthest_point_indices(cloud.points, cfg.n_fps, cfg.seed)
-        fps = embedding.PointCloud(cloud.points[fps_idx])
-        diag = persistence.rips_diagram(fps)
-        res.ell_max = persistence.max_h1_persistence(diag)
-        if until == "persistence":
-            res.diagram = diag
-            return res
+        with _timed(res.seconds, "persistence"):
+            fps_idx = _farthest_point_indices(cloud.points, cfg.n_fps, cfg.seed)
+            res.sizes["fps_points"] = len(fps_idx)
+            fps = embedding.PointCloud(cloud.points[fps_idx])
+            diag = persistence.rips_diagram(fps)
+            res.ell_max = persistence.max_h1_persistence(diag)
+            if until == "persistence":
+                res.diagram = diag
+                return res
 
-        stage = "selection"
-        reps = selection.select_representatives(cloud, diag, cfg)
-        if until == "selection":
-            res.reps = reps
-            return res
+        with _timed(res.seconds, "selection"):
+            reps = selection.select_representatives(cloud, diag, cfg)
+            if until == "selection":
+                res.reps = reps
+                return res
 
-        stage = "graph"
-        # loop-localized angles carried over from selection; the ring closes
-        # over the topological representatives only
-        ring_v = np.array([i for i, p in enumerate(reps.provenance) if p == "topo"])
-        graph = res.graph = topograph.build_graph(
-            reps.coords(cloud),
-            reps.angles[list(reps.indices)],
-            use_ring=cfg.use_ring,
-            eps_quantile=cfg.eps_quantile,
-            triangle_mode=cfg.triangle_mode,
-            ring_vertices=ring_v,
-        )
-        res.l1 = laplacian_k(graph.B1, graph.B2 if len(graph.triangles) else None)
-        if until == "graph":
-            return res
+        with _timed(res.seconds, "graph"):
+            # loop-localized angles carried over from selection; the ring
+            # closes over the topological representatives only
+            ring_v = np.array([i for i, p in enumerate(reps.provenance) if p == "topo"])
+            graph = res.graph = topograph.build_graph(
+                reps.coords(cloud),
+                reps.angles[list(reps.indices)],
+                use_ring=cfg.use_ring,
+                eps_quantile=cfg.eps_quantile,
+                triangle_mode=cfg.triangle_mode,
+                ring_vertices=ring_v,
+            )
+            res.sizes.update(
+                vertices=graph.n_vertices, edges=len(graph.edges), triangles=len(graph.triangles)
+            )
+            res.l1 = laplacian_k(graph.B1, graph.B2 if len(graph.triangles) else None)
+            if until == "graph":
+                return res
 
-        stage = "lyapunov"
-        lyap = dynamics.lyapunov_max(params, cfg.x0, cfg.lyap_dt, cfg.lyap_t_total, cfg.lyap_renorm)
-        res.lambda_max = lyap.lambda_max
+        with _timed(res.seconds, "lyapunov"):
+            lyap = dynamics.lyapunov_max(params, cfg.x0, cfg.lyap_dt, cfg.lyap_t_total, cfg.lyap_renorm)
+            res.lambda_max = lyap.lambda_max
     except EXPECTED_ERRORS as exc:
-        res.failed_stage = stage
+        res.failed_stage = list(res.seconds)[-1]  # the stage that raised was timed last
         res.error = f"{type(exc).__name__}: {exc}"
     return res
 
@@ -284,14 +313,32 @@ def _resolve_tau(grid: list[float], cfg: SweepConfig) -> int:
     return choice.tau
 
 
+def _stage_job(rho: float, cfg: SweepConfig, tau: int) -> _StageResult:
+    """One full pipeline run, as the sweep maps it over the grid. The name
+    ``_pipeline_stage`` is looked up at call time, so a rebinding of it (a
+    tracer's wrapper, a test's stub) reaches forked workers too."""
+    return _pipeline_stage(rho, cfg, tau)
+
+
 def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], dict]:
     """Run the frozen-config pipeline at every rho and correlate the
     topological persistence with the estimated spectral gap.
 
+    The rho points do not depend on each other, so their pipeline runs are
+    spread over forked worker processes, one per available CPU and at most
+    one per point, and come back in grid order; with one CPU (or one point)
+    they run in this process. Each run is the same computation either way,
+    so the records are bit-identical to a one-core run. The spectral readout
+    then runs here, with one alpha calibrated over every L1. A programming
+    error in a worker propagates with its type and message, and no worker
+    outlives the call.
+
     A stage failure marks the record, which keeps every diagnostic computed
     before the failure, and the sweep continues. Identical configs
-    produce identical records. The curvature diagnostic is a uniform second
-    difference, so a grid of three or more points must be evenly spaced.
+    produce identical records. Each record carries its pipeline's stage
+    seconds (and the readout's, as ``spectro``) and sizes. The curvature
+    diagnostic is a uniform second difference, so a grid of three or more
+    points must be evenly spaced.
     """
     if not grid:
         return [], {"n_pairs": 0, "pearson_r": None, "spearman_rho": None}
@@ -301,7 +348,23 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
         raise ConfigError(f"rho grid {grid} is not evenly spaced; f_curvature needs a uniform step")
     digest = cfg.digest()
     tau = _resolve_tau(grid, cfg)
-    stages = [_pipeline_stage(rho, cfg, tau) for rho in grid]
+    jobs = [(rho, cfg, tau) for rho in grid]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(grid), cpus)
+    if workers == 1:
+        stages = list(itertools.starmap(_stage_job, jobs))
+    else:
+        # imported here, as every CLI command imports this module and only a
+        # sweep forks. fork rather than spawn: a worker re-imports nothing and
+        # keeps this process's bindings of _pipeline_stage. This process runs
+        # no Python thread here, and OpenBLAS shuts its thread pool down at
+        # a fork (pthread_atfork), so the fork is safe.
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            stages = pool.starmap(_stage_job, jobs, chunksize=1)
+            pool.close()
+            pool.join()
 
     alpha = cfg.alpha_scale
     if alpha is None:  # one calibration for the whole sweep
@@ -320,6 +383,8 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
             config_digest=digest,
             failed_stage=st.failed_stage,
             error=st.error,
+            seconds=st.seconds,
+            sizes=st.sizes,
         )
         if st.l1 is None:
             records.append(rec)
@@ -332,13 +397,13 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
         e0_list.append(float(evals[0]))
         rec = replace(rec, gamma=float(evals[1] - evals[0]) if len(evals) > 1 else None)
         try:
-            series, _, _ = spectro.edge_readout(
-                st.l1, cfg.dt_corr, cfg.m_samples, alpha, cfg.mode, cfg.shots, cfg.seed
-            )
-            est = spectro.estimate(series, ensemble_dim=st.l1.shape[0])
-            rec = replace(
-                rec, h_spec=spectral_entropy(series), delta1_susy_sim=est.gap_hat, beta1_hat=est.beta1_hat
-            )
+            with _timed(rec.seconds, "spectro"):
+                series, _, _ = spectro.edge_readout(
+                    st.l1, cfg.dt_corr, cfg.m_samples, alpha, cfg.mode, cfg.shots, cfg.seed
+                )
+                est = spectro.estimate(series, ensemble_dim=st.l1.shape[0])
+                h_spec = spectral_entropy(series)
+            rec = replace(rec, h_spec=h_spec, delta1_susy_sim=est.gap_hat, beta1_hat=est.beta1_hat)
         except EXPECTED_ERRORS as exc:
             rec = replace(rec, failed_stage="spectro", error=f"{type(exc).__name__}: {exc}")
         records.append(rec)

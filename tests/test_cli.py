@@ -236,6 +236,14 @@ def test_sweep_writes_and_resumes(tmp_path, capsys):
     assert (out / "sweep_records.csv").read_bytes() == first
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["grid"] == [38.0, 39.0]
+    # one telemetry entry per rho: stage seconds, layer sizes, no error
+    assert [entry["rho"] for entry in manifest["stages"]] == [38.0, 39.0]
+    for entry in manifest["stages"]:
+        assert set(entry) == {"rho", "seconds", "sizes", "error"} and entry["error"] is None
+        assert set(entry["seconds"]) == {
+            "dynamics", "embedding", "persistence", "selection", "graph", "lyapunov", "spectro"
+        }
+        assert set(entry["sizes"]) == {"cloud_points", "fps_points", "vertices", "edges", "triangles"}
     # a sub-grid is a different run: alpha and the correlations span the grid
     rc = cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "39"])
     assert rc == 0
@@ -282,6 +290,19 @@ def test_sweep_resume_requires_the_same_version(tmp_path):
     assert cli._run_is_complete(out, "abc", [38.0, 39.0])
     (out / "manifest.json").write_text(json.dumps({**manifest, "version": "0.0.1"}))
     assert not cli._run_is_complete(out, "abc", [38.0, 39.0])
+
+
+def test_sweep_resume_ignores_the_stage_telemetry(tmp_path):
+    from topospec import __version__
+    from topospec.serialize import write_csv
+
+    out = tmp_path / "out"
+    write_csv(out / "sweep_records.csv", ("rho", "h_spec"), [(38.0, 1.0), (39.0, 1.0)])
+    manifest = {"digest": "abc", "version": __version__, "grid": [38.0, 39.0]}
+    entry = {"rho": 38.0, "seconds": {"dynamics": 0.25}, "sizes": {"cloud_points": 332}, "error": None}
+    for stages in ([entry, {**entry, "rho": 39.0}], [], None):
+        (out / "manifest.json").write_text(json.dumps({**manifest, "stages": stages}))
+        assert cli._run_is_complete(out, "abc", [38.0, 39.0])
 
 
 def test_sweep_rejects_uneven_grid(tmp_path, capsys):

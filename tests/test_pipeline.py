@@ -19,8 +19,9 @@ from test_cli import write_fast_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# identity stamps that change with the config text or the package version
-STAMPS = ("digest", "version", "config_digest")
+# identity stamps that change with the config text or the package version,
+# and the sweep manifest's per-stage telemetry, whose timings change per run
+STAMPS = ("digest", "version", "config_digest", "stages")
 
 
 def artifact_digests(out: Path) -> dict[str, str]:
@@ -180,6 +181,11 @@ def test_expected_stage_errors_are_recorded_with_their_message(tmp_path, monkeyp
     out = capsys.readouterr().out
     expect = "pipeline failed at selection: SelectionInfeasibleError: no candidate satisfies 2 < nu < 7"
     assert out.count(expect) == 2
+    # the manifest's telemetry entry holds the error and stops at its stage
+    (entry,) = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert entry["error"] == "SelectionInfeasibleError: no candidate satisfies 2 < nu < 7"
+    assert set(entry["seconds"]) == {"dynamics", "embedding", "persistence", "selection"}
+    assert set(entry["sizes"]) == {"cloud_points", "fps_points"}
 
 
 def test_find_fivepoint_script_runs():

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 from scipy.stats import pearsonr, rankdata, spearmanr
 
-from topospec import spectro, sweep
-from topospec.errors import AliasingConfigError, ConfigError, UndefinedEntropyError
+from topospec import dynamics, spectro, sweep
+from topospec.errors import AliasingConfigError, ConfigError, IntegrationDivergedError, UndefinedEntropyError
 from topospec.qcompile import Circuit, Gate
 from topospec.spectro import CorrelatorSeries
 from topospec.sweep import (
@@ -410,6 +411,108 @@ def test_sweep_propagates_a_failed_work_qubit_check(monkeypatch):
 def test_sweep_rejects_uneven_grid():
     with pytest.raises(ConfigError, match=r"\[36.0, 37.0, 39.0\]"):
         run_sweep([36.0, 37.0, 39.0], SweepConfig())
+
+
+FAST = SweepConfig(t_total=70.0, n_fps=40, m_samples=128, lyap_t_total=120.0)
+GRID = [37.0, 38.0, 39.0, 40.0]
+
+
+def _cpus(mp, n: int) -> None:
+    """Let run_sweep see n available CPUs, whatever this machine has."""
+    mp.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("run_sweep started a worker pool")
+
+
+def _diverging_at_38(mp) -> None:
+    real = dynamics.lyapunov_max
+
+    def lyapunov_max(params, *args):
+        if params.rho == 38.0:
+            raise IntegrationDivergedError(7)
+        return real(params, *args)
+
+    mp.setattr(dynamics, "lyapunov_max", lyapunov_max)
+
+
+def _swept(monkeypatch, cpus: int):
+    """run_sweep(GRID, FAST) with ``cpus`` available CPUs and rho 38 failing
+    at its Lyapunov stage: the records, the L1s handed to the alpha
+    calibration and the rhos whose pipeline ran in this process."""
+    l1s, here = [], []
+    calibrate, stage = spectro.calibrated_alpha, sweep._pipeline_stage
+
+    def calibrated_alpha(mats, *args):
+        l1s.extend(mats)
+        return calibrate(mats, *args)
+
+    def pipeline_stage(rho, cfg, tau):
+        here.append(rho)  # a forked worker appends to its own copy
+        return stage(rho, cfg, tau)
+
+    with monkeypatch.context() as mp:
+        _cpus(mp, cpus)
+        _diverging_at_38(mp)
+        mp.setattr(spectro, "calibrated_alpha", calibrated_alpha)
+        mp.setattr(sweep, "_pipeline_stage", pipeline_stage)
+        if cpus == 1:
+            mp.setattr(multiprocessing, "get_context", _no_pool)
+        records, report = run_sweep(GRID, FAST)
+    return records, report, l1s, here
+
+
+def _record_bits(rec: SweepRecord) -> list:
+    return [_hexed(v) for v in rec.as_row()] + [rec.error]
+
+
+def test_pooled_sweep_is_bitwise_the_serial_loop(monkeypatch):
+    pooled, pooled_report, pooled_l1s, pooled_here = _swept(monkeypatch, 4)
+    serial, serial_report, serial_l1s, serial_here = _swept(monkeypatch, 1)
+    assert multiprocessing.active_children() == []
+    assert pooled_here == [] and serial_here == GRID
+    assert [_record_bits(r) for r in pooled] == [_record_bits(r) for r in serial]
+    assert _report_items(pooled_report) == _report_items(serial_report)
+    assert [m.tobytes() for m in pooled_l1s] == [m.tobytes() for m in serial_l1s]
+    # the oracle: the plain loop over the grid in this process
+    with monkeypatch.context() as mp:
+        _diverging_at_38(mp)
+        tau = sweep._resolve_tau(GRID, FAST)
+        loop = [sweep._pipeline_stage(rho, FAST, tau) for rho in GRID]
+    assert [m.tobytes() for m in pooled_l1s] == [st.l1.tobytes() for st in loop]
+    assert [(r.rho, _hexed(r.ell_max_h1), _hexed(r.lambda_max), r.failed_stage, r.error) for r in pooled] == [
+        (st.rho, _hexed(st.ell_max), _hexed(st.lambda_max), st.failed_stage, st.error) for st in loop
+    ]
+    failed = pooled[1]
+    assert failed.failed_stage == "lyapunov" and failed.lambda_max is None
+    assert failed.error == "IntegrationDivergedError: integration diverged (non-finite state) at step 7"
+    # each record carries its own telemetry, from whichever process ran it;
+    # the failed row has its L1, so it is read out too
+    for rec in pooled:
+        assert list(rec.sizes) == ["cloud_points", "fps_points", "vertices", "edges", "triangles"]
+        assert list(rec.seconds) == [
+            "dynamics", "embedding", "persistence", "selection", "graph", "lyapunov", "spectro"
+        ]
+        assert all(t >= 0 for t in rec.seconds.values())
+
+
+def test_sweep_worker_errors_propagate_and_no_worker_outlives_the_call(monkeypatch):
+    _cpus(monkeypatch, 4)
+
+    def broken(rho, cfg, tau):
+        raise RuntimeError(f"deliberate bug at rho {rho}")
+
+    monkeypatch.setattr(sweep, "_pipeline_stage", broken)
+    # a programming error is not recorded as a failed stage
+    with pytest.raises(RuntimeError, match=r"^deliberate bug at rho (37|38|39|40)\.0$"):
+        run_sweep(GRID, FAST)
+    assert multiprocessing.active_children() == []
+    # a bad grid is rejected before any worker starts
+    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    with pytest.raises(ConfigError, match="not evenly spaced"):
+        run_sweep([36.0, 37.0, 39.0], FAST)
+    assert multiprocessing.active_children() == []
 
 
 # one case per rule not covered by the CLI's bad-value cases
