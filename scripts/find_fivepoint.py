@@ -20,25 +20,23 @@ import sys
 
 import numpy as np
 
-from topospec.fixtures import FIVE_POINT_CLOUD
+from topospec.fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_COUNTS, FIVE_POINT_RADII
 from topospec.hodge import laplacian_at
 from topospec.persistence import compute_persistence, rips_filtration
 
 
 def counts_at(filt, diag, eps):
-    """(edges, triangles, connected components) of the Rips complex at eps."""
+    """(vertices, edges, triangles, connected components) of the Rips complex at eps."""
     cx = filt.complex_at(eps)
-    return len(cx[1]), len(cx[2]), diag.betti(0, eps)
+    return len(cx[0]), len(cx[1]), len(cx[2]), diag.betti(0, eps)
 
 
 def check(pts) -> bool:
     filt = rips_filtration(pts)
     diag = compute_persistence(filt)
-    if counts_at(filt, diag, 0.8) != (4, 0, 2):
+    if any(counts_at(filt, diag, eps) != want for eps, want in FIVE_POINT_COUNTS.items()):
         return False
-    if counts_at(filt, diag, 0.9) != (6, 1, 1):
-        return False
-    if [diag.betti(1, e) for e in (0.8, 0.9, 1.0)] != [1, 1, 0]:
+    if tuple(diag.betti(1, e) for e in FIVE_POINT_RADII) != FIVE_POINT_BETTI1:
         return False
     L, _ = laplacian_at(filt, 0.8, 1)
     ev = np.linalg.eigvalsh(L)

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, dynamics, persistence, probe, spectro, sweep
 from .errors import ConfigError, TopospecError
 from .fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
-from .hodge import BoundReport, laplacian_at, spectrum, verify_gap_persistence_bound
+from .hodge import BoundReport, FiltrationLaplacians, spectrum, verify_gap_persistence_bound
 from .qcompile import baseline_qpe_cost
 from .serialize import digest_text, write_csv, write_json
 from .susy import onehot_hamiltonian, susy_hamiltonian, verify_block_equivalence
@@ -148,8 +148,8 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     out = Path(cfg.out)
     digest = cfg.digest()
     dt, m = 0.25, 256
-    filt = persistence.rips_filtration(FIVE_POINT_CLOUD)
-    l1s = [laplacian_at(filt, eps, 1)[0] for eps in FIVE_POINT_RADII]
+    laps = FiltrationLaplacians(persistence.rips_filtration(FIVE_POINT_CLOUD))
+    l1s = [laps.laplacian(eps, 1)[0] for eps in FIVE_POINT_RADII]
     alpha = max(1.0, spectro.calibrated_alpha(l1s, dt))
     results = []
     all_pass = True
@@ -325,7 +325,7 @@ def cmd_compile_report(cfg: RunConfig, phase_bits: int = 6, grid_rho: float = 40
     stats = baseline_qpe_cost(ham, phase_bits)
     write_json(
         out / "compile_report.json",
-        _stamped(cfg.digest(), **stats.as_dict()),
+        _stamped(cfg.digest(), **asdict(stats)),
     )
     print(
         f"compiled 2q = {stats.two_qubit_count}, baseline = {stats.baseline_two_qubit_count}, "
@@ -436,7 +436,7 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
     write_csv(out / f"qpe_spectrum_rho{rho}.csv", ("omega", "power"), zip(*spectro.periodogram(series)))
     write_json(
         out / f"qpe_estimate_rho{rho}.json",
-        _stamped(cfg.digest(), probe=probe_kind, mode=sw.mode, **est.as_dict()),
+        _stamped(cfg.digest(), probe=probe_kind, mode=sw.mode, **asdict(est)),
     )
     print(f"rho={rho}: beta1_hat={est.beta1_hat}, gap_hat={est.gap_hat}")
     return 0

@@ -139,7 +139,6 @@ class FiltrationLaplacians:
         self.lex = tuple(
             np.lexsort(np.array(c, dtype=np.intp).reshape(len(c), d + 1).T[::-1]) for d, c in enumerate(cells)
         )
-        self.faces = tuple(np.array(f, dtype=np.intp) for f in filt.faces)
         self.critical_radii = filt.critical_radii()
 
     def counts(self, eps: float) -> list[int]:
@@ -161,7 +160,8 @@ class FiltrationLaplacians:
         """Both readings of d_{p,max} at radius eps: (max cofacet count over
         (p-1)-simplices, faces per p-simplex)."""
         n = self.counts(eps)[p]
-        cofacets = int(np.bincount(self.faces[p][:n].ravel(), minlength=1).max()) if p >= 1 else 0
+        # the cofacets of a (p-1)-simplex are the nonzeros of its row of B_p
+        cofacets = int(np.count_nonzero(self.boundaries[p][:, :n], axis=1).max(initial=0)) if p >= 1 else 0
         return cofacets, (p + 1) if n else 0
 
 
@@ -191,11 +191,10 @@ class BoundReport:
     holds: bool
 
 
-def empirical_lipschitz(filt: Filtration | FiltrationLaplacians, b: float, d: float, p: int) -> float:
+def empirical_lipschitz(laps: FiltrationLaplacians, b: float, d: float, p: int) -> float:
     """Max over consecutive critical radii in [b, d] of
     ||Delta_p(K_{t+}) - Delta_p(K_t)||_2 / (t+ - t), with Delta_p(K_t)
     embedded in the larger chain space of K_{t+} by zero blocks."""
-    laps = filt if isinstance(filt, FiltrationLaplacians) else FiltrationLaplacians(filt)
     radii = laps.critical_radii
     radii = radii[(b - 1e-12 <= radii) & (radii <= d + 1e-12)]
     slices = [laps.laplacian(r, p) for r in radii]

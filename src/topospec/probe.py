@@ -51,8 +51,7 @@ def dicke_weights(graph: TopoGraph, alpha_bias: float, beta_bias: float) -> np.n
         w[u] += alpha_bias
         w[v] += alpha_bias
     for d in graph.degrees():
-        if d <= n:
-            w[d] += beta_bias
+        w[d] += beta_bias
     return w / math.sqrt(float((w**2).sum()))
 
 
@@ -86,9 +85,9 @@ def _ry(theta: float, q: int) -> list[Gate]:
 def _cry(theta: float, control: int, target: int) -> list[Gate]:
     """Controlled-RY via the two-CNOT decomposition."""
     gates = _ry(theta / 2, target)
-    gates.append(Gate("CNOT", target=target, control=control))
+    gates.append(Gate("CNOT", target=target, controls=((control, 1),)))
     gates += _ry(-theta / 2, target)
-    gates.append(Gate("CNOT", target=target, control=control))
+    gates.append(Gate("CNOT", target=target, controls=((control, 1),)))
     return gates
 
 
@@ -102,7 +101,7 @@ def w_state_circuit(n: int) -> Circuit:
     for i in range(n - 1):
         theta = 2 * math.acos(1.0 / math.sqrt(n - i))
         gates += _cry(theta, control=i, target=i + 1)
-        gates.append(Gate("CNOT", target=i, control=i + 1))
+        gates.append(Gate("CNOT", target=i, controls=((i + 1, 1),)))
     return Circuit(n_qubits=n, gates=tuple(gates))
 
 

@@ -27,8 +27,7 @@ class Gate:
     kind: str  # H | X | SDG | RX | RZ | CNOT | MCX | CRZ
     target: int
     theta: float | None = None
-    control: int | None = None  # CNOT only
-    controls: tuple[tuple[int, int], ...] = ()  # (qubit, polarity) for MCX/CRZ
+    controls: tuple[tuple[int, int], ...] = ()  # (qubit, polarity) for CNOT/MCX/CRZ
 
     def __post_init__(self):
         if self.theta is not None and not math.isfinite(self.theta):
@@ -40,18 +39,14 @@ class Gate:
             return False
         if self.kind in ("H", "X"):
             return self.target == other.target
-        if self.kind == "CNOT":
-            return self.target == other.target and self.control == other.control
-        if self.kind == "MCX":
+        if self.kind in ("CNOT", "MCX"):
             return self.target == other.target and self.controls == other.controls
         return False
 
     def two_qubit_cost(self) -> int:
-        if self.kind == "CNOT":
-            return 1
         if self.kind == "CRZ":
             return 2 * len(self.controls)
-        if self.kind == "MCX":
+        if self.kind in ("CNOT", "MCX"):
             c = len(self.controls)
             if c <= 1:
                 return 1
@@ -79,14 +74,6 @@ class CompileStats:
     control_toggle_count: int
     baseline_two_qubit_count: int
     ratio: float
-
-    def as_dict(self) -> dict:
-        return {
-            "two_qubit_count": self.two_qubit_count,
-            "control_toggle_count": self.control_toggle_count,
-            "baseline_two_qubit_count": self.baseline_two_qubit_count,
-            "ratio": self.ratio,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +127,7 @@ def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
             view[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
             view[i0] = out0
         elif g.kind in ("CNOT", "MCX"):
-            controls = ((g.control, 1),) if g.kind == "CNOT" else g.controls
-            i0, i1 = _half(n, g.target, 0, controls), _half(n, g.target, 1, controls)
+            i0, i1 = _half(n, g.target, 0, g.controls), _half(n, g.target, 1, g.controls)
             a0 = view[i0].copy()
             view[i0] = view[i1]
             view[i1] = a0
@@ -180,7 +166,7 @@ def _compile_active(
     actives = sorted(x_sites + z_sites)
     r = actives[-1]
     pre: list[Gate] = [Gate("H", q) for q in sorted(x_sites)]
-    pre += [Gate("CNOT", target=r, control=q) for q in actives if q != r]
+    pre += [Gate("CNOT", target=r, controls=((q, 1),)) for q in actives if q != r]
     gates = list(pre)
     if zpred or opred:
         toggles = [Gate("X", q) for q in sorted(zpred)]
@@ -240,7 +226,7 @@ def compile_term(term: PauliTerm, t: float, ancilla: int, work: int) -> list[Gat
         if len(plus) != 1 or len(minus) != 1:
             raise ValueError("hop terms must carry exactly one '+' and one '-'")
         u, v = plus[0], minus[0]
-        sandwich = Gate("CNOT", target=v, control=u)
+        sandwich = Gate("CNOT", target=v, controls=((u, 1),))
         inner = _compile_active(
             theta_t, [u], z_sites, zpred, sorted(opred + [v]), ancilla, work
         )
@@ -443,19 +429,12 @@ def controlled_evolution(
         )
     units = schedule_gray(trotter_units(ham))
     dt = t / steps
-    gates: list[Gate] = []
-    for _ in range(steps):
-        if order == 1:
-            for u in units:
-                gates += compile_term(u, dt / alpha, ancilla, work)
-        else:
-            half: list[Gate] = []
-            for u in units:
-                half += compile_term(u, dt / alpha / 2, ancilla, work)
-            back: list[Gate] = []
-            for u in reversed(units):
-                back += compile_term(u, dt / alpha / 2, ancilla, work)
-            gates += half + back
+    # every step is the same gate list, so one is compiled and repeated; second
+    # order runs the terms forward and back, each over half the step
+    step: list[Gate] = []
+    for u in units if order == 1 else units + units[::-1]:
+        step += compile_term(u, dt / alpha / order, ancilla, work)
+    gates = step * steps
     if ham.identity_offset != 0.0:
         gates.append(
             Gate(

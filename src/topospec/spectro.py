@@ -79,20 +79,6 @@ class SpectralEstimate:
     gap_ci: tuple[float, float] | None = None
     notes: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "lines": [
-                {"omega": l.omega, "amplitude": l.amplitude, "method": l.method}
-                for l in self.lines
-            ],
-            "beta1_hat": self.beta1_hat,
-            "gap_hat": self.gap_hat,
-            "entropy": self.entropy,
-            "zero_mode_ratio": self.zero_mode_ratio,
-            "gap_ci": list(self.gap_ci) if self.gap_ci else None,
-            "notes": list(self.notes),
-        }
-
 
 def hann_window(m: int) -> np.ndarray:
     return 0.5 * (1 - np.cos(2 * math.pi * np.arange(m) / (m - 1)))

@@ -272,7 +272,7 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
             res.sizes.update(
                 vertices=graph.n_vertices, edges=len(graph.edges), triangles=len(graph.triangles)
             )
-            res.l1 = laplacian_k(graph.B1, graph.B2 if len(graph.triangles) else None)
+            res.l1 = laplacian_k(graph.B1, graph.B2)
             if until == "graph":
                 return res
 

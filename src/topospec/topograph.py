@@ -1,9 +1,9 @@
 """Connected topology-expressive graphs and their oriented incidence matrices.
 
-The edge set is the union of a minimum spanning tree, an epsilon-neighborhood
-layer, optional ring edges from angle-sorted order, and greedy patch edges
-that guarantee a single component. Orientation is by increasing vertex index
-and incidence entries are exact integers.
+The edge set is the union of a minimum spanning tree, which connects every
+vertex, an epsilon-neighborhood layer, and optional ring edges from
+angle-sorted order. Orientation is by increasing vertex index and incidence
+entries are exact integers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ TRIANGLE_MODES = ("none", "all_3_cliques")
 class TopoGraph:
     coords: np.ndarray  # k x m
     edges: tuple[Edge, ...]  # ordered pairs i < j, sorted
-    provenance: tuple[str, ...]  # one of mst | eps | ring | patch, per edge
+    provenance: tuple[str, ...]  # one of mst | eps | ring, per edge
     triangles: tuple[tuple[int, int, int], ...]
     B1: np.ndarray = field(repr=False)  # |V| x |E|, entries in {0, +-1}
     B2: np.ndarray = field(repr=False)  # |E| x |T|
@@ -81,31 +81,18 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _union(parent: list[int], edges) -> list[Edge]:
-    """Join the endpoints of each edge in turn; the edges that merged two trees."""
+def _mst_edges(dist: np.ndarray) -> list[Edge]:
+    """Kruskal with deterministic tie-break by (length, i, j): each pair in
+    turn, kept when it merges two trees."""
+    n = len(dist)
+    parent = list(range(n))
     out: list[Edge] = []
-    for a, b in edges:
+    for _, a, b in sorted((float(dist[i, j]), i, j) for i, j in itertools.combinations(range(n), 2)):
         ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
             out.append((a, b))
     return out
-
-
-def _mst_edges(dist: np.ndarray) -> list[Edge]:
-    """Kruskal with deterministic tie-break by (length, i, j)."""
-    n = len(dist)
-    candidates = sorted((float(dist[i, j]), i, j) for i, j in itertools.combinations(range(n), 2))
-    return _union(list(range(n)), ((i, j) for _, i, j in candidates))
-
-
-def _components(n: int, edges: set[Edge]) -> list[list[int]]:
-    parent = list(range(n))
-    _union(parent, edges)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(_find(parent, v), []).append(v)
-    return sorted(groups.values())
 
 
 def build_edges(
@@ -115,11 +102,12 @@ def build_edges(
     eps_quantile: float = 0.3,
     ring_vertices: np.ndarray | None = None,
 ) -> tuple[tuple[Edge, ...], tuple[str, ...]]:
-    """Union of MST, epsilon-graph, optional ring closure, and patch edges.
+    """Union of MST (Kruskal over every pair spans all vertices), epsilon-graph
+    and optional ring closure.
 
     The ring connects ring_vertices (default: all vertices) in angle-sorted
     order with wrap-around. Duplicate edges keep the provenance of the first
-    layer that produced them (mst, eps, ring, patch in that priority).
+    layer that produced them (mst, eps, ring in that priority).
     """
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
@@ -151,17 +139,6 @@ def build_edges(
     for name, edges in layers:
         for e in edges:
             edge_prov.setdefault(e, name)
-
-    while True:
-        comps = _components(n, set(edge_prov))
-        if len(comps) == 1:
-            break
-        ca, cb = comps[0], comps[1]
-        best = min(
-            ((float(dist[i, j]), i, j) for i in ca for j in cb),
-        )
-        _, i, j = best
-        edge_prov.setdefault((min(i, j), max(i, j)), "patch")
 
     ordered = sorted(edge_prov)
     return tuple(ordered), tuple(edge_prov[e] for e in ordered)

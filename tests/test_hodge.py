@@ -222,7 +222,7 @@ def test_sliced_laplacians_are_bitwise_the_rebuilt_ones(pts):
             assert laps.d_p_max(eps, p) == oracle_d_p_max(filt, eps, p)
     for p in (0, 1):
         b, d = float(radii[0]), float(radii[-1])
-        assert empirical_lipschitz(filt, b, d, p) == oracle_empirical_lipschitz(filt, b, d, p)
+        assert empirical_lipschitz(laps, b, d, p) == oracle_empirical_lipschitz(filt, b, d, p)
         for b, d in compute_persistence(filt).in_dim(1, finite_only=True):
             assert empirical_lipschitz(laps, b, d, p) == oracle_empirical_lipschitz(filt, b, d, p)
 
@@ -281,5 +281,5 @@ def test_bound_check_artifacts_golden(tmp_path):
 
 def test_empirical_lipschitz_positive(unit_square):
     filt = rips_filtration(unit_square, eps_max=2.0)
-    lip = empirical_lipschitz(filt, 1.0, math.sqrt(2), 1)
+    lip = empirical_lipschitz(FiltrationLaplacians(filt), 1.0, math.sqrt(2), 1)
     assert lip > 0

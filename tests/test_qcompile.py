@@ -240,8 +240,7 @@ def _dense_gate(g, n):
         return _kron_op(n, {g.target: _DENSE_1Q[g.kind]})
     if g.kind in ("RX", "RZ"):
         return _kron_op(n, {g.target: _DENSE_1Q[g.kind](g.theta)})
-    controls = ((g.control, 1),) if g.kind == "CNOT" else g.controls
-    proj = {q: np.diag([1 - pol, pol]) for q, pol in controls}
+    proj = {q: np.diag([1 - pol, pol]) for q, pol in g.controls}
     target = _DENSE_1Q["X"] if g.kind in ("CNOT", "MCX") else _DENSE_1Q["RZ"](g.theta)
     # identity off the control condition, the target operator on it
     return np.eye(1 << n) - _kron_op(n, proj) + _kron_op(n, {**proj, g.target: target})
@@ -265,9 +264,8 @@ def _simulate_by_index_masks(circ, state):
             psi[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
             psi[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
             continue
-        controls = ((g.control, 1),) if g.kind == "CNOT" else g.controls
         sel = np.ones(dim, dtype=bool)
-        for q, pol in controls:
+        for q, pol in g.controls:
             sel &= ((idx >> q) & 1) == pol
         out = psi.copy()
         if g.kind in ("CNOT", "MCX"):
@@ -293,7 +291,7 @@ def _random_circuits(draw):
         elif kind in ("RX", "RZ"):
             gates.append(Gate(kind, qs[0], theta=theta))
         elif kind == "CNOT":
-            gates.append(Gate(kind, qs[0], control=qs[1]))
+            gates.append(Gate(kind, qs[0], controls=((qs[1], 1),)))
         else:
             k = draw(st.integers(1, n - 1))
             pols = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
@@ -440,3 +438,10 @@ def test_compiled_cost_linear_in_steps():
     c1 = controlled_evolution(ham, 0.3, order=1, steps=1, optimize=False)
     c2 = controlled_evolution(ham, 0.3, order=1, steps=2, optimize=False)
     assert c2.two_qubit_count() == 2 * c1.two_qubit_count()
+    # with no identity phase, steps = s is the one-step list at t / s, s times over
+    assert ham.identity_offset == 0.0
+    for order in (1, 2):
+        for s in (1, 2, 3):
+            one = controlled_evolution(ham, 0.3 / s, order=order, steps=1, optimize=False)
+            many = controlled_evolution(ham, 0.3, order=order, steps=s, optimize=False)
+            assert many.gates == one.gates * s

@@ -1,5 +1,6 @@
-"""Regrowth guard: every top-level function and class of the package is
-reached from the program (src/, scripts/ or perfbench/), not only from tests.
+"""Regrowth guard: every top-level function, class and constant of the
+package is reached from the program (src/, scripts/ or perfbench/), not only
+from tests. Dunder names such as ``__all__`` are exempt.
 
 A name counts as referenced when some top-level statement other than its own
 definition mentions it: as a variable, an attribute, an imported name, or a
@@ -50,8 +51,24 @@ def _mentions(node: ast.AST, docstrings: set[int]) -> set[str]:
     return names
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a def or class name, or the
+    non-dunder names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def unreached_names() -> list[str]:
-    """Top-level def/class names of the package no other program statement mentions."""
+    """Top-level def, class and constant names of the package no other
+    program statement mentions."""
     mentions: list[tuple[Path, ast.stmt, set[str]]] = []
     for top in PROGRAM_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -62,12 +79,11 @@ def unreached_names() -> list[str]:
     for path, stmt, _ in mentions:
         if path.parent != PACKAGE:
             continue
-        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name in ALLOWED:
-            continue
-        if not any(stmt.name in names for _, other, names in mentions if other is not stmt):
-            unreached.append(stmt.name)
+        for name in _defined(stmt):
+            if name in ALLOWED:
+                continue
+            if not any(name in names for _, other, names in mentions if other is not stmt):
+                unreached.append(name)
     return sorted(unreached)
 
 
@@ -77,9 +93,9 @@ def test_every_package_name_is_reached_from_the_program():
 
 def test_allowlist_names_exist():
     defined = {
-        stmt.name
+        name
         for path in PACKAGE.glob("*.py")
         for stmt in ast.parse(path.read_text()).body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        for name in _defined(stmt)
     }
     assert set(ALLOWED) <= defined

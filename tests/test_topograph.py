@@ -20,7 +20,7 @@ def test_eps_layer_closes_short_triangle():
     edges, prov = build_edges(coords, angles=None, use_ring=False, eps_quantile=0.5)
     tri_edges = {(0, 1), (0, 2), (1, 2)}
     assert tri_edges <= set(edges)
-    assert set(prov) <= {"mst", "eps", "patch"}
+    assert set(prov) <= {"mst", "eps"}
 
 
 def test_collinear_points_stay_connected():
@@ -105,6 +105,14 @@ def test_random_clouds_connected_oriented(seed):
     # Euler consistency on the 1-skeleton
     assert g.cycle_rank == len(g.edges) - n + 1
     assert g.cycle_rank >= 0
+    # the MST alone spans every vertex, also under tied distances (a lattice)
+    # and duplicate points: quantile 0 keeps no eps pair, and there is no ring
+    lattice = rng.integers(0, 3, size=(n, 2)).astype(float)
+    duplicated = np.concatenate([coords[: n - 2], coords[:2]])
+    for pts in (lattice, duplicated):
+        g = build_graph(pts, None, use_ring=False, eps_quantile=0.0)
+        assert set(g.provenance) == {"mst"} and len(g.edges) == n - 1
+        assert np.linalg.matrix_rank(g.B1.astype(float)) == n - 1
 
 
 def test_lorenz_representatives_have_a_cycle(lorenz_cloud):
