@@ -313,6 +313,41 @@ def _resolve_tau(grid: list[float], cfg: SweepConfig) -> int:
     return choice.tau
 
 
+def pool_workers(n_tasks: int) -> int:
+    """Worker processes ``pool_map`` runs n_tasks on: one per available CPU,
+    at most one per task."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(n_tasks, cpus)
+
+
+def pool_map(fn, tasks: list[tuple]) -> list:
+    """``fn(*task)`` for every task, in task order, spread over forked worker
+    processes (``pool_workers``); with one worker the tasks run in this
+    process and no pool starts.
+
+    fn must be a module-level function. Each task is the same computation
+    in a worker as here, so the results are bit-identical to a one-core run.
+    An error raised in a worker propagates with its type and message, and no
+    worker outlives the call.
+    """
+    workers = pool_workers(len(tasks))
+    if workers <= 1:
+        return list(itertools.starmap(fn, tasks))
+    # imported here, as every CLI command imports this module and only the
+    # pooled commands fork. fork rather than spawn: a worker re-imports
+    # nothing and keeps this process's bindings (a tracer's wrappers, a
+    # test's stubs). The callers run no Python thread here, and OpenBLAS
+    # shuts its thread pool down at a fork (pthread_atfork), so the fork is
+    # safe.
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        results = pool.starmap(fn, tasks, chunksize=1)
+        pool.close()
+        pool.join()
+    return results
+
+
 def _stage_job(rho: float, cfg: SweepConfig, tau: int) -> _StageResult:
     """One full pipeline run, as the sweep maps it over the grid. The name
     ``_pipeline_stage`` is looked up at call time, so a rebinding of it (a
@@ -325,13 +360,12 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     topological persistence with the estimated spectral gap.
 
     The rho points do not depend on each other, so their pipeline runs are
-    spread over forked worker processes, one per available CPU and at most
-    one per point, and come back in grid order; with one CPU (or one point)
-    they run in this process. Each run is the same computation either way,
-    so the records are bit-identical to a one-core run. The spectral readout
-    then runs here, with one alpha calibrated over every L1. A programming
-    error in a worker propagates with its type and message, and no worker
-    outlives the call.
+    spread over forked worker processes by ``pool_map``, one per available
+    CPU and at most one per point, and come back in grid order; with one CPU
+    (or one point) they run in this process. The records are bit-identical
+    to a one-core run. The spectral readout then runs here, with one alpha
+    calibrated over every L1. A programming error in a worker propagates
+    with its type and message.
 
     A stage failure marks the record, which keeps every diagnostic computed
     before the failure, and the sweep continues. Identical configs
@@ -348,23 +382,7 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
         raise ConfigError(f"rho grid {grid} is not evenly spaced; f_curvature needs a uniform step")
     digest = cfg.digest()
     tau = _resolve_tau(grid, cfg)
-    jobs = [(rho, cfg, tau) for rho in grid]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(grid), cpus)
-    if workers == 1:
-        stages = list(itertools.starmap(_stage_job, jobs))
-    else:
-        # imported here, as every CLI command imports this module and only a
-        # sweep forks. fork rather than spawn: a worker re-imports nothing and
-        # keeps this process's bindings of _pipeline_stage. This process runs
-        # no Python thread here, and OpenBLAS shuts its thread pool down at
-        # a fork (pthread_atfork), so the fork is safe.
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            stages = pool.starmap(_stage_job, jobs, chunksize=1)
-            pool.close()
-            pool.join()
+    stages = pool_map(_stage_job, [(rho, cfg, tau) for rho in grid])
 
     alpha = cfg.alpha_scale
     if alpha is None:  # one calibration for the whole sweep

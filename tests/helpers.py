@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from topospec.errors import ResourceLimitError
+from topospec.hodge import HodgeSpectrum
 from topospec.qcompile import Circuit, _mask_bits, _pattern_key, simulate
 from topospec.susy import PauliTerm
 from topospec.topograph import TopoGraph, enumerate_triangles, incidence_matrices
@@ -82,3 +83,20 @@ def toggle_count_for_order(terms: list[PauliTerm]) -> int:
             total += bin(prev[key] ^ mask).count("1")
         prev = {key: mask}
     return total
+
+
+def spectrum_oracle(L: np.ndarray) -> HodgeSpectrum:
+    """One matrix, one ``eigvalsh`` call, kernel at 1e-8 * max(max|ev|, 1):
+    the per-matrix spectrum that hodge.spectra's stacked solves are checked
+    against."""
+    L = np.asarray(L, dtype=float)
+    if L.size == 0:
+        return HodgeSpectrum(eigenvalues=np.zeros(0), tau0=0.0, beta_k=0, gap=None)
+    if np.abs(L - L.T).max() > 1e-9 * max(1.0, np.abs(L).max()):
+        raise ValueError("input matrix is not symmetric")
+    ev = np.linalg.eigvalsh((L + L.T) / 2.0)
+    tau0 = 1e-8 * max(float(np.abs(ev).max()), 1.0)
+    beta = int(np.sum(ev <= tau0))
+    above = ev[ev > tau0]
+    gap = float(above[0]) if len(above) else None
+    return HodgeSpectrum(eigenvalues=ev, tau0=tau0, beta_k=beta, gap=gap)

@@ -120,7 +120,7 @@ def test_04_gap_persistence_bound():
         pairs = 0
         for _ in range(200):
             pts = rng.uniform(0, 1, size=(8, 3))
-            for rep in verify_gap_persistence_bound(pts, p=1):
+            for rep in verify_gap_persistence_bound([pts], p=1):
                 assert rep.holds and rep.slack >= -1e-9, rep
                 pairs += 1
         assert pairs > 100

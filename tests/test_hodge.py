@@ -1,25 +1,31 @@
+import json
 import math
+import multiprocessing
+import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topospec import cli
+from topospec import cli, hodge
 from topospec.hodge import (
     FiltrationLaplacians,
     complex_laplacian,
     empirical_lipschitz,
     laplacian_at,
     laplacian_k,
+    spectra,
     spectrum,
     verify_gap_persistence_bound,
 )
 from topospec.persistence import compute_persistence, rips_filtration
 from topospec.susy import clique_laplacian
-from helpers import graph_from_edges, hodge_projectors
+from helpers import graph_from_edges, hodge_projectors, spectrum_oracle
 from test_pipeline import artifact_digests
+from test_sweep import _cpus, _no_pool
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K3 = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -58,6 +64,35 @@ def test_spectrum_zero_matrix():
 def test_spectrum_rejects_asymmetric():
     with pytest.raises(ValueError):
         spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@st.composite
+def symmetric_lists(draw):
+    """Symmetric integer-entry matrices of mixed and repeated sizes, 0x0
+    included; small entries make kernels and repeated eigenvalues common."""
+    mats = []
+    for n in draw(st.lists(st.integers(0, 6), min_size=1, max_size=10)):
+        a = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)), dtype=float)
+        a = a.reshape(n, n)
+        mats.append(a + a.T)
+    return mats
+
+
+@given(mats=symmetric_lists(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_spectra_is_bitwise_the_per_matrix_spectrum(mats, data):
+    for got, L in zip(spectra(mats), mats, strict=True):
+        want = spectrum_oracle(L)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert (got.tau0, got.beta_k, got.gap) == (want.tau0, want.beta_k, want.gap)
+        assert spectrum(L).eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    # one asymmetric member fails the whole call, with the per-matrix message
+    square = [i for i, L in enumerate(mats) if len(L) >= 2]
+    if square:
+        bad = [L.copy() for L in mats]
+        bad[data.draw(st.sampled_from(square))][0, 1] += 1.0
+        with pytest.raises(ValueError, match="^input matrix is not symmetric$"):
+            spectra(bad)
 
 
 def test_laplacian_shape_mismatch():
@@ -234,7 +269,7 @@ def test_sliced_laplacians_are_bitwise_the_rebuilt_ones(pts):
 
 def test_bound_zero_persistence_k3():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    reports = verify_gap_persistence_bound(pts, p=1)
+    reports = verify_gap_persistence_bound([pts], p=1)
     assert len(reports) == 1
     rep = reports[0]
     assert rep.birth == pytest.approx(rep.death)
@@ -246,7 +281,7 @@ def test_bound_zero_persistence_k3():
 
 
 def test_bound_unit_square(unit_square):
-    reports = verify_gap_persistence_bound(unit_square, p=1)
+    reports = verify_gap_persistence_bound([unit_square], p=1)
     positive = [r for r in reports if r.death > r.birth]
     assert len(positive) == 1
     rep = positive[0]
@@ -259,10 +294,27 @@ def test_bound_random_clouds_hold():
     pairs = 0
     for _ in range(40):
         pts = rng.uniform(0, 1, size=(8, 3))
-        for rep in verify_gap_persistence_bound(pts, p=1):
+        for rep in verify_gap_persistence_bound([pts], p=1):
             assert rep.holds, rep
             pairs += 1
     assert pairs > 20
+
+
+@given(clouds=st.lists(CLOUDS, min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_bound_reports_are_the_pairs_of_every_cloud(clouds):
+    # one report per finite H1 pair (the tracer's hodge.bound_pairs is the
+    # length of the list), tagged with its cloud's position, and each cloud
+    # checked alone gives the same reports
+    reports = verify_gap_persistence_bound(clouds, p=1)
+    pairs = [
+        (c, b, d)
+        for c, pts in enumerate(clouds)
+        for b, d in compute_persistence(rips_filtration(np.array(pts))).in_dim(1, finite_only=True)
+    ]
+    assert [(r.cloud, r.birth, r.death) for r in reports] == pairs
+    alone = [replace(r, cloud=c) for c, pts in enumerate(clouds) for r in verify_gap_persistence_bound([pts], p=1)]
+    assert reports == alone
 
 
 # oracle: `bound-check --clouds 20 --points 10` (seed 0) as it was when
@@ -277,6 +329,44 @@ def test_bound_check_artifacts_golden(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["--out", str(out), "bound-check", "--clouds", "20", "--points", "10"]) == 0
     assert artifact_digests(out) == GOLDEN_BOUND_CHECK
+
+
+def _bound_check(monkeypatch, out, cpus: int) -> None:
+    """``bound-check --clouds 20 --points 10`` with ``cpus`` available CPUs;
+    with one, starting a pool fails the run."""
+    with monkeypatch.context() as mp:
+        _cpus(mp, cpus)
+        if cpus == 1:
+            mp.setattr(multiprocessing, "get_context", _no_pool)
+        assert cli.main(["--out", str(out), "bound-check", "--clouds", "20", "--points", "10"]) == 0
+
+
+def test_pooled_bound_check_is_the_serial_run(monkeypatch, tmp_path):
+    for cpus in (4, 1):
+        out = tmp_path / f"cpus{cpus}"
+        _bound_check(monkeypatch, out, cpus)
+        assert multiprocessing.active_children() == []
+        assert artifact_digests(out) == GOLDEN_BOUND_CHECK
+        # the stage telemetry, summed over the 3 tasks of 8, 8 and 4 clouds
+        summary = json.loads((out / "bound_summary.json").read_text())
+        seconds, sizes = summary["stages"]["seconds"], summary["stages"]["sizes"]
+        assert sorted(seconds) == ["filtration", "laplacians", "lipschitz", "spectra"]
+        assert sorted(sizes) == ["pairs", "solves", "tasks", "workers"]
+        assert all(v >= 0 for v in [*seconds.values(), *sizes.values()])
+        assert sizes["pairs"] == summary["pairs_checked"]
+        assert (sizes["tasks"], sizes["workers"]) == (3, min(3, cpus))
+
+
+def test_bound_check_worker_errors_propagate_and_no_worker_outlives_the_call(monkeypatch, tmp_path):
+    parent = os.getpid()
+
+    def broken(mats):
+        raise RuntimeError("deliberate bug in a worker" if os.getpid() != parent else "ran in the parent")
+
+    monkeypatch.setattr(hodge, "spectra", broken)
+    with pytest.raises(RuntimeError, match="^deliberate bug in a worker$"):
+        _bound_check(monkeypatch, tmp_path / "out", 4)
+    assert multiprocessing.active_children() == []
 
 
 def test_empirical_lipschitz_positive(unit_square):

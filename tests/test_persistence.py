@@ -199,7 +199,7 @@ def test_pipeline_cuts_at_the_enclosing_radius(rho40_persistence):
 
 def test_bound_check_and_fivepoint_read_the_full_complex(monkeypatch, tmp_path):
     calls = _spy_rips(monkeypatch)
-    hodge.verify_gap_persistence_bound(np.random.default_rng(0).uniform(0, 1, size=(8, 3)))
+    hodge.verify_gap_persistence_bound([np.random.default_rng(0).uniform(0, 1, size=(8, 3))])
     assert cli.main(["--out", str(tmp_path / "out"), "validate-fivepoint"]) == 0
     assert [eps_max for _, eps_max, _ in calls] == [None, None]
     for cloud, _, filt in calls:  # every edge and triangle, whatever the enclosing radius
