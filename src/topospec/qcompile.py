@@ -1,5 +1,6 @@
 """Compile ancilla-controlled evolution of a Pauli Hamiltonian to a gate IR,
-simulate it on a dense statevector, and account gate costs.
+fuse runs of narrow gates into dense blocks, simulate it on a (batched) dense
+statevector, and account gate costs.
 
 Per term: basis rotations align X to Z, a CNOT ladder gathers parity onto the
 rightmost active qubit, z/o letters become polarity controls (0-controls are
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,10 +25,14 @@ from .susy import PauliHamiltonian, PauliTerm
 
 @dataclass(frozen=True)
 class Gate:
-    kind: str  # H | X | SDG | RX | RZ | CNOT | MCX | CRZ
+    kind: str  # H | X | SDG | RX | RZ | CNOT | MCX | CRZ | U
     target: int
     theta: float | None = None
     controls: tuple[tuple[int, int], ...] = ()  # (qubit, polarity) for CNOT/MCX/CRZ
+    # a fused U block: its qubits (ascending; qubits[i] is bit i of the
+    # matrix index) and its 2^k x 2^k matrix, left out of equality and hash
+    qubits: tuple[int, ...] = ()
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.theta is not None and not math.isfinite(self.theta):
@@ -44,6 +49,8 @@ class Gate:
         return False
 
     def two_qubit_cost(self) -> int:
+        if self.kind == "U":
+            raise ValueError("a fused U block has no two-qubit cost; count the circuit before fuse")
         if self.kind == "CRZ":
             return 2 * len(self.controls)
         if self.kind in ("CNOT", "MCX"):
@@ -90,8 +97,16 @@ _SINGLE = {
 }
 
 
+FUSE_WIDTH = 5  # widest run of gates that ``fuse`` turns into one U block
+# columns per U-block matrix product: a 32 x 32 block times 32 columns stays
+# below OpenBLAS's threshold for threading a product (65536 multiply-adds);
+# on a 2-vCPU host each threaded product of this size took about 16 ms for the
+# first second of a process, against about 30 us on one thread
+_BLOCK_COLS = 32
+
+
 def _half(n: int, q: int, bit: int, controls=()) -> tuple:
-    """Index into the (1,)+(2,)*n view that fixes qubit q to bit and each
+    """Index into the (-1,)+(2,)*n view that fixes qubit q to bit and each
     control qubit to its polarity; every other axis stays a full slice, so
     the result is a view into the state."""
     idx = [slice(None)] * (n + 1)
@@ -102,22 +117,26 @@ def _half(n: int, q: int, bit: int, controls=()) -> tuple:
 
 
 def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the gate list to a dense amplitude vector (<= 16 qubits).
+    """Apply the gate list to a dense amplitude vector (<= 16 qubits), or to
+    each row of a batch of them.
 
-    Qubit q is bit q of the amplitude index. Gates act in place on a
-    (2,)*n view of a copy of the state: single-qubit matrices mix the two
+    Qubit q is bit q of the amplitude index, and the state's last axis holds
+    the 2^n amplitudes; any leading axes are a batch, each row evolved alone.
+    Gates act in place on a (-1,)+(2,)*n view of a copy of the state, the
+    first axis running over the batch: single-qubit matrices mix the two
     halves along the target axis, controlled gates index their control axes
     to the polarities and then swap (CNOT, MCX) or phase (CRZ) the two
-    target halves.
+    target halves, and a fused U block multiplies its matrix into its
+    qubits' axes.
     """
     if circ.n_qubits > 16:
         raise ResourceLimitError(f"{circ.n_qubits} qubits exceed the dense budget of 16")
     n = circ.n_qubits
-    if len(state) != 1 << n:
+    if np.shape(state)[-1:] != (1 << n,):
         raise ValueError("state dimension does not match qubit count")
     psi = np.asarray(state, dtype=complex).copy()
-    # the leading length-1 axis keeps every half an array view, never a scalar
-    view = psi.reshape((1,) + (2,) * n)
+    # the leading batch axis keeps every half an array view, never a scalar
+    view = psi.reshape((-1,) + (2,) * n)
     for g in circ.gates:
         if g.kind in _SINGLE or g.kind == "RX":
             mat = _SINGLE[g.kind] if g.kind in _SINGLE else _RX(g.theta)
@@ -139,9 +158,72 @@ def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
             for bit in (0, 1):
                 half = view[_half(n, g.target, bit, g.controls)]
                 half[...] = half * phase[bit]
+        elif g.kind == "U":
+            # the block's axes, highest qubit first as in its matrix index,
+            # move next to the batch axis; the other amplitudes are cut into
+            # sets of at most _BLOCK_COLS columns, one matrix product per set
+            k = len(g.qubits)
+            axes = [n - q for q in reversed(g.qubits)]
+            moved = np.moveaxis(view, axes, range(1, k + 1))
+            rest = 1 << (n - k)
+            cols = min(rest, _BLOCK_COLS)
+            amps = moved.reshape(len(view), 1 << k, rest // cols, cols).swapaxes(1, 2)
+            out = (g.matrix @ amps).swapaxes(1, 2).reshape(moved.shape)
+            view[...] = np.moveaxis(out, range(1, k + 1), axes)
         else:
             raise ValueError(f"unknown gate kind {g.kind}")
     return psi
+
+
+def fuse(circ: Circuit) -> Circuit:
+    """The same circuit with each run of consecutive gates on at most
+    FUSE_WIDTH qubits merged into one U block.
+
+    A block's matrix comes from one batched ``simulate`` of its run on the
+    k-qubit identity. A run of one gate stays as it is, and so does every
+    gate wider than FUSE_WIDTH, which ends the run before it. Gates are
+    never reordered, so the fused circuit is the same unitary up to rounding.
+    """
+    out: list[Gate] = []
+    run: list[Gate] = []
+    qubits: set[int] = set()
+
+    def flush() -> None:
+        if len(run) == 1:
+            out.append(run[0])
+        elif run:
+            qs = tuple(sorted(qubits))
+            local = {q: i for i, q in enumerate(qs)}
+            block = Circuit(
+                len(qs),
+                tuple(
+                    replace(
+                        g,
+                        target=local[g.target],
+                        controls=tuple((local[q], pol) for q, pol in g.controls),
+                        qubits=tuple(local[q] for q in g.qubits),
+                    )
+                    for g in run
+                ),
+            )
+            # row j is the run applied to basis state j, so the matrix is its transpose
+            mat = simulate(block, np.eye(1 << len(qs), dtype=complex)).T
+            out.append(Gate("U", qs[0], qubits=qs, matrix=mat))
+        run.clear()
+        qubits.clear()
+
+    for g in circ.gates:
+        gq = set(g.qubits) if g.kind == "U" else {g.target, *(q for q, _ in g.controls)}
+        if len(gq) > FUSE_WIDTH:
+            flush()
+            out.append(g)
+            continue
+        if len(qubits | gq) > FUSE_WIDTH:
+            flush()
+        run.append(g)
+        qubits |= gq
+    flush()
+    return Circuit(circ.n_qubits, tuple(out))
 
 
 # ---------------------------------------------------------------------------

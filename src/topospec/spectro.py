@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AliasingConfigError, ResourceLimitError
 from .probe import dephased_probes, diagonal_ensemble_weights, uniform_edge_state, w_state_vector
-from .qcompile import controlled_evolution, simulate
+from .qcompile import controlled_evolution, fuse, simulate
 from .serialize import write_csv
 from .susy import PauliHamiltonian, onehot_hamiltonian
 
@@ -118,6 +118,7 @@ def edge_readout(
     mode: str = "exact",
     shots: int = 0,
     seed: int = 0,
+    sizes: dict[str, int] | None = None,
 ) -> tuple[CorrelatorSeries, np.ndarray, str]:
     """The edge-register correlator of an edge Laplacian on the grid
     t_k = k dt (k = 0..m-1), with the probe vector and its label.
@@ -125,13 +126,14 @@ def edge_readout(
     exact: the dephased uniform edge probe, i.e. the diagonal ensemble of the
     edge basis, read from the dense spectrum. hadamard: the W state (the same
     one-excitation amplitudes 1/sqrt(E)) under the one-hot Hamiltonian,
-    read by the simulated Hadamard test with ``shots`` and ``seed``.
+    read by the simulated Hadamard test with ``shots`` and ``seed``, which
+    writes its circuit sizes into ``sizes`` when given (exact mode adds none).
     """
     n_edges = l1.shape[0]
     if mode == "hadamard":
         ham = onehot_hamiltonian(l1)
         psi = w_state_vector(n_edges)
-        series = correlator_hadamard(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
+        series = correlator_hadamard(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed, sizes=sizes)
         return series, psi, "w_state"
     if mode != "exact":
         raise ValueError(f"unknown readout mode {mode!r}; expected one of {READOUT_MODES}")
@@ -197,18 +199,24 @@ def correlator_hadamard(
     steps: int | None = None,
     alpha: float = 1.0,
     seed: int = 0,
+    sizes: dict[str, int] | None = None,
 ) -> CorrelatorSeries:
     """One-ancilla Hadamard-test readout of C(t) = <psi| exp(-i H t/alpha) |psi>.
 
     The grid is t_k = k dt (k = 0..m-1, m >= 2, dt > 0). One controlled step of
     length dt is compiled once, with ``steps`` Trotter sub-steps (default:
-    one per radian of the rescaled norm bound, ceil(bound dt)); the state
+    one per radian of the rescaled norm bound, ceil(bound dt)), and fused
+    into blocks of at most ``qcompile.FUSE_WIDTH`` qubits; the state
     (|0>|psi> + |1>|psi>)/sqrt(2) is advanced by it m-1 times, so sample k
     carries k * steps sub-steps, never fewer than ceil(bound t_k). At every
     sample the ancilla coherence gives C = 2 <branch0|branch1>: Re C is the
     X-basis and Im C the S-dagger/Y-basis readout. shots=0 returns exact
     expectations, otherwise binomial samples of p0 = (1 + Re C)/2 and
     (1 + Im C)/2, drawn in that order per sample.
+
+    When given, ``sizes`` receives the register's ``qubits``, the compiled
+    step's ``step_gates``, the fused step's ``fused_step_gates`` and its
+    ``trotter_substeps``.
     """
     if m < 2 or not dt > 0:
         raise ValueError(f"the Hadamard readout needs m >= 2 samples and dt > 0, got m = {m}, dt = {dt}")
@@ -219,7 +227,15 @@ def correlator_hadamard(
     if bound / alpha * dt >= math.pi:
         raise AliasingConfigError(f"Nyquist violation: need alpha >= {minimal_alpha(bound, dt):.6g}")
     n_sub = steps or max(1, math.ceil(bound / alpha * dt))
-    step = controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha)
+    compiled = controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha)
+    step = fuse(compiled)
+    if sizes is not None:
+        sizes.update(
+            qubits=n_total,
+            step_gates=len(compiled.gates),
+            fused_step_gates=len(step.gates),
+            trotter_substeps=n_sub,
+        )
     rng = np.random.default_rng(seed)
     sysdim = 1 << ham.n
     state = np.zeros(1 << n_total, dtype=complex)

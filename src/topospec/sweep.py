@@ -370,7 +370,8 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     A stage failure marks the record, which keeps every diagnostic computed
     before the failure, and the sweep continues. Identical configs
     produce identical records. Each record carries its pipeline's stage
-    seconds (and the readout's, as ``spectro``) and sizes. The curvature
+    seconds (and the readout's, as ``spectro``) and sizes, to which a
+    hadamard readout adds its circuit's (``spectro.correlator_hadamard``). The curvature
     diagnostic is a uniform second difference, so a grid of three or more
     points must be evenly spaced.
     """
@@ -417,7 +418,7 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
         try:
             with _timed(rec.seconds, "spectro"):
                 series, _, _ = spectro.edge_readout(
-                    st.l1, cfg.dt_corr, cfg.m_samples, alpha, cfg.mode, cfg.shots, cfg.seed
+                    st.l1, cfg.dt_corr, cfg.m_samples, alpha, cfg.mode, cfg.shots, cfg.seed, rec.sizes
                 )
                 est = spectro.estimate(series, ensemble_dim=st.l1.shape[0])
                 h_spec = spectral_entropy(series)

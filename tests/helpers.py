@@ -4,11 +4,14 @@ tests check the program against, or a fixture builder for hand-made inputs."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from topospec.errors import ResourceLimitError
 from topospec.hodge import HodgeSpectrum
-from topospec.qcompile import Circuit, _mask_bits, _pattern_key, simulate
+from topospec.qcompile import Circuit, _mask_bits, _pattern_key, controlled_evolution, simulate
+from topospec.spectro import CorrelatorSeries
 from topospec.susy import PauliTerm
 from topospec.topograph import TopoGraph, enumerate_triangles, incidence_matrices
 
@@ -100,3 +103,34 @@ def spectrum_oracle(L: np.ndarray) -> HodgeSpectrum:
     above = ev[ev > tau0]
     gap = float(above[0]) if len(above) else None
     return HodgeSpectrum(eigenvalues=ev, tau0=tau0, beta_k=beta, gap=gap)
+
+
+def correlator_hadamard_unfused(
+    ham, psi_system, dt: float, m: int, shots: int = 0, order: int = 2, alpha: float = 1.0, seed: int = 0
+) -> CorrelatorSeries:
+    """The Hadamard-test loop as it ran before gate fusion: the compiled step,
+    gate by gate, m-1 times on the full state, with the same sub-step count,
+    work-qubit check and draw order as spectro.correlator_hadamard, the
+    readout the fused one is checked against."""
+    n_total = ham.n + 2
+    n_sub = max(1, math.ceil(ham.gershgorin_bound() / alpha * dt))
+    step = controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha)
+    rng = np.random.default_rng(seed)
+    sysdim = 1 << ham.n
+    state = np.zeros(1 << n_total, dtype=complex)
+    branches = state.reshape(2, 2, sysdim)
+    branches[:, 0, :] = np.asarray(psi_system, dtype=complex) / math.sqrt(2)
+    vals = np.zeros(m, dtype=complex)
+    c = 1.0 + 0.0j
+    for k in range(m):
+        if k:
+            state = simulate(step, state)
+            branches = state.reshape(2, 2, sysdim)
+            if np.linalg.norm(branches[:, 1, :]) > 1e-9:
+                raise RuntimeError(f"work qubit left |0> after controlled step {k}")
+            c = 2 * np.vdot(branches[0, 0], branches[1, 0])
+        ps = [min(max((1 + part) / 2, 0.0), 1.0) for part in (c.real, c.imag)]
+        if shots > 0:
+            ps = [rng.binomial(shots, p) / shots for p in ps]
+        vals[k] = (2 * ps[0] - 1) + 1j * (2 * ps[1] - 1)
+    return CorrelatorSeries(dt=dt, values=vals, shots=shots, alpha_scale=alpha)

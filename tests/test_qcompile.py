@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from topospec.errors import CompileConfigError, ResourceLimitError
 from topospec.qcompile import (
+    FUSE_WIDTH,
     Circuit,
     Gate,
     baseline_qpe_cost,
     compile_term,
     controlled_evolution,
+    fuse,
     gray_sequence,
     schedule_gray,
     simulate,
@@ -329,6 +331,102 @@ def test_simulate_bitwise_equal_to_index_masks_on_compiled_circuits():
     state = rng.normal(size=1 << circ.n_qubits) + 1j * rng.normal(size=1 << circ.n_qubits)
     out = simulate(circ, state)
     assert np.array_equal(out.view(np.uint64), _simulate_by_index_masks(circ, state).view(np.uint64))
+
+
+def _width(g):
+    return len(g.qubits) if g.kind == "U" else 1 + len(g.controls)
+
+
+@st.composite
+def _fusable_circuits(draw):
+    """2-8 qubits, every gate kind, MCX gates up to n qubits wide (so wider
+    than FUSE_WIDTH from 6 qubits on) and runs cut short by them."""
+    n = draw(st.integers(2, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["H", "X", "SDG", "RX", "RZ", "CNOT", "MCX", "CRZ"]))
+        qs = draw(st.permutations(range(n)))
+        theta = draw(st.floats(-2 * math.pi, 2 * math.pi))
+        if kind in ("H", "X", "SDG"):
+            gates.append(Gate(kind, qs[0]))
+        elif kind in ("RX", "RZ"):
+            gates.append(Gate(kind, qs[0], theta=theta))
+        elif kind == "CNOT":
+            gates.append(Gate(kind, qs[0], controls=((qs[1], 1),)))
+        else:
+            k = draw(st.integers(1, n - 1 if kind == "MCX" else min(n - 1, 2)))
+            pols = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+            gates.append(
+                Gate(kind, qs[0], theta=theta if kind == "CRZ" else None, controls=tuple(zip(qs[1 : k + 1], pols)))
+            )
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circ=_fusable_circuits(), seed=st.integers(0, 10_000), batch=st.integers(1, 3))
+def test_fused_circuit_is_the_gate_by_gate_simulation(circ, seed, batch):
+    rng = np.random.default_rng(seed)
+    dim = 1 << circ.n_qubits
+    states = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    fused = fuse(circ)
+    assert len(fused.gates) <= len(circ.gates)
+    assert all(_width(g) <= FUSE_WIDTH for g in fused.gates if g.kind == "U")
+    # gates wider than a block are kept, in order
+    wide = [g for g in circ.gates if _width(g) > FUSE_WIDTH]
+    assert [g for g in fused.gates if _width(g) > FUSE_WIDTH] == wide
+    # every gate left unfused is wide or stood alone in its run
+    assert all(g in circ.gates for g in fused.gates if g.kind != "U")
+    expect = simulate(circ, states)
+    assert np.abs(simulate(fused, states) - expect).max(initial=0.0) <= 1e-12
+    assert np.abs(simulate(fuse(fused), states) - expect).max(initial=0.0) <= 1e-12
+    # a batch is evolved row by row: each row bit for bit its single-state call
+    for c in (circ, fused):
+        out = simulate(c, states)
+        assert out.shape == states.shape
+        for row, state in zip(out, states):
+            assert np.array_equal(row.view(np.uint64), simulate(c, state).view(np.uint64))
+
+
+def test_fuse_keeps_single_gate_runs_and_wide_gates():
+    wide = Gate("MCX", 7, controls=tuple((q, 1) for q in range(6)))
+    circ = Circuit(
+        8,
+        (
+            Gate("H", 0),
+            Gate("CNOT", 1, controls=((0, 1),)),
+            wide,
+            Gate("X", 3),  # alone between two wide gates
+            wide,
+            Gate("RZ", 2, theta=0.3),
+            Gate("RX", 2, theta=0.7),
+            Gate("CRZ", 2, theta=1.1, controls=((3, 0),)),
+        ),
+    )
+    fused = fuse(circ)
+    assert [g.kind for g in fused.gates] == ["U", "MCX", "X", "MCX", "U"]
+    assert [g.qubits for g in fused.gates] == [(0, 1), (), (), (), (2, 3)]
+    first = fused.gates[0].matrix
+    expect = circuit_unitary(Circuit(2, circ.gates[:2]))
+    assert first.shape == (4, 4) and np.abs(first - expect).max() < 1e-15
+
+
+def test_fused_circuits_have_no_two_qubit_cost():
+    rng = np.random.default_rng(8)
+    circ = controlled_evolution(random_pauli_ham(rng, 3, 4), 0.5, order=2, steps=2)
+    assert circ.two_qubit_count() > 0
+    # a U block hides its gates, so counting it as 0 would undercount the circuit
+    with pytest.raises(ValueError, match="fused U block"):
+        fuse(circ).two_qubit_count()
+
+
+def test_simulate_checks_the_amplitude_axis():
+    circ = Circuit(2, (Gate("H", 0),))
+    # four rows of two amplitudes: as long as a 2-qubit state, but not one
+    with pytest.raises(ValueError, match="state dimension"):
+        simulate(circ, np.ones((4, 2), dtype=complex))
+    rows = np.eye(4, dtype=complex)[:3]
+    assert np.array_equal(simulate(circ, rows), np.stack([simulate(circ, r) for r in rows]))
 
 
 def test_compiled_fidelity_with_enough_steps():

@@ -11,13 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topospec import cli, persistence, spectro
 from topospec.hodge import laplacian_k
-from topospec.probe import uniform_edge_state
-from topospec.susy import PauliHamiltonian, onehot_hamiltonian
+from topospec.probe import dicke_state, dicke_weights, uniform_edge_state, w_state_vector
+from topospec.susy import PauliHamiltonian, onehot_hamiltonian, susy_hamiltonian
 from topospec.sweep import _pipeline_stage, _resolve_tau, run_sweep
-from helpers import graph_from_edges
+from helpers import correlator_hadamard_unfused, graph_from_edges
 from test_cli import write_fast_config
 from test_pipeline import FAST, ROOT, artifact_digests
 
@@ -47,11 +49,13 @@ GOLDEN = {
         "fivepoint_spectrum_eps0.9.csv": "bb02f244de13c8da32819daaabbb989ab255b5f85bb4c8c5e03675e6034fca1f",
         "fivepoint_spectrum_eps1.0.csv": "2590e3c760bbdd263f090e7f233430988018d578a2276cb6302cbefadfee72d6",
     },
+    # re-pinned when the Hadamard step began running as fused blocks: max |dC|
+    # 4.2e-14 against the gate-by-gate loop (test below)
     "hadamard_shots0": {
-        "qpe_correlator_rho28.0.csv": "453f24dc35f3ce2971b3f5680960d6615f5e4ac95dc7d2ec6da7c2b4d28bad88",
-        "qpe_estimate_rho28.0.json": "2b6aedf2f6025553aa5f7102b736d3f248d4a3dedfb84cbc5bd1c2beca1f484c",
+        "qpe_correlator_rho28.0.csv": "613e4c0425039f3f7a72fb0220b1af541b77040018490a7b1c8d8587a51c9ebd",
+        "qpe_estimate_rho28.0.json": "41397f780d85c5f665297b00b143132a1bd731ba76419dede634510ba66ffbc0",
         "qpe_probe_rho28.0.csv": "7a1efc1218bb9a4fd5abf2a56b2a8f1ec3dd13e79491ab92ffd6d8c925d4582f",
-        "qpe_spectrum_rho28.0.csv": "5ff0c8bd405f6a1eb8da41e3c8622aea856b48b98d74fac838d3a17da9b84d07",
+        "qpe_spectrum_rho28.0.csv": "b0a1718df518f43c3b3ab441f572042c2401673463c369253de6bfa07a6b761a",
     },
     "hadamard_shots200": {
         "qpe_correlator_rho28.0.csv": "16312f597f1cc18fdd09f01d7f63cb1282cbffaf453e83cd01c419702f390bf7",
@@ -73,17 +77,20 @@ GOLDEN = {
         "qpe_probe_rho28.0.csv": "a211661064fb776ccd11cdb67896ad7e16ea266ef140ac93e4ab7ef002a61db9",
         "qpe_spectrum_rho28.0.csv": "c32510c1514f6ae98cc0a84ca2087a04c474a94baeec07a810c2491208216b90",
     },
+    # re-pinned for the fused step: max |dC| 6.7e-13
     "dicke_hadamard": {
-        "qpe_correlator_rho28.0.csv": "b7f80f3a0a4f8cb9a624edf2b3316bce34a035092478e48b94b501238cec0a5e",
-        "qpe_estimate_rho28.0.json": "9dedb85ab631cee9e3675b77df469bcd445cba2bf43a9038cd3e4bac7d6930fb",
+        "qpe_correlator_rho28.0.csv": "b1452c2a9ba0f3923294179580aa8570e751fc09415e2964f48c999dc76a7356",
+        "qpe_estimate_rho28.0.json": "5aa06e38440e9833bfd903d562e6e15de84e5f35938003caaca0faca1ac05def",
         "qpe_probe_rho28.0.csv": "a211661064fb776ccd11cdb67896ad7e16ea266ef140ac93e4ab7ef002a61db9",
-        "qpe_spectrum_rho28.0.csv": "16c5a7b8e7bc839c5b08250fdc5cfc00b9309b2684a7e04d42381363ff42affc",
+        "qpe_spectrum_rho28.0.csv": "3cde7b4c3bd75e5cdd6eda6947bc06f6a9cde65658ff5dab9c70ae4bd88347bb",
     },
+    # re-pinned for the fused step: max |dC| 5.3e-14 over the three rho, which
+    # moves only the last digits of h_spec (and its smoothed column)
     "sweep_hadamard": {
         "manifest.json": "3794419db91a37370f103b9531f59cc1a06ecdc4318687c2fd66615dedd3e461",
         "sweep_correlations.json": "81111c6615a620acb381a8bde598b7af039e8aa9e940de046f83fcbedbeeb12f",
-        "sweep_records.csv": "acd535542341a915491974e3b4ac906d2f4d8c1ef7f3ea830d8f280f5407b7d8",
-        "sweep_smoothed.csv": "76232e873106f65a7df66b2588467a4dbf2476d4b4e6c03fc99d56b602f4e01a",
+        "sweep_records.csv": "dbed4a8fda4d530c3316b7f73ae94f5379d0fbf110945af459388f471eaa6253",
+        "sweep_smoothed.csv": "d1174a09f21e5e8d0254c2c8dc74bf867a964cedff48f359d1f364e37abd2feb",
     },
 }
 
@@ -107,6 +114,68 @@ def random_l1(rng, n=6):
     edges = edges or [(0, 1)]
     g = graph_from_edges(n, edges)
     return laplacian_k(g.B1, g.B2 if len(g.triangles) else None)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["w_state", "dicke"]), shots=st.sampled_from([0, 0, 50]))
+def test_fused_hadamard_readout_is_the_unfused_loop(seed, kind, shots):
+    # the oracle is the gate-by-gate loop the fused step replaced: at shots 0
+    # the series agree to rounding, and with shots the binomial draws are the
+    # same wherever the drawn part of C is not zero; at p = 1/2 numpy's
+    # binomial switches to drawing n - B(n, 1 - p), so a part that is zero in
+    # exact arithmetic may draw differently on either side of its rounding
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6] or [(0, 1)]
+    g = graph_from_edges(n, edges)
+    dt, m = 0.25, 24
+    if kind == "w_state":
+        ham = onehot_hamiltonian(laplacian_k(g.B1, g.B2 if len(g.triangles) else None))
+        psi = w_state_vector(len(edges))
+    else:  # the SUSY register, whose predicate MCX gates are wider than a fused block
+        ham = susy_hamiltonian(g)
+        psi = dicke_state(n, dicke_weights(g, 0.5, 0.25)).astype(complex)
+    alpha = spectro._placed_alpha(ham.gershgorin_bound(), dt)
+    fused = spectro.correlator_hadamard(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
+    ref = correlator_hadamard_unfused(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
+    if shots:
+        exact = correlator_hadamard_unfused(ham, psi, dt, m, alpha=alpha).values
+        for part in (np.real, np.imag):
+            settled = np.abs(part(exact)) > 1e-12
+            assert settled.sum() >= m // 2
+            assert np.array_equal(part(fused.values)[settled], part(ref.values)[settled])
+    else:
+        assert np.abs(fused.values - ref.values).max() <= 1e-12
+
+
+def _correlator_csv(out: Path) -> np.ndarray:
+    rows = np.loadtxt(out / "qpe_correlator_rho28.0.csv", delimiter=",", skiprows=1)
+    return rows[:, 1] + 1j * rows[:, 2]
+
+
+@pytest.mark.parametrize("name", ["hadamard_shots0", "hadamard_shots200", "dicke_hadamard"])
+def test_pinned_hadamard_qpe_runs_read_what_the_unfused_loop_reads(tmp_path, monkeypatch, name):
+    argv, extra = RUNS[name]
+    fused = run_cli(tmp_path / "fused", argv, extra)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectro, "correlator_hadamard", lambda *a, sizes=None, **kw: correlator_hadamard_unfused(*a, **kw))
+        unfused = run_cli(tmp_path / "unfused", argv, extra)
+    name_csv = "qpe_correlator_rho28.0.csv"
+    if "--shots" in argv:
+        assert (fused / name_csv).read_bytes() == (unfused / name_csv).read_bytes()
+    else:
+        assert np.abs(_correlator_csv(fused) - _correlator_csv(unfused)).max() <= 1e-12
+
+
+def test_hadamard_sweep_records_its_circuit_sizes():
+    from test_sweep import TINY_HADAMARD
+
+    rec = run_sweep([38.0], TINY_HADAMARD)[0][0]
+    assert rec.failed_stage is None
+    sizes = rec.sizes
+    assert sizes["qubits"] == sizes["edges"] + 2
+    assert sizes["trotter_substeps"] >= 1
+    assert 0 < sizes["fused_step_gates"] < sizes["step_gates"]
 
 
 def test_calibrated_alpha_reproduces_the_per_command_rules():
@@ -168,9 +237,9 @@ def test_sweep_qpe_and_fivepoint_share_the_edge_readout(tmp_path, monkeypatch):
     calls = []
     readout = spectro.edge_readout
 
-    def spy(l1, dt, m, alpha, mode="exact", shots=0, seed=0):
+    def spy(l1, dt, m, alpha, mode="exact", shots=0, seed=0, sizes=None):
         calls.append((l1.shape[0], mode, shots, seed))
-        return readout(l1, dt, m, alpha, mode, shots, seed)
+        return readout(l1, dt, m, alpha, mode, shots, seed, sizes)
 
     monkeypatch.setattr(spectro, "edge_readout", spy)
     run_cli(tmp_path / "five", ["validate-fivepoint"])
