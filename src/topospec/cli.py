@@ -32,7 +32,7 @@ class RunConfig:
     run.shots are held by ``sweep`` as its readout mode and shots."""
 
     seed: int = 0
-    out: str = "runs/out"
+    out: Path = Path("runs/out")
     sweep: SweepConfig = field(default_factory=SweepConfig)
     probe_spec: probe.ProbeSpec = field(default_factory=probe.ProbeSpec)
 
@@ -118,7 +118,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     sweep_kv.setdefault("seed", seed)
     return RunConfig(
         seed=seed,
-        out=str(run_kv.get("out", "runs/out")),
+        out=Path(str(run_kv.get("out", "runs/out"))),
         sweep=SweepConfig(**sweep_kv, mode=run_kv.get("mode", "exact"), shots=_run_count(run_kv, "shots")),
         probe_spec=probe.ProbeSpec(**kv["probe"]),
     )
@@ -135,6 +135,13 @@ def _stamped(digest: str, **fields) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _write_readout(out: Path, prefix: str, tag: str, series: spectro.CorrelatorSeries) -> None:
+    """A correlator series and its (omega, power) periodogram, as
+    ``<prefix>_correlator_<tag>.csv`` and ``<prefix>_spectrum_<tag>.csv``."""
+    series.to_csv(out / f"{prefix}_correlator_{tag}.csv")
+    write_csv(out / f"{prefix}_spectrum_{tag}.csv", ("omega", "power"), zip(*spectro.periodogram(series)))
+
+
 def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     """Run the committed five-point fixture across its three radii; assert the
     Betti sequence and the radius-0.8 gap against the classical eigenvalues.
@@ -145,7 +152,6 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
         raise ConfigError(
             f"validate-fivepoint reads the fixture exactly; run.mode = {cfg.sweep.mode} is not supported"
         )
-    out = Path(cfg.out)
     digest = cfg.digest()
     dt, m = 0.25, 256
     laps = FiltrationLaplacians(persistence.rips_filtration(FIVE_POINT_CLOUD))
@@ -176,14 +182,9 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
                 "pass": bool(gap_ok and beta_ok),
             }
         )
-        write_csv(
-            out / f"fivepoint_spectrum_eps{eps}.csv",
-            ("omega", "power"),
-            zip(*spectro.periodogram(series)),
-        )
-        series.to_csv(out / f"fivepoint_correlator_eps{eps}.csv")
+        _write_readout(cfg.out, "fivepoint", f"eps{eps}", series)
     write_json(
-        out / "fivepoint_report.json",
+        cfg.out / "fivepoint_report.json",
         _stamped(digest, eta=eta, results=results),
     )
     for r in results:
@@ -241,7 +242,7 @@ def _hardware_correlation(records, hardware_csv: str) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None) -> int:
-    out = Path(cfg.out)
+    out = cfg.out
     if not grid:
         print("warning: empty grid, nothing to do")
         write_csv(out / "sweep_records.csv", sweep.SweepRecord.header(), [])
@@ -300,7 +301,6 @@ def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
     in order from the seeded rng and checked in tasks of
     ``BOUND_TASK_CLOUDS`` clouds by ``sweep.pool_map``."""
     rng = np.random.default_rng(cfg.seed)
-    out = Path(cfg.out)
     clouds = [rng.uniform(0, 1, size=(n_points, 3)) for _ in range(n_clouds)]
     starts = range(0, n_clouds, BOUND_TASK_CLOUDS)
     tasks = [(clouds[i : i + BOUND_TASK_CLOUDS],) for i in starts]
@@ -317,9 +317,9 @@ def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
             seconds[name] = seconds.get(name, 0.0) + t
         solves += task_sizes["solves"]
     checked = len(rows)
-    write_csv(out / "bound_check.csv", header, rows)
+    write_csv(cfg.out / "bound_check.csv", header, rows)
     write_json(
-        out / "bound_summary.json",
+        cfg.out / "bound_summary.json",
         _stamped(
             cfg.digest(),
             clouds=n_clouds,
@@ -342,29 +342,28 @@ def cmd_bound_check(cfg: RunConfig, n_clouds: int, n_points: int) -> int:
     return 0 if violations == 0 else 1
 
 
-def _run_to(cfg: RunConfig, rho: float, until: str) -> sweep._StageResult | None:
-    """The shared pipeline at one rho, stopped after stage ``until``; None,
-    with the failure printed, when a stage fails."""
-    stage = sweep._pipeline_stage(rho, cfg.sweep, sweep._resolve_tau([rho], cfg.sweep), until=until)
-    if stage.failed_stage:
-        print(f"pipeline failed at {stage.failed_stage}: {stage.error}")
-        return None
-    return stage
+def cmd_lorenz(cfg: RunConfig, rho: float) -> int:
+    """The trajectory and its Lyapunov exponent at one rho; both are computed
+    before either file is written, so a diverging run leaves neither."""
+    sw = cfg.sweep
+    params = dynamics.LorenzParams(rho=rho)
+    traj = dynamics.integrate(params, sw.x0, sw.dt, sw.t_trans, sw.t_total)
+    lyap = dynamics.lyapunov_max(params, sw.x0, sw.lyap_dt, sw.lyap_t_total, sw.lyap_renorm)
+    traj.to_csv(cfg.out / f"lorenz_rho{rho}.csv")
+    write_json(cfg.out / f"lyapunov_rho{rho}.json", _stamped(cfg.digest(), rho=rho, lambda_max=lyap.lambda_max))
+    print(f"rho={rho}: lambda_max = {lyap.lambda_max:.4f}")
+    return 0
 
 
-def cmd_compile_report(cfg: RunConfig, phase_bits: int = 6, grid_rho: float = 40.0) -> int:
+# the pipeline commands below only write: ``main`` hands each the pipeline's
+# result at its rho, stopped after the stage it is registered with
+
+
+def cmd_compile_report(cfg: RunConfig, stage: sweep._StageResult, phase_bits: int = 6) -> int:
     """Compile-versus-baseline gate accounting on the pipeline's edge-register
-    instance at one rho."""
-    out = Path(cfg.out)
-    stage = _run_to(cfg, grid_rho, "graph")
-    if stage is None:
-        return 1
-    ham = onehot_hamiltonian(stage.l1)
-    stats = baseline_qpe_cost(ham, phase_bits)
-    write_json(
-        out / "compile_report.json",
-        _stamped(cfg.digest(), **asdict(stats)),
-    )
+    instance."""
+    stats = baseline_qpe_cost(onehot_hamiltonian(stage.l1), phase_bits)
+    write_json(cfg.out / "compile_report.json", _stamped(cfg.digest(), **asdict(stats)))
     print(
         f"compiled 2q = {stats.two_qubit_count}, baseline = {stats.baseline_two_qubit_count}, "
         f"ratio = {stats.ratio:.1f}"
@@ -372,87 +371,54 @@ def cmd_compile_report(cfg: RunConfig, phase_bits: int = 6, grid_rho: float = 40
     return 0
 
 
-def cmd_lorenz(cfg: RunConfig, rho: float) -> int:
-    """The trajectory and its Lyapunov exponent at one rho; both are computed
-    before either file is written, so a diverging run leaves neither."""
-    out = Path(cfg.out)
-    sw = cfg.sweep
-    params = dynamics.LorenzParams(rho=rho)
-    traj = dynamics.integrate(params, sw.x0, sw.dt, sw.t_trans, sw.t_total)
-    lyap = dynamics.lyapunov_max(params, sw.x0, sw.lyap_dt, sw.lyap_t_total, sw.lyap_renorm)
-    traj.to_csv(out / f"lorenz_rho{rho}.csv")
-    write_json(out / f"lyapunov_rho{rho}.json", _stamped(cfg.digest(), rho=rho, lambda_max=lyap.lambda_max))
-    print(f"rho={rho}: lambda_max = {lyap.lambda_max:.4f}")
+def cmd_embed(cfg: RunConfig, stage: sweep._StageResult) -> int:
+    stage.cloud.to_csv(cfg.out / f"cloud_rho{stage.rho}.csv")
+    print(f"rho={stage.rho}: tau={stage.tau}, cloud {stage.cloud.n} x {stage.cloud.dim}")
     return 0
 
 
-def cmd_embed(cfg: RunConfig, rho: float) -> int:
-    stage = _run_to(cfg, rho, "cloud")
-    if stage is None:
-        return 1
-    stage.cloud.to_csv(Path(cfg.out) / f"cloud_rho{rho}.csv")
-    print(f"rho={rho}: tau={stage.tau}, cloud {stage.cloud.n} x {stage.cloud.dim}")
+def cmd_ph(cfg: RunConfig, stage: sweep._StageResult) -> int:
+    stage.diagram.to_csv(cfg.out / f"diagram_rho{stage.rho}.csv")
+    print(f"rho={stage.rho}: ell_max_H1 = {stage.ell_max:.4f}")
     return 0
 
 
-def cmd_ph(cfg: RunConfig, rho: float) -> int:
-    stage = _run_to(cfg, rho, "persistence")
-    if stage is None:
-        return 1
-    stage.diagram.to_csv(Path(cfg.out) / f"diagram_rho{rho}.csv")
-    print(f"rho={rho}: ell_max_H1 = {stage.ell_max:.4f}")
+def cmd_select(cfg: RunConfig, stage: sweep._StageResult) -> int:
+    stage.reps.to_json(cfg.out / f"representatives_rho{stage.rho}.json")
+    print(f"rho={stage.rho}: selected {list(stage.reps.indices)}")
     return 0
 
 
-def cmd_select(cfg: RunConfig, rho: float) -> int:
-    stage = _run_to(cfg, rho, "selection")
-    if stage is None:
-        return 1
-    stage.reps.to_json(Path(cfg.out) / f"representatives_rho{rho}.json")
-    print(f"rho={rho}: selected {list(stage.reps.indices)}")
-    return 0
-
-
-def cmd_graph(cfg: RunConfig, rho: float) -> int:
-    out = Path(cfg.out)
-    stage = _run_to(cfg, rho, "graph")
-    if stage is None:
-        return 1
-    stage.graph.to_json(out / f"graph_rho{rho}.json")
-    stage.graph.incidence_to_csv(out / f"b1_rho{rho}.csv", out / f"b2_rho{rho}.csv")
+def cmd_graph(cfg: RunConfig, stage: sweep._StageResult) -> int:
+    out, rho, graph = cfg.out, stage.rho, stage.graph
+    graph.to_json(out / f"graph_rho{rho}.json")
+    graph.incidence_to_csv(out / f"b1_rho{rho}.csv", out / f"b2_rho{rho}.csv")
     print(
-        f"rho={rho}: |V|={stage.graph.n_vertices}, |E|={len(stage.graph.edges)}, "
-        f"|T|={len(stage.graph.triangles)}, beta1={stage.graph.cycle_rank}"
+        f"rho={rho}: |V|={graph.n_vertices}, |E|={len(graph.edges)}, "
+        f"|T|={len(graph.triangles)}, beta1={graph.cycle_rank}"
     )
     return 0
 
 
-def cmd_susy(cfg: RunConfig, rho: float) -> int:
-    out = Path(cfg.out)
-    stage = _run_to(cfg, rho, "graph")
-    if stage is None:
-        return 1
+def cmd_susy(cfg: RunConfig, stage: sweep._StageResult) -> int:
+    rho = stage.rho
     ham = susy_hamiltonian(stage.graph)
-    ham.to_jsonl(out / f"susy_rho{rho}.jsonl")
+    ham.to_jsonl(cfg.out / f"susy_rho{rho}.jsonl")
     rep = verify_block_equivalence(stage.graph, k_max=3)
     write_json(
-        out / f"susy_equivalence_rho{rho}.json",
+        cfg.out / f"susy_equivalence_rho{rho}.json",
         _stamped(cfg.digest(), passed=rep.passed, max_deviation=rep.max_deviation),
     )
     print(f"rho={rho}: {len(ham.terms)} terms, block equivalence {'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1
 
 
-def cmd_qpe(cfg: RunConfig, rho: float) -> int:
+def cmd_qpe(cfg: RunConfig, stage: sweep._StageResult) -> int:
     """Spectroscopy of the rho instance: edge-register Laplacian readout by
     default, or the full SUSY Hamiltonian under a Dicke-weighted probe."""
-    out = Path(cfg.out)
+    out, rho = cfg.out, stage.rho
     sw = cfg.sweep
     spec = cfg.probe_spec
-    stage = _run_to(cfg, rho, "graph")
-    if stage is None:
-        return 1
-
     if spec.kind == "dicke_weighted":
         graph = stage.graph
         weights = probe.dicke_weights(graph, spec.alpha_bias, spec.beta_bias)
@@ -470,8 +436,7 @@ def cmd_qpe(cfg: RunConfig, rho: float) -> int:
         dim = stage.l1.shape[0]
     probe.state_to_csv(out / f"qpe_probe_rho{rho}.csv", psi)
     est = spectro.estimate(series, ensemble_dim=dim, bootstrap=True)
-    series.to_csv(out / f"qpe_correlator_rho{rho}.csv")
-    write_csv(out / f"qpe_spectrum_rho{rho}.csv", ("omega", "power"), zip(*spectro.periodogram(series)))
+    _write_readout(out, "qpe", f"rho{rho}", series)
     write_json(
         out / f"qpe_estimate_rho{rho}.json",
         _stamped(cfg.digest(), probe=probe_kind, mode=sw.mode, **asdict(est)),
@@ -536,7 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="topospec", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each subcommand carries its handler as ``run(cfg, args)``
+    # each subcommand carries its handler as ``run(cfg, args)``; a pipeline
+    # command carries instead the sweep.STAGES stage it stops at as ``until``
+    # and ``write(cfg, stage, args)``, which writes the pipeline's result
     p = sub.add_parser("validate-fivepoint", parents=[common])
     p.add_argument("--eta", type=float, default=0.05)
     p.set_defaults(run=lambda cfg, a: cmd_validate_fivepoint(cfg, eta=a.eta))
@@ -551,14 +518,17 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("compile-report", parents=[common])
     p.add_argument("--phase-bits", type=int, default=6)
     p.add_argument("--rho", type=float, default=40.0)
-    p.set_defaults(run=lambda cfg, a: cmd_compile_report(cfg, a.phase_bits, a.rho))
-    for name, cmd in (
-        ("lorenz", cmd_lorenz), ("embed", cmd_embed), ("ph", cmd_ph), ("select", cmd_select),
-        ("graph", cmd_graph), ("susy", cmd_susy), ("qpe", cmd_qpe),
+    p.set_defaults(until="graph", write=lambda cfg, stage, a: cmd_compile_report(cfg, stage, a.phase_bits))
+    p = sub.add_parser("lorenz", parents=[common])
+    p.add_argument("--rho", type=float, default=28.0)
+    p.set_defaults(run=lambda cfg, a: cmd_lorenz(cfg, a.rho))
+    for name, until, cmd in (
+        ("embed", "cloud", cmd_embed), ("ph", "persistence", cmd_ph), ("select", "selection", cmd_select),
+        ("graph", "graph", cmd_graph), ("susy", "graph", cmd_susy), ("qpe", "graph", cmd_qpe),
     ):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("--rho", type=float, default=28.0)
-        p.set_defaults(run=lambda cfg, a, cmd=cmd: cmd(cfg, a.rho))
+        p.set_defaults(until=until, write=lambda cfg, stage, a, cmd=cmd: cmd(cfg, stage))
 
     args = parser.parse_args(argv)
     opt = vars(args)
@@ -575,7 +545,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        return args.run(cfg, args)
+        if "until" not in opt:
+            return args.run(cfg, args)
+        stage = sweep._pipeline_stage(
+            args.rho, cfg.sweep, sweep._resolve_tau([args.rho], cfg.sweep), until=args.until
+        )
+        if stage.failed_stage:
+            print(f"pipeline failed at {stage.failed_stage}: {stage.error}")
+            return 1
+        return args.write(cfg, stage, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

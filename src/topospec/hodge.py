@@ -191,7 +191,8 @@ class FiltrationLaplacians:
 
 def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Dense p-Laplacian of the complex at radius eps, with its p-simplex
-    basis in lexicographic order."""
+    basis in lexicographic order. No program path calls it; it stays as a
+    perfbench tracer target, which tests/test_tracer_contract.py requires."""
     L, rows = FiltrationLaplacians(filt).laplacian(eps, p)
     return L, [filt.cells[p][r] for r in rows]
 

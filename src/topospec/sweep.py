@@ -288,18 +288,19 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
 def _farthest_point_indices(pts: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Deterministic farthest-point subsample (start at the seed-th index mod N).
 
-    Only the n chosen rows of the distance matrix are ever formed.
+    Only the n chosen rows of the distance matrix are ever formed, each by
+    ``embedding.sq_distances``.
     """
     n_pts = len(pts)
     if n >= n_pts:
         return np.arange(n_pts)
     start = seed % n_pts
     chosen = [start]
-    d_min = np.linalg.norm(pts - pts[start], axis=1)
+    d_min = np.sqrt(embedding.sq_distances(pts, pts[[start]])[:, 0])
     for _ in range(n - 1):
         nxt = int(d_min.argmax())
         chosen.append(nxt)
-        d_min = np.minimum(d_min, np.linalg.norm(pts - pts[nxt], axis=1))
+        d_min = np.minimum(d_min, np.sqrt(embedding.sq_distances(pts, pts[[nxt]])[:, 0]))
     return np.array(sorted(chosen))
 
 

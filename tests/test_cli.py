@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from topospec import cli, dynamics, sweep
-from topospec.errors import ConfigError
+from topospec.errors import ConfigError, IntegrationDivergedError
 from topospec.sweep import SweepConfig
 
 # keys a config file may not set: the readout mode and shots come only from
@@ -359,6 +359,24 @@ def test_stage_commands_produce_artifacts(tmp_path):
     assert cli.main(base + ["qpe", "--rho", "28"]) == 0
     est = json.loads((out / "qpe_estimate_rho28.0.json").read_text())
     assert est["beta1_hat"] >= 1
+
+
+@pytest.mark.parametrize("command", ["embed", "ph", "select", "graph", "susy", "qpe", "compile-report"])
+def test_pipeline_commands_report_a_failed_stage_and_write_nothing(tmp_path, capsys, monkeypatch, command):
+    def diverged(*args, **kwargs):
+        raise IntegrationDivergedError(5)
+
+    monkeypatch.setattr(dynamics, "integrate", diverged)
+    out = tmp_path / "out"
+    argv = ["--config", str(write_fast_config(tmp_path)), "--out", str(out), command, "--rho", "40"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    expect = (
+        "pipeline failed at dynamics: "
+        "IntegrationDivergedError: integration diverged (non-finite state) at step 5"
+    )
+    assert captured.out.splitlines() == [expect] and captured.err == ""
+    assert not out.exists() or not any(out.rglob("*"))
 
 
 def test_lorenz_writes_nothing_when_the_lyapunov_run_diverges(tmp_path, capsys):
