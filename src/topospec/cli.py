@@ -156,7 +156,7 @@ def cmd_validate_fivepoint(cfg: RunConfig, eta: float = 0.05) -> int:
     dt, m = 0.25, 256
     laps = FiltrationLaplacians(persistence.rips_filtration(FIVE_POINT_CLOUD))
     l1s = [laps.laplacian(eps, 1)[0] for eps in FIVE_POINT_RADII]
-    alpha = max(1.0, spectro.calibrated_alpha(l1s, dt))
+    alpha = spectro.calibrated_alpha(l1s, dt)
     results = []
     all_pass = True
     for eps, beta_expect, l1 in zip(FIVE_POINT_RADII, FIVE_POINT_BETTI1, l1s):
@@ -547,9 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "until" not in opt:
             return args.run(cfg, args)
-        stage = sweep._pipeline_stage(
-            args.rho, cfg.sweep, sweep._resolve_tau([args.rho], cfg.sweep), until=args.until
-        )
+        stage = sweep._pipeline_stage(args.rho, cfg.sweep, until=args.until)
         if stage.failed_stage:
             print(f"pipeline failed at {stage.failed_stage}: {stage.error}")
             return 1

@@ -65,8 +65,8 @@ class SweepConfig:
     t_total: float = 170.0
     x0: tuple[float, float, float] = (1.0, 1.0, 1.0)
     observable: str = "x"
-    # embedding (frozen across rho; tau=None resolves once on the first point;
-    # the default pins the canonical-regime mutual-information choice)
+    # embedding (frozen across rho; None = chosen by the dynamics stage, on a
+    # sweep's first point; the default pins the canonical-regime choice)
     tau: int | None = 15
     m: int = 3
     cloud_stride: int | None = None  # defaults to tau
@@ -185,7 +185,7 @@ EXPECTED_ERRORS = (TopospecError, ValueError, np.linalg.LinAlgError)
 @dataclass
 class _StageResult:
     rho: float
-    tau: int
+    tau: int | None = None  # set by the dynamics stage
     # the cloud, diagram and representatives are kept only by a run that
     # stops at their stage
     cloud: embedding.PointCloud | None = None
@@ -212,9 +212,10 @@ def _timed(seconds: dict[str, float], name: str):
         seconds[name] = time.perf_counter() - t0
 
 
-def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapunov") -> _StageResult:
+def _pipeline_stage(rho: float, cfg: SweepConfig, until: str = "lyapunov") -> _StageResult:
     """Trajectory -> embedding -> persistence -> selection -> graph -> L1 ->
-    Lyapunov exponent, stopped after the stage named by ``until``.
+    Lyapunov exponent, stopped after the stage named by ``until``. A None
+    ``cfg.tau`` is chosen by the dynamics stage (``embedding.choose_tau``).
 
     A sweep keeps one result per rho, so the cloud (with its pairwise
     geometry), the diagram and the representatives are returned only by a
@@ -226,16 +227,17 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, tau: int, until: str = "lyapun
     """
     if until not in STAGES:
         raise ValueError(f"unknown pipeline stage {until!r}; expected one of {STAGES}")
-    res = _StageResult(rho=rho, tau=tau)
+    res = _StageResult(rho=rho)
     try:
         with _timed(res.seconds, "dynamics"):
             params = dynamics.LorenzParams(rho=rho)
             traj = dynamics.integrate(params, cfg.x0, cfg.dt, cfg.t_trans, cfg.t_total)
             series = traj.observable(cfg.observable)
+            res.tau = cfg.tau or embedding.choose_tau(series, max_lag=min(100, len(series) // 5)).tau
 
         with _timed(res.seconds, "embedding"):
-            emb = embedding.delay_embed(series, tau, cfg.m)
-            cloud = embedding.PointCloud(emb.points[:: cfg.cloud_stride or tau])
+            emb = embedding.delay_embed(series, res.tau, cfg.m)
+            cloud = embedding.PointCloud(emb.points[:: cfg.cloud_stride or res.tau])
             res.sizes["cloud_points"] = cloud.n
             if until == "cloud":
                 res.cloud = cloud
@@ -304,16 +306,6 @@ def _farthest_point_indices(pts: np.ndarray, n: int, seed: int) -> np.ndarray:
     return np.array(sorted(chosen))
 
 
-def _resolve_tau(grid: list[float], cfg: SweepConfig) -> int:
-    if cfg.tau is not None:
-        return cfg.tau
-    params = dynamics.LorenzParams(rho=grid[0])
-    traj = dynamics.integrate(params, cfg.x0, cfg.dt, cfg.t_trans, cfg.t_total)
-    series = traj.observable(cfg.observable)
-    choice = embedding.choose_tau(series, max_lag=min(100, len(series) // 5))
-    return choice.tau
-
-
 def pool_workers(n_tasks: int) -> int:
     """Worker processes ``pool_map`` runs n_tasks on: one per available CPU,
     at most one per task."""
@@ -349,11 +341,11 @@ def pool_map(fn, tasks: list[tuple]) -> list:
     return results
 
 
-def _stage_job(rho: float, cfg: SweepConfig, tau: int) -> _StageResult:
+def _stage_job(rho: float, cfg: SweepConfig) -> _StageResult:
     """One full pipeline run, as the sweep maps it over the grid. The name
     ``_pipeline_stage`` is looked up at call time, so a rebinding of it (a
     tracer's wrapper, a test's stub) reaches forked workers too."""
-    return _pipeline_stage(rho, cfg, tau)
+    return _pipeline_stage(rho, cfg)
 
 
 def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], dict]:
@@ -366,7 +358,8 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     (or one point) they run in this process. The records are bit-identical
     to a one-core run. The spectral readout then runs here, with one alpha
     calibrated over every L1. A programming error in a worker propagates
-    with its type and message.
+    with its type and message. A None tau is chosen on the first point, run
+    here, and frozen across rho; a first flow that fails raises TopospecError.
 
     A stage failure marks the record, which keeps every diagnostic computed
     before the failure, and the sweep continues. Identical configs
@@ -383,8 +376,12 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
     if len(grid) >= 3 and not (spacing[0] > 0 and np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0)):
         raise ConfigError(f"rho grid {grid} is not evenly spaced; f_curvature needs a uniform step")
     digest = cfg.digest()
-    tau = _resolve_tau(grid, cfg)
-    stages = pool_map(_stage_job, [(rho, cfg, tau) for rho in grid])
+    if cfg.tau is None:  # chosen on the first point, then frozen across rho
+        first = _pipeline_stage(grid[0], cfg, until="cloud")
+        if first.tau is None:
+            raise TopospecError(f"rho={grid[0]}: pipeline failed at {first.failed_stage}: {first.error}")
+        cfg = replace(cfg, tau=first.tau)
+    stages = pool_map(_stage_job, [(rho, cfg) for rho in grid])
 
     alpha = cfg.alpha_scale
     if alpha is None:  # one calibration for the whole sweep

@@ -198,9 +198,9 @@ def _anc1_block(circ, dim):
 
 def _pipeline_graph(rho=40.0):
     cfg = SweepConfig()
-    from topospec.sweep import _pipeline_stage, _resolve_tau
+    from topospec.sweep import _pipeline_stage
 
-    stage = _pipeline_stage(rho, cfg, _resolve_tau([rho], cfg))
+    stage = _pipeline_stage(rho, cfg)
     assert stage.graph is not None
     return stage
 

@@ -361,14 +361,22 @@ def test_stage_commands_produce_artifacts(tmp_path):
     assert est["beta1_hat"] >= 1
 
 
-@pytest.mark.parametrize("command", ["embed", "ph", "select", "graph", "susy", "qpe", "compile-report"])
-def test_pipeline_commands_report_a_failed_stage_and_write_nothing(tmp_path, capsys, monkeypatch, command):
+PIPELINE_COMMANDS = ("embed", "ph", "select", "graph", "susy", "qpe", "compile-report")
+
+
+# with the delay unset, it is chosen inside the failing dynamics stage
+@pytest.mark.parametrize(
+    "command, extra",
+    [pytest.param(c, "", id=c) for c in PIPELINE_COMMANDS]
+    + [pytest.param(c, "sweep.tau = none\n", id=f"{c}-tau-none") for c in PIPELINE_COMMANDS],
+)
+def test_pipeline_commands_report_a_failed_stage_and_write_nothing(tmp_path, capsys, monkeypatch, command, extra):
     def diverged(*args, **kwargs):
         raise IntegrationDivergedError(5)
 
     monkeypatch.setattr(dynamics, "integrate", diverged)
     out = tmp_path / "out"
-    argv = ["--config", str(write_fast_config(tmp_path)), "--out", str(out), command, "--rho", "40"]
+    argv = ["--config", str(write_fast_config(tmp_path, extra)), "--out", str(out), command, "--rho", "40"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     expect = (
@@ -376,6 +384,76 @@ def test_pipeline_commands_report_a_failed_stage_and_write_nothing(tmp_path, cap
         "IntegrationDivergedError: integration diverged (non-finite state) at step 5"
     )
     assert captured.out.splitlines() == [expect] and captured.err == ""
+    assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_a_chosen_delay_costs_no_second_flow(tmp_path, capsys, monkeypatch):
+    flows = []
+    integrate = dynamics.integrate
+
+    def counted(*args, **kwargs):
+        flows.append(args[0].rho)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+
+    def embed(name: str, tau) -> bytes:
+        out = tmp_path / name
+        out.mkdir()
+        cfg = write_fast_config(out, f"sweep.tau = {tau}\n")
+        assert cli.main(["--config", str(cfg), "--out", str(out), "embed", "--rho", "40"]) == 0
+        return (out / "cloud_rho40.0.csv").read_bytes()
+
+    chosen = embed("chosen", "none")
+    assert flows == [40.0]
+    tau = int(capsys.readouterr().out.split("tau=")[1].split(",")[0])
+    assert embed("set", tau) == chosen
+
+
+def _records_without_digest(path: Path) -> list[dict]:
+    rows = list(csv.DictReader(path.open()))
+    for row in rows:
+        row.pop("config_digest")
+    return rows
+
+
+def test_a_sweep_chooses_the_delay_once_on_its_first_point(tmp_path, monkeypatch):
+    # one CPU, so every pipeline run of the sweep is seen here
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0})
+    choices = []
+    choose_tau = sweep.embedding.choose_tau
+
+    def counted(series, max_lag):
+        choice = choose_tau(series, max_lag)
+        choices.append(choice.tau)
+        return choice
+
+    monkeypatch.setattr(sweep.embedding, "choose_tau", counted)
+
+    def swept(name: str, tau) -> Path:
+        (tmp_path / name).mkdir()
+        cfg = write_fast_config(tmp_path / name, f"sweep.tau = {tau}\n")
+        out = tmp_path / name / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "36:38:1"]) == 0
+        return out
+
+    chosen = swept("chosen", "none")
+    assert len(choices) == 1
+    pinned = swept("set", choices[0])
+    assert len(choices) == 1
+    assert _records_without_digest(chosen / "sweep_records.csv") == _records_without_digest(
+        pinned / "sweep_records.csv"
+    )
+    for f in ("sweep_smoothed.csv", "sweep_correlations.json"):
+        assert (chosen / f).read_bytes() == (pinned / f).read_bytes()
+
+
+def test_a_sweep_whose_first_flow_diverges_writes_no_records(tmp_path, capsys):
+    # dt 0.2 passes SweepConfig, but RK4 at rho 40 blows up before a delay is chosen
+    cfg = write_fast_config(tmp_path, "sweep.tau = none\nsweep.dt = 0.2\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "40:42:1"]) == 1
+    assert "pipeline failed at dynamics: IntegrationDivergedError" in capsys.readouterr().err
     assert not out.exists() or not any(out.rglob("*"))
 
 

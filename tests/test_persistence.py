@@ -18,7 +18,7 @@ from topospec.persistence import (
     rips_diagram,
     rips_filtration,
 )
-from topospec.sweep import SweepConfig, _pipeline_stage, _resolve_tau
+from topospec.sweep import SweepConfig, _pipeline_stage
 
 
 def brute_betti(points: np.ndarray, eps: float, dim: int) -> int:
@@ -178,7 +178,7 @@ def rho40_persistence():
     cfg = SweepConfig()
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_rips(mp)
-        stage = _pipeline_stage(40.0, cfg, _resolve_tau([40.0], cfg), until="persistence")
+        stage = _pipeline_stage(40.0, cfg, until="persistence")
     return stage, calls
 
 

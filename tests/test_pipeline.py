@@ -14,7 +14,7 @@ import pytest
 
 from topospec import cli, dynamics, selection
 from topospec.errors import SelectionInfeasibleError
-from topospec.sweep import SweepConfig, _pipeline_stage, _resolve_tau, run_sweep
+from topospec.sweep import SweepConfig, _pipeline_stage, run_sweep
 from test_cli import write_fast_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,7 +93,7 @@ def test_stage_command_artifacts_golden(tmp_path, rho):
 @pytest.mark.parametrize("rho", [28.0, 40.0])
 def test_pipeline_stage_golden(tmp_path, rho):
     sw = cli.load_config(str(write_fast_config(tmp_path))).sweep
-    stage = _pipeline_stage(rho, sw, _resolve_tau([rho], sw))
+    stage = _pipeline_stage(rho, sw)
     assert stage.failed_stage is None
     got = (stage.ell_max, hashlib.sha256(stage.l1.tobytes()).hexdigest(), stage.lambda_max)
     assert got == GOLDEN_STAGE[rho]
@@ -103,21 +103,21 @@ FAST = SweepConfig(t_total=70.0, n_fps=40, m_samples=128, lyap_t_total=120.0)
 
 
 def test_runner_stops_after_the_requested_stage():
-    cloud = _pipeline_stage(28.0, FAST, 15, until="cloud")
+    cloud = _pipeline_stage(28.0, FAST, until="cloud")
     assert cloud.cloud is not None and cloud.diagram is None
-    ph = _pipeline_stage(28.0, FAST, 15, until="persistence")
+    ph = _pipeline_stage(28.0, FAST, until="persistence")
     assert ph.cloud is None and ph.diagram is not None and ph.reps is None
-    sel = _pipeline_stage(28.0, FAST, 15, until="selection")
+    sel = _pipeline_stage(28.0, FAST, until="selection")
     assert sel.diagram is None and sel.reps is not None and sel.graph is None
-    graph = _pipeline_stage(28.0, FAST, 15, until="graph")
+    graph = _pipeline_stage(28.0, FAST, until="graph")
     assert graph.l1 is not None and graph.lambda_max is None
     # a sweep keeps every full result, so they hold no cloud-sized state
-    full = _pipeline_stage(28.0, FAST, 15)
+    full = _pipeline_stage(28.0, FAST)
     assert (full.cloud, full.diagram, full.reps) == (None, None, None)
     assert full.lambda_max is not None
     assert np.array_equal(full.l1, graph.l1) and full.ell_max == ph.ell_max
     with pytest.raises(ValueError, match="unknown pipeline stage"):
-        _pipeline_stage(28.0, FAST, 15, until="spectro")
+        _pipeline_stage(28.0, FAST, until="spectro")
 
 
 def test_stage_commands_never_compute_lyapunov(tmp_path, monkeypatch):
@@ -139,15 +139,14 @@ def test_ph_and_select_use_the_sweep_seed(tmp_path):
     assert cli.main(base + ["select", "--rho", "28"]) == 0
     sw = cli.load_config(str(cfg_path)).sweep
     assert sw.seed == 3
-    tau = _resolve_tau([28.0], sw)
     for seed in (3, 0):
-        stage = _pipeline_stage(28.0, replace(sw, seed=seed), tau, until="persistence")
+        stage = _pipeline_stage(28.0, replace(sw, seed=seed), until="persistence")
         stage.diagram.to_csv(tmp_path / f"diagram_seed{seed}.csv")
     diagram = (out / "diagram_rho28.0.csv").read_bytes()
     assert diagram == (tmp_path / "diagram_seed3.csv").read_bytes()
     assert diagram != (tmp_path / "diagram_seed0.csv").read_bytes()  # the seed matters here
     reps = json.loads((out / "representatives_rho28.0.json").read_text())
-    assert reps["indices"] == list(_pipeline_stage(28.0, sw, tau, until="selection").reps.indices)
+    assert reps["indices"] == list(_pipeline_stage(28.0, sw, until="selection").reps.indices)
     assert reps["config"]["seed"] == 3
 
 
@@ -172,7 +171,7 @@ def test_expected_stage_errors_are_recorded_with_their_message(tmp_path, monkeyp
     assert records[0].failed_stage == "selection"
     assert records[0].error == "SelectionInfeasibleError: no candidate satisfies 2 < nu < 7"
     # the failed row keeps the diagnostics computed before selection
-    ell_max = _pipeline_stage(38.0, FAST, _resolve_tau([38.0], FAST), until="persistence").ell_max
+    ell_max = _pipeline_stage(38.0, FAST, until="persistence").ell_max
     assert ell_max is not None and records[0].ell_max_h1 == ell_max
     cfg = write_fast_config(tmp_path)
     base = ["--config", str(cfg), "--out", str(tmp_path / "out")]

@@ -18,7 +18,7 @@ from topospec import cli, persistence, spectro
 from topospec.hodge import laplacian_k
 from topospec.probe import dicke_state, dicke_weights, uniform_edge_state, w_state_vector
 from topospec.susy import PauliHamiltonian, onehot_hamiltonian, susy_hamiltonian
-from topospec.sweep import _pipeline_stage, _resolve_tau, run_sweep
+from topospec.sweep import _pipeline_stage, run_sweep
 from helpers import correlator_hadamard_unfused, graph_from_edges
 from test_cli import write_fast_config
 from test_pipeline import FAST, ROOT, artifact_digests
@@ -39,15 +39,17 @@ RUNS = {
 
 # oracle: the artifacts as they were when the sweep, qpe and validate-fivepoint
 # each had their own readout and alpha calibration
+# (the fivepoint entries re-pinned when validate-fivepoint dropped its own
+# alpha floor of 1 for the calibrated alpha, 0.497)
 GOLDEN = {
     "fivepoint": {
-        "fivepoint_correlator_eps0.8.csv": "07ec3495134eacf3319d78c36eeac4a528167c98161a9fe6ad38974a34aeeafa",
-        "fivepoint_correlator_eps0.9.csv": "484fbcf8f477308a8949b1664ad162f36e5cb2a105538e227385ad92bb55a8b7",
-        "fivepoint_correlator_eps1.0.csv": "fb363047c4d034008e58cbf75a60b79e5d8cf161302267b7e8ad64f2a1579b7d",
-        "fivepoint_report.json": "d211dc8c161fd597b84557052c4f6161fc600abb4712111c1a67e24f31dea357",
-        "fivepoint_spectrum_eps0.8.csv": "27b0fd4fe8b1e9cfb6ef0801af32bf3583190eb39c0332a5a42a032f25e20bcd",
-        "fivepoint_spectrum_eps0.9.csv": "bb02f244de13c8da32819daaabbb989ab255b5f85bb4c8c5e03675e6034fca1f",
-        "fivepoint_spectrum_eps1.0.csv": "2590e3c760bbdd263f090e7f233430988018d578a2276cb6302cbefadfee72d6",
+        "fivepoint_correlator_eps0.8.csv": "5916c0ac2bce000757c8c520d03eea1302dd3511126c8566eab87819e273f893",
+        "fivepoint_correlator_eps0.9.csv": "ca57ed144920e15255fdecfb7efe5930109f6c83107fabe273dd3ed036b7c76b",
+        "fivepoint_correlator_eps1.0.csv": "f24dfe95d62effc76f21c9d6b8616bc3183088fdf3d5d61e621b2c93da0dfa2f",
+        "fivepoint_report.json": "1f8e0cceb6f297f89588a405c911bb713e92a24088140d88161169cf82108cad",
+        "fivepoint_spectrum_eps0.8.csv": "3f499c60171f43a59d966c8f83fb73c38a01205c6ee93fc334b4229c66da033b",
+        "fivepoint_spectrum_eps0.9.csv": "edc0039b8c2d30c6fddad9ff28b874f79443a867e31b5604471d8fc26f562562",
+        "fivepoint_spectrum_eps1.0.csv": "8eec8bd4420e0dcfd61aa915cbf7ab3eec63e3e6ae1feb011dd4c0a652e39cc3",
     },
     # re-pinned when the Hadamard step began running as fused blocks: max |dC|
     # 4.2e-14 against the gate-by-gate loop (test below)
@@ -280,7 +282,7 @@ def test_qpe_draws_its_readout_with_the_sweep_seed(tmp_path):
     out = run_cli(tmp_path, ["--mode", "hadamard", "--shots", "200", "qpe", "--rho", "28"], extra)
     sw = cli.load_config(str(tmp_path / "run.cfg"), {"mode": "hadamard", "shots": 200}).sweep
     assert (sw.seed, sw.mode, sw.shots) == (3, "hadamard", 200)
-    l1 = _pipeline_stage(28.0, sw, _resolve_tau([28.0], sw), until="graph").l1
+    l1 = _pipeline_stage(28.0, sw, until="graph").l1
     alpha = spectro.calibrated_alpha([l1], sw.dt_corr, "hadamard")
     for seed in (3, 0):
         series = spectro.edge_readout(l1, sw.dt_corr, sw.m_samples, alpha, "hadamard", 200, seed)[0]

@@ -504,8 +504,8 @@ def test_default_clouds_keep_their_topological_picks():
 
     cfg = SweepConfig()
     for rho in (36.0, 40.0):
-        cloud = _pipeline_stage(rho, cfg, 15, until="cloud").cloud
-        diag = _pipeline_stage(rho, cfg, 15, until="persistence").diagram
+        cloud = _pipeline_stage(rho, cfg, until="cloud").cloud
+        diag = _pipeline_stage(rho, cfg, until="persistence").diagram
         weights = density_weights(cloud, cfg.alpha_sel)
         cand, _ = candidate_set(cloud, diag)
         angles = circular_coordinates(cloud.points, cand)

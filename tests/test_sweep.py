@@ -448,9 +448,9 @@ def _swept(monkeypatch, cpus: int):
         l1s.extend(mats)
         return calibrate(mats, *args)
 
-    def pipeline_stage(rho, cfg, tau):
+    def pipeline_stage(rho, cfg):
         here.append(rho)  # a forked worker appends to its own copy
-        return stage(rho, cfg, tau)
+        return stage(rho, cfg)
 
     with monkeypatch.context() as mp:
         _cpus(mp, cpus)
@@ -478,8 +478,7 @@ def test_pooled_sweep_is_bitwise_the_serial_loop(monkeypatch):
     # the oracle: the plain loop over the grid in this process
     with monkeypatch.context() as mp:
         _diverging_at_38(mp)
-        tau = sweep._resolve_tau(GRID, FAST)
-        loop = [sweep._pipeline_stage(rho, FAST, tau) for rho in GRID]
+        loop = [sweep._pipeline_stage(rho, FAST) for rho in GRID]
     assert [m.tobytes() for m in pooled_l1s] == [st.l1.tobytes() for st in loop]
     assert [(r.rho, _hexed(r.ell_max_h1), _hexed(r.lambda_max), r.failed_stage, r.error) for r in pooled] == [
         (st.rho, _hexed(st.ell_max), _hexed(st.lambda_max), st.failed_stage, st.error) for st in loop
@@ -500,7 +499,7 @@ def test_pooled_sweep_is_bitwise_the_serial_loop(monkeypatch):
 def test_sweep_worker_errors_propagate_and_no_worker_outlives_the_call(monkeypatch):
     _cpus(monkeypatch, 4)
 
-    def broken(rho, cfg, tau):
+    def broken(rho, cfg):
         raise RuntimeError(f"deliberate bug at rho {rho}")
 
     monkeypatch.setattr(sweep, "_pipeline_stage", broken)

@@ -58,8 +58,8 @@ def test_correlation_report_patch_reaches_the_call_in_run_sweep(tracer, monkeypa
         calls.append(args)
         return real(*args, **kwargs)
 
-    def failed(rho, cfg, tau):
-        return sweep._StageResult(rho=rho, tau=tau, failed_stage="dynamics", error="stub")
+    def failed(rho, cfg):
+        return sweep._StageResult(rho=rho, failed_stage="dynamics", error="stub")
 
     monkeypatch.setattr(sweep, "_pipeline_stage", failed)
     tracer._rebind(real, spy)
