@@ -13,12 +13,56 @@ from .serialize import write_csv
 MI_BINS = 32  # equal-width bins for the auto-mutual-information histogram
 MI_FLAT_REL = 0.02  # MI moves below this fraction of the curve range are flat
 MI_FLOOR = 0.05  # lag-1 mutual information below which a series has no usable dependence
+PAIRWISE_LANES = 8  # numpy's pairwise sum: partial sums it keeps in a block
+PAIRWISE_BLOCK = 128  # numpy's pairwise sum: longest run summed without splitting
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and the rows of b."""
-    diff = a[:, None, :] - b[None, :, :]
-    return (diff**2).sum(axis=-1)
+    """Squared Euclidean distances between the rows of a and the rows of b.
+
+    Built one coordinate at a time, so no (len(a), len(b), m) array is ever
+    formed; the column squares are added in the order of numpy's pairwise
+    sum, so the result is bit for bit ``((a[:, None] - b[None]) ** 2).sum(-1)``
+    for every m.
+    """
+    return _column_sum(a, b, range(a.shape[1]))
+
+
+def _column_sum(a: np.ndarray, b: np.ndarray, cols: range) -> np.ndarray:
+    """Sum over k in cols of the squared outer differences of column k, in
+    numpy's pairwise order: fewer than 8 columns in sequence; up to 128 in 8
+    running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), the rest in
+    sequence; more split in two, the first part a multiple of 8."""
+    n = len(cols)
+    if n > PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % PAIRWISE_LANES
+        out = _column_sum(a, b, cols[:half])
+        out += _column_sum(a, b, cols[half:])
+        return out
+    if n == 0:
+        return np.zeros((len(a), len(b)))
+    lanes = PAIRWISE_LANES if n >= PAIRWISE_LANES else 1
+    body = n - n % lanes
+    sums = [_sq_column(a, b, k) for k in cols[:lanes]]
+    sq = None  # one scratch matrix, reused for every later column
+    for i in range(lanes, body):
+        sq = _sq_column(a, b, cols[i], sq)
+        sums[i % lanes] += sq
+    while len(sums) > 1:  # neighbours pairwise, as the docstring writes it
+        for left, right in zip(sums[::2], sums[1::2]):
+            left += right
+        sums = sums[::2]
+    out = sums[0]
+    for k in cols[body:]:
+        sq = _sq_column(a, b, k, sq)
+        out += sq
+    return out
+
+
+def _sq_column(a: np.ndarray, b: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(a[i, k] - b[j, k])**2 over every (i, j), into out when given."""
+    diff = np.subtract.outer(a[:, k], b[:, k], out=out)
+    return np.multiply(diff, diff, out=diff)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -31,7 +75,9 @@ class PointCloud:
     """N x m matrix of embedded points; the metric is Euclidean throughout.
 
     The pairwise geometry is computed on first use and shared by every
-    consumer of the same cloud.
+    consumer of the same cloud. Exactly two N x N float64 matrices are
+    cached, d2 and the distances (16 MB at N = 998); no stage allocates an
+    N x N x m array.
     """
 
     points: np.ndarray

@@ -121,7 +121,7 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
     return Filtration(cells=tuple(cells), radii=tuple(radii))
 
 
-def rips_diagram(cloud: PointCloud | np.ndarray) -> PersistenceDiagram:
+def rips_diagram(cloud: PointCloud | np.ndarray, sizes: dict[str, int] | None = None) -> PersistenceDiagram:
     """The diagram of the full Rips filtration, reduced only up to the
     enclosing radius r = min_i max_j d(i, j).
 
@@ -129,12 +129,16 @@ def rips_diagram(cloud: PointCloud | np.ndarray) -> PersistenceDiagram:
     component and no 1-cycles, so every edge longer than r is born and killed
     at its own length (Bauer, "Ripser", 2021). Those edges are added as
     zero-length degree-1 pairs instead of being reduced, and the pairs equal
-    the full complex's. The 1e-12 floor is the full rule's.
+    the full complex's. The 1e-12 floor is the full rule's. When given,
+    ``sizes["simplices"]`` receives the cut complex's simplex count.
     """
     cloud = PointCloud.of(cloud)
     dist = cloud.distances()
     eps_max = max(float(dist.max(axis=1).min()), 1e-12)
-    pairs = compute_persistence(rips_filtration(cloud, eps_max=eps_max)).pairs
+    filt = rips_filtration(cloud, eps_max=eps_max)
+    if sizes is not None:
+        sizes["simplices"] = sum(map(len, filt.cells))
+    pairs = compute_persistence(filt).pairs
     longer = tuple((1, ell, ell) for ell in dist[np.triu_indices(cloud.n, 1)].tolist() if ell > eps_max)
     return PersistenceDiagram(pairs=tuple(sorted(pairs + longer)))
 

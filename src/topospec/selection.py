@@ -61,16 +61,23 @@ class RepresentativeSet:
 
 def density_weights(cloud: PointCloud | np.ndarray, alpha: float) -> np.ndarray:
     """Gaussian-kernel density with bandwidth at the 10th percentile of
-    pairwise distances; weights are rho^(alpha-1), normalized to sum 1."""
+    pairwise distances; weights are rho^(alpha-1), normalized to sum 1.
+
+    Beside the cloud's cached matrices this holds one N x N array: the
+    kernel is negated and exponentiated in place (-(d2/c) is -d2/c exactly),
+    and the quantile may reorder its copy of the upper triangle, since a
+    quantile depends only on the values."""
     cloud = PointCloud.of(cloud)
     n, m = cloud.points.shape
     if n < 2:
         raise ValueError("need at least 2 points")
-    d2 = cloud.d2
-    h = float(np.quantile(cloud.distances()[np.triu_indices(n, k=1)], 0.10))
+    h = float(np.quantile(cloud.distances()[np.triu(np.ones((n, n), bool), 1)], 0.10, overwrite_input=True))
     if h == 0.0:
         raise DegenerateBandwidthError("10th-percentile bandwidth is zero")
-    rho = np.exp(-d2 / (2 * h * h)).sum(axis=1) / (n * h**m)
+    kernel = cloud.d2 / (2 * h * h)
+    np.negative(kernel, out=kernel)
+    np.exp(kernel, out=kernel)
+    rho = kernel.sum(axis=1) / (n * h**m)
     w = rho ** (alpha - 1.0)
     return w / w.sum()
 

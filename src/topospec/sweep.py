@@ -222,8 +222,8 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, until: str = "lyapunov") -> _S
     run that stops at their stage; a full run keeps the graph, L1 and scalars.
     The stage reads pairs only, so its diagram comes from ``rips_diagram``,
     the complex cut at the enclosing radius. Every stage reached is timed
-    into ``seconds``, and ``sizes`` holds the cloud and FPS point counts and
-    the graph's |V|, |E| and |T|.
+    into ``seconds``, and ``sizes`` holds the cloud and FPS point counts, the
+    cut complex's simplex count and the graph's |V|, |E| and |T|.
     """
     if until not in STAGES:
         raise ValueError(f"unknown pipeline stage {until!r}; expected one of {STAGES}")
@@ -247,7 +247,7 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, until: str = "lyapunov") -> _S
             fps_idx = _farthest_point_indices(cloud.points, cfg.n_fps, cfg.seed)
             res.sizes["fps_points"] = len(fps_idx)
             fps = embedding.PointCloud(cloud.points[fps_idx])
-            diag = persistence.rips_diagram(fps)
+            diag = persistence.rips_diagram(fps, res.sizes)
             res.ell_max = persistence.max_h1_persistence(diag)
             if until == "persistence":
                 res.diagram = diag

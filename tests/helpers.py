@@ -56,6 +56,14 @@ def hodge_projectors(
     return P_grad, P_harm, P_curl
 
 
+def sq_distances_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances through one (len(a), len(b), m) difference array,
+    summed by numpy: the formula embedding.sq_distances's column-wise kernel
+    is checked against bit for bit."""
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff**2).sum(axis=-1)
+
+
 def graph_from_edges(n_vertices: int, edges, triangle_mode: str = "all_3_cliques") -> TopoGraph:
     """Graph on abstract vertices from an explicit edge list (coords default
     to a unit circle layout), for hand-made fixtures."""

@@ -243,7 +243,7 @@ def test_sweep_writes_and_resumes(tmp_path, capsys):
         assert set(entry["seconds"]) == {
             "dynamics", "embedding", "persistence", "selection", "graph", "lyapunov", "spectro"
         }
-        assert set(entry["sizes"]) == {"cloud_points", "fps_points", "vertices", "edges", "triangles"}
+        assert set(entry["sizes"]) == {"cloud_points", "fps_points", "simplices", "vertices", "edges", "triangles"}
     # a sub-grid is a different run: alpha and the correlations span the grid
     rc = cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "39"])
     assert rc == 0

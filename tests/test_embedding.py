@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topospec import embedding
@@ -10,6 +10,7 @@ from topospec.embedding import (
     mutual_information,
 )
 from topospec.errors import InsufficientDataError, ZeroVarianceError
+from helpers import sq_distances_broadcast
 
 
 def test_sliding_window_definition():
@@ -51,6 +52,29 @@ def test_scale_invariance_under_normalization(scale):
     rng = np.random.default_rng(7)
     s = rng.normal(size=120)
     assert np.allclose(delay_embed(scale * s, 3, 3).points, delay_embed(s, 3, 3).points, atol=1e-10)
+
+
+@given(
+    m=st.integers(min_value=0, max_value=300),
+    rows=st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# each side of numpy's switches: 8 running sums from 8 columns, halves past 128
+@example(m=7, rows=(4, 5), seed=0)
+@example(m=8, rows=(4, 5), seed=0)
+@example(m=128, rows=(4, 5), seed=0)
+@example(m=129, rows=(4, 5), seed=0)
+@example(m=300, rows=(0, 5), seed=0)
+@example(m=3, rows=(5, 0), seed=0)
+@settings(max_examples=150, deadline=None)
+def test_sq_distances_is_the_broadcast_sum_bit_for_bit(m, rows, seed):
+    rng = np.random.default_rng(seed)
+    # column magnitudes decades apart, so that any other summation order shows
+    scale = 10.0 ** rng.uniform(-4, 4, size=m)
+    a, b = (rng.standard_normal((r, m)) * scale for r in rows)
+    got, want = embedding.sq_distances(a, b), sq_distances_broadcast(a, b)
+    assert got.shape == want.shape == rows and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_tau_sinusoid_quarter_period():

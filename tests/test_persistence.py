@@ -189,12 +189,14 @@ def test_pipeline_diagram_is_the_full_diagram_at_rho_40(rho40_persistence):
 
 
 def test_pipeline_cuts_at_the_enclosing_radius(rho40_persistence):
-    _, calls = rho40_persistence
+    stage, calls = rho40_persistence
     assert len(calls) == 1
     fps, eps_max, filt = calls[0]
     dist = fps.distances()
     assert eps_max == dist.max(axis=1).min() < fps.diameter()
     assert len(filt.cells[1]) < fps.n * (fps.n - 1) // 2
+    # the run's sizes count the cut complex, every simplex of the global order
+    assert stage.sizes["simplices"] == len(filt.simplices)
 
 
 def test_bound_check_and_fivepoint_read_the_full_complex(monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,6 +121,23 @@ def test_runner_stops_after_the_requested_stage():
         _pipeline_stage(28.0, FAST, until="spectro")
 
 
+def test_graph_run_holds_at_most_four_cloud_matrices():
+    # the default rho-40 cloud's pairwise geometry is the run's largest state:
+    # the cloud caches d2 and the distances, and a stage may hold two more
+    # N x N float64 arrays beside them, never an N x N x m difference
+    cfg = SweepConfig()
+    n = _pipeline_stage(40.0, cfg, until="graph").sizes["cloud_points"]  # warms lazy imports
+    tracemalloc.start()
+    try:
+        stage = _pipeline_stage(40.0, cfg, until="graph")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stage.failed_stage is None and stage.sizes["cloud_points"] == n
+    matrix = 8 * n * n
+    assert peak <= 4 * matrix, f"allocation peak {peak / 1e6:.1f} MB is {peak / matrix:.2f} N x N matrices"
+
+
 def test_stage_commands_never_compute_lyapunov(tmp_path, monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("lyapunov_max reached")
@@ -184,7 +202,7 @@ def test_expected_stage_errors_are_recorded_with_their_message(tmp_path, monkeyp
     (entry,) = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert entry["error"] == "SelectionInfeasibleError: no candidate satisfies 2 < nu < 7"
     assert set(entry["seconds"]) == {"dynamics", "embedding", "persistence", "selection"}
-    assert set(entry["sizes"]) == {"cloud_points", "fps_points"}
+    assert set(entry["sizes"]) == {"cloud_points", "fps_points", "simplices"}
 
 
 def test_find_fivepoint_script_runs():

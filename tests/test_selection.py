@@ -26,6 +26,7 @@ from topospec.selection import (
     select_topological,
 )
 from topospec.sweep import SweepConfig
+from helpers import sq_distances_broadcast
 
 
 def ring_cloud(n=200, radius=1.0, seed=0, noise=0.02):
@@ -283,9 +284,9 @@ def ref_knn_graph(pts, knn_k):
 
 
 def ref_density_weights(pts, alpha):
-    cloud = PointCloud.of(pts)
-    n, m = cloud.points.shape
-    d2 = cloud.d2
+    pts = PointCloud.of(pts).points
+    n, m = pts.shape
+    d2 = sq_distances_broadcast(pts, pts)
     h = float(np.quantile(np.sqrt(d2[np.triu_indices(n, k=1)]), 0.10))
     if h == 0.0:
         raise DegenerateBandwidthError("10th-percentile bandwidth is zero")

@@ -489,7 +489,7 @@ def test_pooled_sweep_is_bitwise_the_serial_loop(monkeypatch):
     # each record carries its own telemetry, from whichever process ran it;
     # the failed row has its L1, so it is read out too
     for rec in pooled:
-        assert list(rec.sizes) == ["cloud_points", "fps_points", "vertices", "edges", "triangles"]
+        assert list(rec.sizes) == ["cloud_points", "fps_points", "simplices", "vertices", "edges", "triangles"]
         assert list(rec.seconds) == [
             "dynamics", "embedding", "persistence", "selection", "graph", "lyapunov", "spectro"
         ]
