@@ -402,9 +402,9 @@ def cmd_graph(cfg: RunConfig, stage: sweep._StageResult) -> int:
 
 def cmd_susy(cfg: RunConfig, stage: sweep._StageResult) -> int:
     rho = stage.rho
-    ham = susy_hamiltonian(stage.graph)
-    ham.to_jsonl(cfg.out / f"susy_rho{rho}.jsonl")
     rep = verify_block_equivalence(stage.graph, k_max=3)
+    ham = rep.hamiltonian
+    ham.to_jsonl(cfg.out / f"susy_rho{rho}.jsonl")
     write_json(
         cfg.out / f"susy_equivalence_rho{rho}.json",
         _stamped(cfg.digest(), passed=rep.passed, max_deviation=rep.max_deviation),

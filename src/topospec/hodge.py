@@ -1,13 +1,16 @@
 """Boundary matrices, clique lists, Hodge Laplacians, spectra, and the
 gap-persistence bound checker.
 
-This module is the one owner of the face and sign rule (`boundary_matrix`)
-and of the sum B_k^T B_k + B_{k+1} B_{k+1}^T (`laplacian_k`); topograph's
-incidence matrices and susy's clique Laplacians are built from them.
+Every complex is a ``persistence.Filtration`` (a graph or clique complex is
+one whose radii are all 0), and its faces come from the filtration's face
+table. This module owns the sign rule: ``FiltrationLaplacians`` builds each
+boundary B_d from that table with face i signed (-1)^i, and ``laplacian_k``
+sums B_k^T B_k + B_{k+1} B_{k+1}^T; topograph's incidence matrices and susy's
+clique Laplacians are read off them.
 
-The Laplacians of a filtration's complex at a radius are prefix slices of one
-B1/B2 pair built per filtration (`FiltrationLaplacians`), not rebuilt from
-simplex lists at each radius.
+The Laplacians of a filtration's complex at a radius are prefix slices of the
+boundaries built once per filtration, not rebuilt from simplex lists at each
+radius.
 
 All eigensolves are dense symmetric decompositions; desk-scale complexes stay
 well under a few hundred simplices. ``spectra`` solves a list of matrices
@@ -94,27 +97,8 @@ def spectrum(L: np.ndarray) -> HodgeSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# boundaries, cliques and complexes; the one face and sign rule
+# cliques and the boundaries of a filtration; the one sign rule
 # ---------------------------------------------------------------------------
-
-
-def _faces(simplices: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
-    """Face i of each sorted simplex: vertex i dropped. It enters the
-    boundary with sign (-1)^i."""
-    return [s[:i] + s[i + 1 :] for s in simplices]
-
-
-def boundary_matrix(
-    simp_k: list[tuple[int, ...]], simp_km1: list[tuple[int, ...]]
-) -> np.ndarray:
-    """Signed boundary of k-simplices (all of one dimension) with the
-    orientation induced by sorted vertex order."""
-    idx = {s: r for r, s in enumerate(simp_km1)}
-    B = np.zeros((len(simp_km1), len(simp_k)), dtype=float)
-    cols = np.arange(len(simp_k))
-    for i in range(len(simp_k[0]) if simp_k else 0):
-        B[[idx[face] for face in _faces(simp_k, i)], cols] = (-1.0) ** i
-    return B
 
 
 def cliques(n_vertices: int, edges, size: int) -> list[tuple[int, ...]]:
@@ -128,19 +112,11 @@ def cliques(n_vertices: int, edges, size: int) -> list[tuple[int, ...]]:
     ]
 
 
-def complex_laplacian(cx: dict[int, list[tuple[int, ...]]], p: int) -> np.ndarray:
-    """Dense L_p of a complex given as sorted simplex lists by dimension; a
-    dimension absent from cx has no simplices."""
-    simp_p = cx.get(p, [])
-    if not simp_p:
-        return np.zeros((0, 0))
-    down = boundary_matrix(simp_p, cx[p - 1]) if p >= 1 else None
-    return laplacian_k(down, boundary_matrix(cx.get(p + 1, []), simp_p))
-
-
 class FiltrationLaplacians:
     """The boundaries of one filtration, built once in table order, so the
-    Laplacian of the complex at any radius is a slice of them.
+    Laplacian of the complex at any radius is a slice of them. Column j of
+    B_d holds (-1)^i at the row of face i of the d-cell j (``filt.faces``):
+    the package's one sign rule.
 
     The complex at radius eps is the first ``bisect_right(radii[d], eps)``
     rows of each table. Its L_p is B_p and B_{p+1} cut to those rows and
@@ -155,11 +131,14 @@ class FiltrationLaplacians:
         self.filt = filt
         cells = filt.cells
         # boundaries[d] is B_d, the boundary of the d-cells; the top dimension has no cofaces
-        self.boundaries = (
-            None,
-            *(boundary_matrix(cells[d], cells[d - 1]) for d in range(1, len(cells))),
-            boundary_matrix((), cells[-1]),
-        )
+        self.boundaries = [None]
+        for d in range(1, len(cells)):
+            # an intp index keeps an empty dimension an (n, 0) matrix
+            faces = np.array(filt.faces[d], dtype=np.intp).reshape(-1, d + 1)
+            B = np.zeros((len(cells[d - 1]), len(faces)))
+            B[faces, np.arange(len(faces))[:, None]] = (-1.0) ** np.arange(d + 1)
+            self.boundaries.append(B)
+        self.boundaries.append(np.zeros((len(cells[-1]), 0)))
         self.lex = tuple(
             np.lexsort(np.array(c, dtype=np.intp).reshape(len(c), d + 1).T[::-1]) for d, c in enumerate(cells)
         )

@@ -22,12 +22,16 @@ from .serialize import write_csv
 
 @dataclass(frozen=True)
 class Filtration:
-    """The 2-skeleton as one table per dimension, so the complex at any radius
-    is a prefix of each: ``cells[d]`` holds the sorted vertex tuples of the
-    d-simplices and ``radii[d]`` their appearance radii, both in (radius,
-    lexicographic vertices) order; that order is total, so the pairing
-    computed from it is deterministic. ``faces[d][j]`` are the rows of
-    ``cells[d - 1]`` that are faces of ``cells[d][j]``."""
+    """A simplicial complex of any dimension as one table per dimension, so
+    the complex at any radius is a prefix of each: ``cells[d]`` holds the
+    sorted vertex tuples of the d-simplices and ``radii[d]`` their appearance
+    radii, both in (radius, lexicographic vertices) order; that order is
+    total, so the pairing computed from it is deterministic. A plain complex
+    (a graph, a clique complex) is a filtration whose radii are all 0.
+
+    ``faces[d][j][i]`` is the row in ``cells[d - 1]`` of face i of
+    ``cells[d][j]``, the face with vertex i dropped: the package's one face
+    rule, which ``hodge.FiltrationLaplacians`` signs by (-1)^i."""
 
     cells: tuple[tuple[tuple[int, ...], ...], ...]
     radii: tuple[tuple[float, ...], ...]
@@ -38,11 +42,12 @@ class Filtration:
             if any(b < a for a, b in zip(radii, radii[1:])):
                 raise ValueError(f"{d}-simplices are not in radius order")
         faces = [((),) * len(self.cells[0])]
-        for d in (1, 2):
+        for d in range(1, len(self.cells)):
             row = {verts: k for k, verts in enumerate(self.cells[d - 1])}
-            table = [tuple(row.get(f, -1) for f in itertools.combinations(v, d)) for v in self.cells[d]]
+            # combinations drops the last vertex first, so reversed its faces are faces 0..d
+            table = [tuple(map(row.get, itertools.combinations(v, d)))[::-1] for v in self.cells[d]]
             for verts, r, idx in zip(self.cells[d], self.radii[d], table):
-                if -1 in idx:
+                if None in idx:
                     raise ValueError(f"a face of {verts} is missing")
                 if max(self.radii[d - 1][k] for k in idx) > r + 1e-12:
                     raise ValueError(f"a face of {verts} appears after it")

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .topograph import TopoGraph
-from .hodge import cliques, complex_laplacian
+from .hodge import FiltrationLaplacians, cliques
+from .persistence import Filtration
 
 ALPHABET = "IXZzo+-"
 COEFF_TOL = 1e-12  # coefficients at or below this drop out; z/o pairs this close merge
@@ -291,42 +292,44 @@ def onehot_hamiltonian(M: np.ndarray) -> PauliHamiltonian:
 # ---------------------------------------------------------------------------
 
 
-def sector_block(H: PauliHamiltonian, k: int, graph: TopoGraph) -> np.ndarray:
-    """Restriction of the dense operator to k-excitation basis states whose
-    excited sets are (k-1)-cliques, ordered lexicographically."""
-    if k > H.n:
+def sector_block(dense: np.ndarray, k: int, graph: TopoGraph) -> np.ndarray:
+    """Restriction of the dense operator on the graph's qubits to k-excitation
+    basis states whose excited sets are (k-1)-cliques, ordered
+    lexicographically."""
+    if k > graph.n_vertices:
         raise ValueError("excitation count exceeds qubit count")
-    basis = cliques(graph.n_vertices, graph.edges, k)
-    if not basis:
-        return np.zeros((0, 0))
-    dense = H.dense()
-    idx = [sum(1 << q for q in s) for s in basis]
-    return dense[np.ix_(idx, idx)]
+    idx = [sum(1 << q for q in s) for s in cliques(graph.n_vertices, graph.edges, k)]
+    return dense[np.ix_(idx, idx)] if idx else np.zeros((0, 0))
 
 
 def clique_laplacian(graph: TopoGraph, k: int) -> np.ndarray:
-    """Hodge Laplacian L_k of the clique complex of the graph, built from its
-    boundaries alone: the reference the SUSY sector blocks are checked against."""
-    cx = {d: cliques(graph.n_vertices, graph.edges, d + 1) for d in range(max(k - 1, 0), k + 2)}
-    return complex_laplacian(cx, k)
+    """Hodge Laplacian L_k of the clique complex of the graph, read off the
+    boundaries of its cliques of up to k + 2 vertices as a zero-radius
+    Filtration: the reference the SUSY sector blocks are checked against."""
+    cells = tuple(tuple(cliques(graph.n_vertices, graph.edges, size)) for size in range(1, k + 3))
+    filt = Filtration(cells=cells, radii=tuple((0.0,) * len(c) for c in cells))
+    return FiltrationLaplacians(filt).laplacian(0.0, k)[0]
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    max_deviation: dict[int, float] = field(default_factory=dict)
-    passed: bool = True
-    tolerance: float = 1e-9
+    hamiltonian: PauliHamiltonian  # the H = {Q, Qdag} whose sectors were checked
+    max_deviation: dict[int, float]
+    passed: bool
+    tolerance: float
 
 
 def verify_block_equivalence(graph: TopoGraph, k_max: int, tol: float = 1e-9) -> EquivalenceReport:
-    """Sorted sector spectra against clique-complex Laplacian spectra."""
+    """Sorted sector spectra of the graph's SUSY Hamiltonian, whose dense
+    form is built once, against clique-complex Laplacian spectra."""
     if graph.n_vertices > 10:
         raise ValueError("dense equivalence check limited to n <= 10")
     H = susy_hamiltonian(graph)
+    dense = H.dense()
     devs: dict[int, float] = {}
     ok = True
     for k in range(1, min(k_max, graph.n_vertices) + 1):
-        blk = sector_block(H, k, graph)
+        blk = sector_block(dense, k, graph)
         L = clique_laplacian(graph, k - 1)
         if blk.shape != L.shape:
             devs[k] = np.inf
@@ -340,4 +343,4 @@ def verify_block_equivalence(graph: TopoGraph, k_max: int, tol: float = 1e-9) ->
         )
         devs[k] = dev
         ok &= dev <= tol
-    return EquivalenceReport(max_deviation=devs, passed=ok, tolerance=tol)
+    return EquivalenceReport(hamiltonian=H, max_deviation=devs, passed=ok, tolerance=tol)

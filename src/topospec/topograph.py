@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import PointCloud
-from .hodge import boundary_matrix, cliques
+from .hodge import FiltrationLaplacians, cliques
+from .persistence import Filtration
 from .serialize import write_csv
 
 Edge = tuple[int, int]
@@ -162,15 +163,18 @@ def incidence_matrices(
     edges: tuple[Edge, ...],
     triangles: tuple[tuple[int, int, int], ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oriented integer incidence matrices B1 (|V| x |E|) and B2 (|E| x |T|),
-    the boundaries of hodge.boundary_matrix with orientation by increasing
-    vertex index. B1 @ B2 = 0 is verified before returning."""
+    """Oriented integer incidence matrices B1 (|V| x |E|) and B2 (|E| x |T|):
+    the boundaries of the graph's complex, a zero-radius Filtration, with
+    orientation by increasing vertex index. A triangle whose edge is absent,
+    or an edge whose vertex is not below n_vertices, raises ValueError naming
+    that simplex. B1 @ B2 = 0 is verified before returning."""
     for i, j in edges:
         if not i < j:
             raise ValueError(f"edge {(i, j)} not in i<j order")
+    cells = (tuple((v,) for v in range(n_vertices)), tuple(edges), tuple(triangles))
+    filt = Filtration(cells=cells, radii=tuple((0.0,) * len(c) for c in cells))
     # entries are exactly 0 or +-1, so the integer cast is exact
-    B1 = boundary_matrix(edges, [(v,) for v in range(n_vertices)]).astype(int)
-    B2 = boundary_matrix(triangles, edges).astype(int)
+    B1, B2 = (B.astype(int) for B in FiltrationLaplacians(filt).boundaries[1:3])
     if triangles and np.any(B1 @ B2 != 0):
         raise AssertionError("orientation bug: B1 @ B2 != 0")
     return B1, B2

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from topospec.errors import ResourceLimitError
-from topospec.hodge import HodgeSpectrum
+from topospec.hodge import HodgeSpectrum, laplacian_k
 from topospec.qcompile import Circuit, _mask_bits, _pattern_key, controlled_evolution, simulate
 from topospec.spectro import CorrelatorSeries
 from topospec.susy import PauliTerm
@@ -54,6 +54,29 @@ def hodge_projectors(
         P_curl = Bk1 @ np.linalg.pinv(Bk1.T @ Bk1) @ Bk1.T
     P_harm = ident - P_grad - P_curl
     return P_grad, P_harm, P_curl
+
+
+def boundary_oracle(simp_k, simp_km1) -> np.ndarray:
+    """Signed boundary of k-simplices (all of one dimension), found through a
+    dict of vertex tuples: face i of a sorted simplex, vertex i dropped,
+    enters with sign (-1)^i. The boundary hodge.FiltrationLaplacians builds
+    from a filtration's face table is checked against it."""
+    idx = {s: r for r, s in enumerate(simp_km1)}
+    B = np.zeros((len(simp_km1), len(simp_k)))
+    for col, s in enumerate(simp_k):
+        for i in range(len(s)):
+            B[idx[s[:i] + s[i + 1 :]], col] = (-1.0) ** i
+    return B
+
+
+def complex_laplacian_oracle(cx: dict[int, list[tuple[int, ...]]], p: int) -> np.ndarray:
+    """Dense L_p of a complex given as sorted simplex lists by dimension, from
+    ``boundary_oracle``; a dimension absent from cx has no simplices."""
+    simp_p = cx.get(p, [])
+    if not simp_p:
+        return np.zeros((0, 0))
+    down = boundary_oracle(simp_p, cx[p - 1]) if p >= 1 else None
+    return laplacian_k(down, boundary_oracle(cx.get(p + 1, []), simp_p))
 
 
 def sq_distances_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:

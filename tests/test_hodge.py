@@ -7,13 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topospec import cli, hodge
 from topospec.hodge import (
     FiltrationLaplacians,
-    complex_laplacian,
+    cliques,
     empirical_lipschitz,
     laplacian_at,
     laplacian_k,
@@ -21,9 +21,16 @@ from topospec.hodge import (
     spectrum,
     verify_gap_persistence_bound,
 )
-from topospec.persistence import compute_persistence, rips_filtration
+from topospec.persistence import Filtration, compute_persistence, rips_filtration
 from topospec.susy import clique_laplacian
-from helpers import graph_from_edges, hodge_projectors, spectrum_oracle
+from topospec.topograph import incidence_matrices
+from helpers import (
+    boundary_oracle,
+    complex_laplacian_oracle,
+    graph_from_edges,
+    hodge_projectors,
+    spectrum_oracle,
+)
 from test_pipeline import artifact_digests
 from test_sweep import _cpus, _no_pool
 
@@ -195,7 +202,7 @@ def test_filtration_clique_and_incidence_laplacians_agree(pts, pick):
 def oracle_laplacian_at(filt, eps, p):
     """Dense L_p rebuilt from the sorted simplex lists of the complex at eps."""
     cx = filt.complex_at(eps)
-    return complex_laplacian(cx, p), cx[p]
+    return complex_laplacian_oracle(cx, p), cx[p]
 
 
 def oracle_padded_norm_diff(La, basis_a, Lb, basis_b) -> float:
@@ -260,6 +267,75 @@ def test_sliced_laplacians_are_bitwise_the_rebuilt_ones(pts):
         assert empirical_lipschitz(laps, b, d, p) == oracle_empirical_lipschitz(filt, b, d, p)
         for b, d in compute_persistence(filt).in_dim(1, finite_only=True):
             assert empirical_lipschitz(laps, b, d, p) == oracle_empirical_lipschitz(filt, b, d, p)
+
+
+# ---------------------------------------------------------------------------
+# every complex's boundaries come from its face table, against the dict oracle
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b) -> bool:
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def _zero_radius(cells) -> Filtration:
+    return Filtration(cells=tuple(map(tuple, cells)), radii=tuple((0.0,) * len(c) for c in cells))
+
+
+def assert_boundaries_are_the_oracle(filt) -> None:
+    laps = FiltrationLaplacians(filt)
+    cells = filt.cells
+    for d in range(1, len(cells)):
+        assert _same_bits(laps.boundaries[d], boundary_oracle(cells[d], cells[d - 1])), f"B_{d}"
+
+
+@st.composite
+def graphs(draw):
+    """(n_vertices, edges): a random subset of the vertex pairs, i < j, sorted."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, tuple(e for e, k in zip(pairs, keep) if k)
+
+
+PATH4 = (4, ((0, 1), (1, 2), (2, 3)))  # no triangles
+PAW = (4, ((0, 1), (0, 2), (1, 2), (2, 3)))  # one triangle, no tetrahedra
+K4 = (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))  # one tetrahedron
+
+
+@given(pts=CLOUDS)
+@settings(max_examples=80, deadline=None)
+def test_rips_boundaries_are_the_oracle(pts):
+    # lattice clouds put many simplices at one radius, so ties order the tables
+    assert_boundaries_are_the_oracle(rips_filtration(np.array(pts)))
+
+
+@given(graph=graphs(), fill=st.booleans())
+@example(graph=PATH4, fill=True)
+@example(graph=PAW, fill=False)
+@settings(max_examples=60, deadline=None)
+def test_graph_complex_boundaries_and_incidence_are_the_oracle(graph, fill):
+    n, edges = graph
+    tris = tuple(cliques(n, edges, 3)) if fill else ()
+    verts = tuple((v,) for v in range(n))
+    assert_boundaries_are_the_oracle(_zero_radius((verts, edges, tris)))
+    B1, B2 = incidence_matrices(n, edges, tris)
+    assert _same_bits(B1, boundary_oracle(edges, verts).astype(int))
+    assert _same_bits(B2, boundary_oracle(tris, edges).astype(int))
+
+
+@given(graph=graphs())
+@example(graph=PATH4)
+@example(graph=PAW)
+@example(graph=K4)
+@settings(max_examples=60, deadline=None)
+def test_clique_complex_boundaries_and_laplacians_are_the_oracle(graph):
+    n, edges = graph
+    cx = {d: cliques(n, edges, d + 1) for d in range(4)}
+    assert_boundaries_are_the_oracle(_zero_radius(cx.values()))
+    g = graph_from_edges(n, edges)
+    for k in range(3):
+        assert _same_bits(clique_laplacian(g, k), complex_laplacian_oracle(cx, k))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_two_isolated_vertices_mutual_exclusion():
     assert np.abs(Q @ Q).max() == 0.0
     H = susy_hamiltonian(g).dense()
     # sector spectra match the complex of two isolated vertices: L0 = 0
-    blk = sector_block(susy_hamiltonian(g), 1, g)
+    blk = sector_block(H, 1, g)
     assert np.abs(blk).max() < 1e-12
 
 
@@ -68,7 +68,7 @@ def test_k3_complement_projectors_trivial():
 def test_k3_edge_sector_spectrum():
     g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
     ham = susy_hamiltonian(g)
-    blk = sector_block(ham, 2, g)
+    blk = sector_block(ham.dense(), 2, g)
     assert np.allclose(np.linalg.eigvalsh(blk), [3.0, 3.0, 3.0], atol=1e-12)
     assert np.allclose(blk, clique_laplacian(g, 1), atol=1e-12)
 
@@ -76,7 +76,7 @@ def test_k3_edge_sector_spectrum():
 def test_c4_edge_sector_reproduces_hodge():
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     ham = susy_hamiltonian(g)
-    blk = sector_block(ham, 2, g)
+    blk = sector_block(ham.dense(), 2, g)
     assert np.allclose(np.linalg.eigvalsh(blk), [0.0, 2.0, 2.0, 4.0], atol=1e-12)
     L1 = laplacian_k(g.B1, None)
     assert np.allclose(blk, L1, atol=1e-12)
@@ -87,7 +87,7 @@ def test_vertex_sector_is_graph_laplacian():
     for _ in range(5):
         g = random_connected_graph(rng, int(rng.integers(3, 7)))
         ham = susy_hamiltonian(g)
-        blk = sector_block(ham, 1, g)
+        blk = sector_block(ham.dense(), 1, g)
         L0 = laplacian_k(None, g.B1)  # B1 B1^T
         assert np.allclose(blk, L0, atol=1e-12)
 
@@ -129,10 +129,10 @@ def test_nilpotency_dense_up_to_ten():
 def test_positivity_and_susy_pairing():
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 5)
-    ham = susy_hamiltonian(g)
+    H = susy_hamiltonian(g).dense()
     spectra = {}
     for k in range(1, 6):
-        blk = sector_block(ham, k, g)
+        blk = sector_block(H, k, g)
         if blk.size:
             ev = np.linalg.eigvalsh(blk)
             assert ev.min() > -1e-10
@@ -148,9 +148,9 @@ def test_positivity_and_susy_pairing():
 def test_kernel_dims_are_betti_numbers():
     # dim ker(sector k) = beta_{k-1} of the clique complex
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])  # C4: beta1 = 1
-    ham = susy_hamiltonian(g)
-    ev1 = np.linalg.eigvalsh(sector_block(ham, 1, g))
-    ev2 = np.linalg.eigvalsh(sector_block(ham, 2, g))
+    H = susy_hamiltonian(g).dense()
+    ev1 = np.linalg.eigvalsh(sector_block(H, 1, g))
+    ev2 = np.linalg.eigvalsh(sector_block(H, 2, g))
     assert (ev1 < 1e-9).sum() == 1  # beta0
     assert (ev2 < 1e-9).sum() == 1  # beta1
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,15 @@ def test_incidence_triangle_signs():
     B1, B2 = incidence_matrices(3, edges, ((0, 1, 2),))
     assert B2[:, 0].tolist() == [1, -1, 1]
     assert np.all(B1 @ B2 == 0)
+
+
+def test_malformed_complexes_are_rejected_naming_the_simplex():
+    # a triangle whose edge (1, 2) is absent
+    with pytest.raises(ValueError, match=r"a face of \(0, 1, 2\) is missing"):
+        incidence_matrices(3, ((0, 1), (0, 2)), ((0, 1, 2),))
+    # an edge whose vertex 3 is not below n_vertices
+    with pytest.raises(ValueError, match=r"a face of \(0, 3\) is missing"):
+        incidence_matrices(3, ((0, 1), (0, 3)), ())
 
 
 def test_incidence_column_counts():
