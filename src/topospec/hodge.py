@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,7 +125,9 @@ class FiltrationLaplacians:
     ``Filtration.complex_at``, in which the table rows below a count appear
     as ``lex[d][lex[d] < count]``. Every entry is a sum of products of 0 and
     +-1, so slicing and reordering leave each float exactly as a rebuild
-    from the simplex lists would give it.
+    from the simplex lists would give it. ``lex`` and ``critical_radii`` are
+    built on first use, since a reader of ``boundaries`` alone (topograph's
+    incidence matrices) needs neither.
     """
 
     def __init__(self, filt: Filtration):
@@ -133,21 +136,26 @@ class FiltrationLaplacians:
         # boundaries[d] is B_d, the boundary of the d-cells; the top dimension has no cofaces
         self.boundaries = [None]
         for d in range(1, len(cells)):
-            # an intp index keeps an empty dimension an (n, 0) matrix
-            faces = np.array(filt.faces[d], dtype=np.intp).reshape(-1, d + 1)
+            faces = filt.faces[d]
             B = np.zeros((len(cells[d - 1]), len(faces)))
             B[faces, np.arange(len(faces))[:, None]] = (-1.0) ** np.arange(d + 1)
             self.boundaries.append(B)
         self.boundaries.append(np.zeros((len(cells[-1]), 0)))
-        self.lex = tuple(
-            np.lexsort(np.array(c, dtype=np.intp).reshape(len(c), d + 1).T[::-1]) for d, c in enumerate(cells)
-        )
-        self.critical_radii = filt.critical_radii()
+        # counts() runs once per slice, and bisect on a list beats searchsorted per call
+        self._radii = [radii.tolist() for radii in filt.radii]
+
+    @cached_property
+    def lex(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.lexsort(cells.T[::-1]) for cells in self.filt.cells)
+
+    @cached_property
+    def critical_radii(self) -> np.ndarray:
+        return self.filt.critical_radii()
 
     def counts(self, eps: float) -> list[int]:
         """Number of cells of each dimension present at radius eps, and 0
         cofaces above the top."""
-        return [bisect.bisect_right(radii, eps) for radii in self.filt.radii] + [0]
+        return [bisect.bisect_right(radii, eps) for radii in self._radii] + [0]
 
     def laplacian(self, eps: float, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Dense L_p of the complex at radius eps, with the table rows of its
@@ -173,7 +181,7 @@ def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list
     basis in lexicographic order. No program path calls it; it stays as a
     perfbench tracer target, which tests/test_tracer_contract.py requires."""
     L, rows = FiltrationLaplacians(filt).laplacian(eps, p)
-    return L, [filt.cells[p][r] for r in rows]
+    return L, list(map(tuple, filt.cells[p][rows].tolist()))
 
 
 # ---------------------------------------------------------------------------

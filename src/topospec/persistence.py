@@ -1,15 +1,16 @@
 """Vietoris-Rips filtrations and persistent homology in degrees 0 and 1.
 
-Coefficients are the two-element field. Columns of the boundary matrix are
-Python integers (bitmasks over the simplices one dimension down), so the
-reduction is a sequence of XORs; the clearing optimization skips columns whose
-simplex was already paired as a pivot one dimension up.
+A filtration is one numpy table per dimension. Coefficients are the
+two-element field. Degree 0 comes from union-find over the edges in table
+order; degree 1 from the reduction of the edge coboundaries, youngest edge
+first, over bitmasks of the triangle rows, with clearing and apparent pairs
+(Bauer, "Ripser", J. Appl. Comput. Topol. 2021). By the duality of de Silva,
+Morozov and Vejdemo-Johansson ("Dualities in persistent (co)homology", 2011)
+its pairs are those of the boundary reduction.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,55 +21,79 @@ from .errors import DegenerateGeometryError
 from .serialize import write_csv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filtration:
     """A simplicial complex of any dimension as one table per dimension, so
-    the complex at any radius is a prefix of each: ``cells[d]`` holds the
-    sorted vertex tuples of the d-simplices and ``radii[d]`` their appearance
-    radii, both in (radius, lexicographic vertices) order; that order is
-    total, so the pairing computed from it is deterministic. A plain complex
-    (a graph, a clique complex) is a filtration whose radii are all 0.
+    the complex at any radius is a prefix of each: ``cells[d]`` is an
+    (n_d, d + 1) intp array of the sorted vertices of the d-simplices and
+    ``radii[d]`` a float array of their appearance radii, both in (radius,
+    lexicographic vertices) order; that order is total, so the pairing
+    computed from it is deterministic. Any nested sequences are accepted and
+    converted. A plain complex (a graph, a clique complex) is a filtration
+    whose radii are all 0.
 
-    ``faces[d][j][i]`` is the row in ``cells[d - 1]`` of face i of
+    ``faces[d][j, i]`` is the row in ``cells[d - 1]`` of face i of
     ``cells[d][j]``, the face with vertex i dropped: the package's one face
-    rule, which ``hodge.FiltrationLaplacians`` signs by (-1)^i."""
+    rule, which ``hodge.FiltrationLaplacians`` signs by (-1)^i. A table out
+    of radius order, a missing face or a face that appears after its simplex
+    raises ``ValueError``."""
 
-    cells: tuple[tuple[tuple[int, ...], ...], ...]
-    radii: tuple[tuple[float, ...], ...]
-    faces: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
+    cells: tuple[np.ndarray, ...]
+    radii: tuple[np.ndarray, ...]
+    faces: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for d, radii in enumerate(self.radii):
-            if any(b < a for a, b in zip(radii, radii[1:])):
+        cells = tuple(np.asarray(c, dtype=np.intp).reshape(-1, d + 1) for d, c in enumerate(self.cells))
+        radii = tuple(np.asarray(r, dtype=float) for r in self.radii)
+        for d, r in enumerate(radii):
+            if (r[1:] < r[:-1]).any():
                 raise ValueError(f"{d}-simplices are not in radius order")
-        faces = [((),) * len(self.cells[0])]
-        for d in range(1, len(self.cells)):
-            row = {verts: k for k, verts in enumerate(self.cells[d - 1])}
-            # combinations drops the last vertex first, so reversed its faces are faces 0..d
-            table = [tuple(map(row.get, itertools.combinations(v, d)))[::-1] for v in self.cells[d]]
-            for verts, r, idx in zip(self.cells[d], self.radii[d], table):
-                if None in idx:
-                    raise ValueError(f"a face of {verts} is missing")
-                if max(self.radii[d - 1][k] for k in idx) > r + 1e-12:
-                    raise ValueError(f"a face of {verts} appears after it")
-            faces.append(tuple(table))
+        n = 1 + max((int(c.max(initial=-1)) for c in cells), default=-1)
+        if n ** max(len(cells) - 1, 0) >= 2**63:
+            raise ValueError("too many vertices to code the faces in 64 bits")
+        faces = [np.zeros((len(cells[0]), 0), dtype=np.intp)]
+        for d in range(1, len(cells)):
+            # a (d-1)-simplex's row is found by its code, its vertices as base-n digits
+            weights = n ** np.arange(d - 1, -1, -1, dtype=np.intp)
+            codes = cells[d - 1] @ weights
+            order = np.argsort(codes, kind="stable")
+            # a -1 past the end of the sorted codes matches no face
+            keys, rows = np.append(codes[order], -1), np.append(order, -1)
+            table = np.empty_like(cells[d])
+            found = np.ones(len(table), dtype=bool)
+            for i in range(d + 1):
+                want = np.delete(cells[d], i, axis=1) @ weights
+                at = np.searchsorted(keys[:-1], want)
+                found &= keys[at] == want
+                table[:, i] = rows[at]
+            late = np.zeros_like(found)
+            late[found] = radii[d - 1][table[found]].max(axis=1) > radii[d][found] + 1e-12
+            bad = np.flatnonzero(~found | late)
+            if len(bad):
+                verts = tuple(cells[d][bad[0]].tolist())
+                raise ValueError(f"a face of {verts} " + ("appears after it" if found[bad[0]] else "is missing"))
+            faces.append(table)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "faces", tuple(faces))
 
     @property
     def simplices(self) -> tuple[tuple[tuple[int, ...], float], ...]:
         """Every simplex as (vertices, radius) in the global (radius,
         dimension, vertices) order."""
-        every = (sr for cells, radii in zip(self.cells, self.radii) for sr in zip(cells, radii))
+        every = (
+            sr for cells, radii in zip(self.cells, self.radii) for sr in zip(map(tuple, cells.tolist()), radii.tolist())
+        )
         return tuple(sorted(every, key=lambda sr: (sr[1], len(sr[0]), sr[0])))
 
     def critical_radii(self) -> np.ndarray:
-        return np.unique(sum(self.radii, ()))
+        return np.unique(np.concatenate(self.radii))
 
     def complex_at(self, eps: float) -> dict[int, list[tuple[int, ...]]]:
         """Simplices of each dimension present at radius eps (a prefix of
         each table), in lexicographic order."""
         return {
-            d: sorted(cells[: bisect.bisect_right(radii, eps)])
+            d: sorted(map(tuple, cells[: np.searchsorted(radii, eps, side="right")].tolist()))
             for d, (cells, radii) in enumerate(zip(self.cells, self.radii))
         }
 
@@ -108,6 +133,11 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
     complexes and Laplacians above the enclosing radius (the gap-persistence
     bound, validate-fivepoint, scripts/find_fivepoint.py) use this default; a
     reader of pairs alone takes ``rips_diagram``.
+
+    The edges i < j within eps_max come out of ``nonzero`` in lexicographic
+    order, and so do the triangles i < j < k, found as the vertices k > j
+    within eps_max of both ends of such an edge; a stable sort by radius then
+    keeps lexicographic order within a radius.
     """
     cloud = PointCloud.of(cloud)
     if eps_max is None:
@@ -115,14 +145,20 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
     dist = cloud.distances()
+    near = np.triu(dist <= eps_max, 1)
+    i, j = np.nonzero(near)
+    e, k = np.nonzero(near[i] & near[j])
+    tri_r = np.maximum(np.maximum(dist[i[e], j[e]], dist[i[e], k]), dist[j[e], k])
+    tables = (
+        (np.arange(cloud.n), np.zeros(cloud.n)),
+        (np.stack([i, j], axis=1), dist[i, j]),
+        (np.stack([i[e], j[e], k], axis=1), tri_r),
+    )
     cells, radii = [], []
-    for d in range(3):
-        verts = np.array(list(itertools.combinations(range(cloud.n), d + 1)), dtype=np.intp).reshape(-1, d + 1)
-        r = dist[verts[:, :, None], verts[:, None, :]].max(axis=(1, 2))  # longest edge; 0 for a vertex
-        # a stable sort keeps lexicographic order within a radius; cells past eps_max are its tail
-        order = np.argsort(r, kind="stable")[: np.count_nonzero(r <= eps_max)]
-        cells.append(tuple(map(tuple, verts[order].tolist())))
-        radii.append(tuple(r[order].tolist()))
+    for verts, r in tables:
+        order = np.argsort(r, kind="stable")
+        cells.append(verts[order])
+        radii.append(r[order])
     return Filtration(cells=tuple(cells), radii=tuple(radii))
 
 
@@ -144,43 +180,86 @@ def rips_diagram(cloud: PointCloud | np.ndarray, sizes: dict[str, int] | None = 
     if sizes is not None:
         sizes["simplices"] = sum(map(len, filt.cells))
     pairs = compute_persistence(filt).pairs
-    longer = tuple((1, ell, ell) for ell in dist[np.triu_indices(cloud.n, 1)].tolist() if ell > eps_max)
+    ell = dist[np.triu_indices(cloud.n, 1)]
+    longer = tuple((1, x, x) for x in ell[ell > eps_max].tolist())
     return PersistenceDiagram(pairs=tuple(sorted(pairs + longer)))
 
 
-def _reduce(columns: list[int], cleared: set[int]) -> dict[int, int]:
-    """Reduce bitmask columns left to right, in place, skipping the cleared
-    ones; maps the pivot (highest set bit) of each nonzero column to it."""
-    low_to_col: dict[int, int] = {}
-    for j, col in enumerate(columns):
-        if j in cleared:
-            continue
-        while col:
-            other = low_to_col.get(col.bit_length() - 1)
-            if other is None:
-                break
-            col ^= columns[other]
-        columns[j] = col
-        if col:
-            low_to_col[col.bit_length() - 1] = j
-    return low_to_col
-
-
 def compute_persistence(filt: Filtration) -> PersistenceDiagram:
-    """Standard column reduction over GF(2) with clearing.
+    """The degree-0 and degree-1 pairs of a filtration, zero-length ones
+    included, and its essential classes in those degrees; dimensions above 2
+    are ignored.
 
-    Dimensions are processed top-down; when a dim-k column pairs with a dim-(k-1)
-    pivot, the pivot's own column is cleared (it is necessarily a cycle).
+    Degree 0: union-find over the edges in table order. An edge that joins
+    two components kills the younger root, the one with the later vertex row
+    (the elder rule); every root is its component's oldest vertex.
+
+    Degree 1: the coboundary column of each edge lists its triangles; its
+    pivot is the oldest. Columns are reduced youngest edge first, and the
+    edges that killed a component are skipped (clearing: their columns
+    reduce to zero). An edge whose oldest triangle has that edge as its
+    youngest face is an apparent pair: no younger column can hold that
+    triangle, so the pair is read off the tables, and the edge's column is
+    built only when a later column meets its pivot. An edge left unpaired is
+    an essential class.
     """
+    radii = [r.tolist() for r in filt.radii[:3]]
+    # each edge as the rows of its two vertices
+    edges = filt.faces[1] if len(filt.cells) > 1 else np.zeros((0, 2), dtype=np.intp)
     pairs: list[tuple[int, float, float]] = []
-    paired: set[int] = set()  # simplices of dim paired as births by dim + 1; vertices have no pivots
-    for dim in (2, 1, 0):
-        pivots = _reduce([sum(1 << k for k in face) for face in filt.faces[dim]], paired)
-        pairs += [(dim - 1, filt.radii[dim - 1][low], filt.radii[dim][j]) for low, j in pivots.items()]
-        if dim < 2:  # neither paired as a birth nor a death: an essential class
-            dead = paired | set(pivots.values())
-            pairs += [(dim, r, math.inf) for j, r in enumerate(filt.radii[dim]) if j not in dead]
-        paired = set(pivots)
+    # a vertex row's root; each root is its component's smallest row
+    root = list(range(len(filt.cells[0])))
+    open_edges = []  # edges that joined no two components
+    for e, (u, v) in enumerate(edges.tolist()):
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            open_edges.append(e)
+            continue
+        old, young = min(u, v), max(u, v)
+        root[young] = old
+        pairs.append((0, radii[0][young], radii[1][e]))
+    pairs += [(0, radii[0][v], math.inf) for v, r in enumerate(root) if r == v]
+
+    paired: dict[int, int] = {}  # triangle row -> the edge row whose column has it as pivot
+    if len(filt.cells) > 2 and len(filt.cells[2]):
+        tri_faces = filt.faces[2]
+        n_tri = len(tri_faces)
+        # coboundaries in CSR form: edge e's triangles, oldest first, are cob[start[e]:start[e + 1]]
+        flat = tri_faces.ravel()
+        cob = np.argsort(flat, kind="stable") // 3
+        start = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=len(edges)))))
+        oldest = cob[np.minimum(start[:-1], len(cob) - 1)]
+        apparent = (start[1:] > start[:-1]) & (tri_faces.max(axis=1)[oldest] == np.arange(len(edges)))
+        start = start.tolist()
+        paired = dict(zip(oldest[apparent].tolist(), np.flatnonzero(apparent).tolist()))
+        # triangle t is bit n_tri - 1 - t of a column, so the pivot is the highest bit
+        bits = (n_tri - 1 - cob).tolist()
+        columns: dict[int, int] = {}
+
+        def column(e: int) -> int:
+            if e not in columns:
+                columns[e] = sum(1 << b for b in bits[start[e] : start[e + 1]])
+            return columns[e]
+
+        is_apparent = apparent.tolist()
+        for e in reversed(open_edges):
+            if is_apparent[e]:
+                continue
+            col = column(e)
+            while col:
+                t = n_tri - col.bit_length()
+                other = paired.get(t)
+                if other is None:
+                    paired[t] = e
+                    columns[e] = col
+                    break
+                col ^= column(other)
+        pairs += [(1, radii[1][e], radii[2][t]) for t, e in paired.items()]
+    born = set(paired.values())
+    pairs += [(1, radii[1][e], math.inf) for e in open_edges if e not in born]
     pairs.sort()
     return PersistenceDiagram(pairs=tuple(pairs))
 

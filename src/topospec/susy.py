@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .topograph import TopoGraph
 from .hodge import FiltrationLaplacians, cliques
 from .persistence import Filtration
@@ -119,8 +120,6 @@ class PauliHamiltonian:
 
     def dense(self) -> np.ndarray:
         if self.n > 13:
-            from .errors import ResourceLimitError
-
             raise ResourceLimitError(f"dense form of {self.n} qubits exceeds memory budget")
         dim = 2**self.n
         H = self.identity_offset * np.eye(dim)
@@ -306,8 +305,8 @@ def clique_laplacian(graph: TopoGraph, k: int) -> np.ndarray:
     """Hodge Laplacian L_k of the clique complex of the graph, read off the
     boundaries of its cliques of up to k + 2 vertices as a zero-radius
     Filtration: the reference the SUSY sector blocks are checked against."""
-    cells = tuple(tuple(cliques(graph.n_vertices, graph.edges, size)) for size in range(1, k + 3))
-    filt = Filtration(cells=cells, radii=tuple((0.0,) * len(c) for c in cells))
+    cells = tuple(cliques(graph.n_vertices, graph.edges, size) for size in range(1, k + 3))
+    filt = Filtration(cells=cells, radii=tuple(np.zeros(len(c)) for c in cells))
     return FiltrationLaplacians(filt).laplacian(0.0, k)[0]
 
 
@@ -321,9 +320,10 @@ class EquivalenceReport:
 
 def verify_block_equivalence(graph: TopoGraph, k_max: int, tol: float = 1e-9) -> EquivalenceReport:
     """Sorted sector spectra of the graph's SUSY Hamiltonian, whose dense
-    form is built once, against clique-complex Laplacian spectra."""
+    form is built once, against clique-complex Laplacian spectra. A graph of
+    more than 10 vertices raises ``ResourceLimitError``."""
     if graph.n_vertices > 10:
-        raise ValueError("dense equivalence check limited to n <= 10")
+        raise ResourceLimitError("dense equivalence check limited to n <= 10")
     H = susy_hamiltonian(graph)
     dense = H.dense()
     devs: dict[int, float] = {}

@@ -171,8 +171,8 @@ def incidence_matrices(
     for i, j in edges:
         if not i < j:
             raise ValueError(f"edge {(i, j)} not in i<j order")
-    cells = (tuple((v,) for v in range(n_vertices)), tuple(edges), tuple(triangles))
-    filt = Filtration(cells=cells, radii=tuple((0.0,) * len(c) for c in cells))
+    cells = (np.arange(n_vertices), edges, triangles)
+    filt = Filtration(cells=cells, radii=tuple(np.zeros(len(c)) for c in cells))
     # entries are exactly 0 or +-1, so the integer cast is exact
     B1, B2 = (B.astype(int) for B in FiltrationLaplacians(filt).boundaries[1:3])
     if triangles and np.any(B1 @ B2 != 0):

@@ -4,12 +4,14 @@ tests check the program against, or a fixture builder for hand-made inputs."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from topospec.errors import ResourceLimitError
 from topospec.hodge import HodgeSpectrum, laplacian_k
+from topospec.persistence import Filtration
 from topospec.qcompile import Circuit, _mask_bits, _pattern_key, controlled_evolution, simulate
 from topospec.spectro import CorrelatorSeries
 from topospec.susy import PauliTerm
@@ -77,6 +79,65 @@ def complex_laplacian_oracle(cx: dict[int, list[tuple[int, ...]]], p: int) -> np
         return np.zeros((0, 0))
     down = boundary_oracle(simp_p, cx[p - 1]) if p >= 1 else None
     return laplacian_k(down, boundary_oracle(cx.get(p + 1, []), simp_p))
+
+
+def face_tables_oracle(cells) -> list[tuple[tuple[int | None, ...], ...]]:
+    """Face tables of cells given as sorted vertex tuples by dimension, found
+    through a dict of vertex tuples: entry i of row j of table d is the row in
+    cells[d - 1] of the face of cells[d][j] with vertex i dropped, None where
+    that face is absent. The code-matched tables of ``Filtration`` are
+    checked against it."""
+    faces = [((),) * len(cells[0])]
+    for d in range(1, len(cells)):
+        row = {verts: k for k, verts in enumerate(cells[d - 1])}
+        # combinations drops the last vertex first, so reversed its faces are faces 0..d
+        faces.append(tuple(tuple(map(row.get, itertools.combinations(v, d)))[::-1] for v in cells[d]))
+    return faces
+
+
+def _reduce(columns: list[int], cleared: set[int]) -> dict[int, int]:
+    """Reduce bitmask columns left to right, in place, skipping the cleared
+    ones; maps the pivot (highest set bit) of each nonzero column to it."""
+    low_to_col: dict[int, int] = {}
+    for j, col in enumerate(columns):
+        if j in cleared:
+            continue
+        while col:
+            other = low_to_col.get(col.bit_length() - 1)
+            if other is None:
+                break
+            col ^= columns[other]
+        columns[j] = col
+        if col:
+            low_to_col[col.bit_length() - 1] = j
+    return low_to_col
+
+
+def persistence_oracle(filt: Filtration) -> tuple[tuple[int, float, float], ...]:
+    """Sorted degree-0 and degree-1 pairs of a filtration's tables by the
+    standard boundary reduction over GF(2) with clearing, faces from
+    ``face_tables_oracle``: the homology reduction that
+    persistence.compute_persistence's cohomology is checked against.
+
+    Dimensions are processed top-down from 2 (absent tables count as empty);
+    when a dim-k column pairs with a dim-(k-1) pivot, the pivot's own column
+    is cleared (it is necessarily a cycle).
+    """
+    cells = [list(map(tuple, c.tolist())) for c in filt.cells[:3]]
+    radii = [r.tolist() for r in filt.radii[:3]]
+    cells += [[]] * (3 - len(cells))
+    radii += [[]] * (3 - len(radii))
+    faces = face_tables_oracle(cells)
+    pairs: list[tuple[int, float, float]] = []
+    paired: set[int] = set()  # simplices of dim paired as births by dim + 1; vertices have no pivots
+    for dim in (2, 1, 0):
+        pivots = _reduce([sum(1 << k for k in face) for face in faces[dim]], paired)
+        pairs += [(dim - 1, radii[dim - 1][low], radii[dim][j]) for low, j in pivots.items()]
+        if dim < 2:  # neither paired as a birth nor a death: an essential class
+            dead = paired | set(pivots.values())
+            pairs += [(dim, r, math.inf) for j, r in enumerate(radii[dim]) if j not in dead]
+        paired = set(pivots)
+    return tuple(sorted(pairs))
 
 
 def sq_distances_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:

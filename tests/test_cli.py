@@ -162,6 +162,15 @@ def test_cli_exit_code_2_on_bad_subcommand_option(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_susy_on_a_graph_too_large_to_check_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    from helpers import graph_from_edges
+
+    graph = graph_from_edges(11, [(i, i + 1) for i in range(10)], triangle_mode="none")
+    monkeypatch.setattr(sweep, "_pipeline_stage", lambda rho, cfg, until: sweep._StageResult(rho=rho, graph=graph))
+    assert cli.main(["--out", str(tmp_path / "out"), "susy", "--rho", "40"]) == 1
+    assert capsys.readouterr().err == "error: dense equivalence check limited to n <= 10\n"
+
+
 def test_validate_fivepoint_passes(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path / "out"), "validate-fivepoint"])
     assert rc == 0

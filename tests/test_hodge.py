@@ -284,7 +284,7 @@ def _zero_radius(cells) -> Filtration:
 
 def assert_boundaries_are_the_oracle(filt) -> None:
     laps = FiltrationLaplacians(filt)
-    cells = filt.cells
+    cells = [list(map(tuple, c.tolist())) for c in filt.cells]
     for d in range(1, len(cells)):
         assert _same_bits(laps.boundaries[d], boundary_oracle(cells[d], cells[d - 1])), f"B_{d}"
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from topospec.persistence import (
     rips_filtration,
 )
 from topospec.sweep import SweepConfig, _pipeline_stage
+from helpers import face_tables_oracle, persistence_oracle
 
 
 def brute_betti(points: np.ndarray, eps: float, dim: int) -> int:
@@ -217,19 +219,106 @@ def _filtration(simplices) -> Filtration:
     )
 
 
-@pytest.mark.parametrize("edge_12", [None, 2.0], ids=["missing-edge", "edge-after-triangle"])
-def test_filtration_rejects_a_bad_face(edge_12):
+@pytest.mark.parametrize(
+    "edge_12, message",
+    [(None, "a face of (0, 1, 2) is missing"), (2.0, "a face of (0, 1, 2) appears after it")],
+    ids=["missing-edge", "edge-after-triangle"],
+)
+def test_filtration_rejects_a_bad_face(edge_12, message):
     simplices = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0), ((0, 1, 2), 1.0)]
     _filtration(simplices + [((1, 2), 1.0)])
     if edge_12 is not None:
         simplices.append(((1, 2), edge_12))
-    with pytest.raises(ValueError, match="face"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _filtration(simplices)
 
 
 def test_filtration_rejects_a_table_out_of_radius_order():
-    with pytest.raises(ValueError, match="radius order"):
+    with pytest.raises(ValueError, match="^1-simplices are not in radius order$"):
         Filtration(cells=(((0,), (1,), (2,)), ((0, 1), (0, 2)), ()), radii=((0.0,) * 3, (2.0, 1.0), ()))
+
+
+def test_filtration_rejects_vertex_codes_past_64_bits():
+    big = 3_100_000_000  # with a triangle table, an edge code v0 * n + v1 could pass 2**63
+    with pytest.raises(ValueError, match="64 bits"):
+        Filtration(cells=(((0,), (big,)), ((0, big),), ()), radii=((0.0, 0.0), (1.0,), ()))
+
+
+def _weighted_rips(pts: np.ndarray, weights: np.ndarray, eps_max: float, top: int) -> Filtration:
+    """Every simplex of up to top + 1 vertices, at the largest of its edge
+    lengths and its vertices' weights, up to eps_max, each table in (radius,
+    vertices) order: a filtration whose vertices appear at nonzero radii,
+    built simplex by simplex."""
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    tables = []
+    for d in range(top + 1):
+        table = []
+        for v in itertools.combinations(range(len(pts)), d + 1):
+            r = max([float(weights[i]) for i in v] + [float(dist[a, b]) for a, b in itertools.combinations(v, 2)])
+            if r <= eps_max:
+                table.append((r, v))
+        tables.append(sorted(table))
+    return Filtration(cells=[[v for _, v in t] for t in tables], radii=[[r for r, _ in t] for t in tables])
+
+
+@st.composite
+def filtrations(draw):
+    """(cloud or None, filtration): Rips filtrations of lattice clouds (tied
+    radii, repeated points) and of clouds with duplicated points, and weighted
+    lattice filtrations of 1 to 3 dimensions whose vertices appear at radii 0,
+    0.5 and 1; each on the full complex or cut at the enclosing radius."""
+    kind = draw(st.sampled_from(["lattice", "duplicates", "weighted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = int(rng.integers(1, 13))
+    if kind == "duplicates":
+        pts = rng.normal(size=(n, 2))[rng.integers(0, n, size=n)]
+    else:
+        pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+    eps_max = None
+    if draw(st.booleans()):
+        eps_max = max(float(PointCloud(pts).distances().max(axis=1).min()), 1e-12)
+    if kind != "weighted":
+        return pts, rips_filtration(pts, eps_max=eps_max)
+    top = draw(st.integers(1, 3))
+    return None, _weighted_rips(pts, rng.integers(0, 3, size=n) / 2, math.inf if eps_max is None else eps_max, top)
+
+
+@given(case=filtrations())
+@settings(max_examples=150, deadline=None)
+def test_cohomology_pairs_are_the_homology_pairs(case):
+    pts, filt = case
+    assert compute_persistence(filt).pairs == persistence_oracle(filt)
+    if pts is not None:
+        assert rips_diagram(pts).pairs == persistence_oracle(rips_filtration(pts))
+
+
+@given(case=filtrations())
+@settings(max_examples=60, deadline=None)
+def test_face_tables_are_the_dict_tables(case):
+    _, filt = case
+    oracle = face_tables_oracle([list(map(tuple, c.tolist())) for c in filt.cells])
+    assert [f.tolist() for f in filt.faces] == [list(map(list, table)) for table in oracle]
+
+
+def test_vertices_and_edges_leave_every_cycle_edge_essential():
+    # two components: a 4-cycle with both chords, and an edge
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.1], [0.0, 1.2], [5.0, 0.0], [5.0, 0.7]])
+    full = _weighted_rips(pts, np.zeros(6), 1.6, 2)
+    graph = Filtration(cells=full.cells[:2], radii=full.radii[:2])
+    lengths = dict(zip(map(tuple, graph.cells[1].tolist()), graph.radii[1].tolist()))
+    forest = [(0, 1), (1, 2), (2, 3), (4, 5)]  # (0, 3) at 1.2 is the first to close a cycle
+    pairs = compute_persistence(graph).pairs
+    assert [p for p in pairs if p[0] == 0] == [p for p in compute_persistence(full).pairs if p[0] == 0]
+    assert [p for p in pairs if p[0] == 1] == sorted((1, r, math.inf) for e, r in lengths.items() if e not in forest)
+    assert pairs == persistence_oracle(graph)
+
+
+def test_tetrahedra_leave_the_pairs_of_the_2_skeleton():
+    pts = np.random.default_rng(5).uniform(0, 1, size=(7, 3))
+    clique = _weighted_rips(pts, np.zeros(7), math.inf, 3)
+    assert len(clique.cells[3]) == math.comb(7, 4)
+    skeleton = Filtration(cells=clique.cells[:3], radii=clique.radii[:3])
+    assert compute_persistence(clique).pairs == compute_persistence(skeleton).pairs == persistence_oracle(skeleton)
 
 
 def test_two_points():

@@ -209,6 +209,15 @@ def test_dense_guard():
         ham.dense()
 
 
+def test_block_equivalence_rejects_more_than_ten_vertices():
+    from topospec.errors import ResourceLimitError
+    import pytest
+
+    g = graph_from_edges(11, [(i, i + 1) for i in range(10)], triangle_mode="none")
+    with pytest.raises(ResourceLimitError, match=r"^dense equivalence check limited to n <= 10$"):
+        verify_block_equivalence(g, k_max=3)
+
+
 def test_jsonl_export(tmp_path):
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     ham = susy_hamiltonian(g)
