@@ -25,20 +25,21 @@ from topospec.hodge import FiltrationLaplacians
 from topospec.persistence import compute_persistence, rips_filtration
 
 
-def counts_at(filt, diag, eps):
+def counts_at(laps, diag, eps):
     """(vertices, edges, triangles, connected components) of the Rips complex at eps."""
-    cx = filt.complex_at(eps)
-    return len(cx[0]), len(cx[1]), len(cx[2]), diag.betti(0, eps)
+    v, e, t = laps.counts(eps)[:3]
+    return v, e, t, diag.betti(0, eps)
 
 
 def check(pts) -> bool:
     filt = rips_filtration(pts)
+    laps = FiltrationLaplacians(filt)
     diag = compute_persistence(filt)
-    if any(counts_at(filt, diag, eps) != want for eps, want in FIVE_POINT_COUNTS.items()):
+    if any(counts_at(laps, diag, eps) != want for eps, want in FIVE_POINT_COUNTS.items()):
         return False
     if tuple(diag.betti(1, e) for e in FIVE_POINT_RADII) != FIVE_POINT_BETTI1:
         return False
-    L, _ = FiltrationLaplacians(filt).laplacian(0.8, 1)
+    L, _ = laps.laplacian(0.8, 1)
     ev = np.linalg.eigvalsh(L)
     return bool(np.allclose(ev, [0.0, 2.0, 2.0, 4.0], atol=1e-9))
 

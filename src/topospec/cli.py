@@ -36,6 +36,12 @@ class RunConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     probe_spec: probe.ProbeSpec = field(default_factory=probe.ProbeSpec)
 
+    def __post_init__(self):
+        # the Hadamard test reads the pure probe, so dephasing draws would be ignored
+        samples = self.probe_spec.dephase_samples
+        if samples and self.sweep.mode != "exact":
+            raise ConfigError(f"probe.dephase_samples = {samples}: only run.mode = exact reads it")
+
     def digest(self) -> str:
         return digest_text(self.canonical_text())
 

@@ -121,13 +121,12 @@ class FiltrationLaplacians:
 
     The complex at radius eps is the first ``bisect_right(radii[d], eps)``
     rows of each table. Its L_p is B_p and B_{p+1} cut to those rows and
-    columns, with the p-simplices put in lexicographic order: the order of
-    ``Filtration.complex_at``, in which the table rows below a count appear
-    as ``lex[d][lex[d] < count]``. Every entry is a sum of products of 0 and
-    +-1, so slicing and reordering leave each float exactly as a rebuild
-    from the simplex lists would give it. ``lex`` and ``critical_radii`` are
-    built on first use, since a reader of ``boundaries`` alone (topograph's
-    incidence matrices) needs neither.
+    columns, with the p-simplices put in lexicographic order, in which the
+    table rows below a count appear as ``lex[d][lex[d] < count]``. Every
+    entry is a sum of products of 0 and +-1, so slicing and reordering leave
+    each float exactly as a rebuild from the simplex lists would give it.
+    ``lex`` and ``critical_radii`` are built on first use, since a reader of
+    ``boundaries`` alone (topograph's incidence matrices) needs neither.
     """
 
     def __init__(self, filt: Filtration):

@@ -89,14 +89,6 @@ class Filtration:
     def critical_radii(self) -> np.ndarray:
         return np.unique(np.concatenate(self.radii))
 
-    def complex_at(self, eps: float) -> dict[int, list[tuple[int, ...]]]:
-        """Simplices of each dimension present at radius eps (a prefix of
-        each table), in lexicographic order."""
-        return {
-            d: sorted(map(tuple, cells[: np.searchsorted(radii, eps, side="right")].tolist()))
-            for d, (cells, radii) in enumerate(zip(self.cells, self.radii))
-        }
-
 
 @dataclass(frozen=True)
 class PersistenceDiagram:

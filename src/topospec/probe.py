@@ -26,9 +26,14 @@ class ProbeSpec:
         if self.kind not in ("uniform_edge", "dicke_weighted"):
             raise ConfigError(f"probe.kind = {self.kind!r}: unknown probe kind")
         for f in fields(self):
+            if f.name == "kind":
+                continue
             val = getattr(self, f.name)
-            if f.name != "kind" and not (typed(val, f.type) and val >= 0):
+            if not (typed(val, f.type) and val >= 0):
                 raise ConfigError(f"probe.{f.name} = {val!r}: expected a finite {f.type} >= 0")
+            # the edge readout's probe is fixed, so a Dicke setting would be ignored
+            if self.kind == "uniform_edge" and val != f.default:
+                raise ConfigError(f"probe.{f.name} = {val!r}: only probe.kind = dicke_weighted reads it")
 
 
 def uniform_edge_state(E: int) -> np.ndarray:

@@ -69,7 +69,6 @@ class SweepConfig:
     # sweep's first point; the default pins the canonical-regime choice)
     tau: int | None = 15
     m: int = 3
-    cloud_stride: int | None = None  # defaults to tau
     n_fps: int = 64
     # selection
     k: int = 7
@@ -82,11 +81,9 @@ class SweepConfig:
     # graph
     use_ring: bool = True
     eps_quantile: float = 0.3
-    triangle_mode: str = "all_3_cliques"
     # spectroscopy
     m_samples: int = 256
     dt_corr: float = 0.25
-    alpha_scale: float | None = None  # None = calibrate once from the sweep
     # set through run.mode / run.shots (or --mode / --shots) only
     mode: str = "exact"  # exact | hadamard
     shots: int = 0
@@ -103,7 +100,7 @@ class SweepConfig:
             if f.type.startswith("tuple["):
                 object.__setattr__(self, f.name, tuple(map(float, val)))
         # rules a stage owns are read from it
-        modes, tri_modes, min_samples = spectro.READOUT_MODES, topograph.TRIANGLE_MODES, spectro.prony_min_samples()
+        modes, min_samples = spectro.READOUT_MODES, spectro.prony_min_samples()
         renorms = self.lyap_dt > 0 and self.lyap_renorm >= 1 and dynamics.renorm_count(
             self.lyap_dt, self.lyap_t_total, self.lyap_renorm
         )
@@ -114,9 +111,9 @@ class SweepConfig:
             ("observable", self.observable in ("x", "y", "z"), "must be one of x, y, z"),
             ("tau", self.tau is None or self.tau >= 1, "must be >= 1"),
             ("m", self.m >= 2, "must be >= 2"),
-            ("cloud_stride", self.cloud_stride is None or self.cloud_stride >= 1, "must be >= 1"),
             ("n_fps", self.n_fps >= 2, "must be >= 2"),
             ("r", 0 < self.r < 1, "must be in (0, 1)"),
+            ("k", self.k >= 3, "must be >= 3: the graph needs 3 vertices"),
             ("k", self.k_topo >= 1, "needs floor(k * r) >= 1"),
             ("alpha_sel", self.alpha_sel > 1, "must exceed 1"),
             ("knn_k", self.knn_k >= 1, "must be >= 1"),
@@ -124,12 +121,11 @@ class SweepConfig:
             ("lambdas", min(self.lambdas) >= 0, "must be nonnegative"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("eps_quantile", 0 <= self.eps_quantile <= 1, "must be in [0, 1]"),
-            ("triangle_mode", self.triangle_mode in tri_modes, f"must be one of {tri_modes}"),
             ("m_samples", self.m_samples >= min_samples, f"must be >= {min_samples}, the Prony minimum"),
             ("dt_corr", self.dt_corr > 0, "must be > 0"),
-            ("alpha_scale", self.alpha_scale is None or self.alpha_scale > 0, "must be > 0"),
             ("mode", self.mode in modes, f"unknown mode; run.mode must be one of {modes}"),
             ("shots", self.shots >= 0, "must be >= 0"),
+            ("shots", self.shots == 0 or self.mode == "hadamard", "only run.mode = hadamard reads run.shots"),
             ("lyap_dt", self.lyap_dt > 0, "must be > 0"),
             ("lyap_renorm", self.lyap_renorm >= 1, "must be >= 1"),
             ("lyap_t_total", renorms >= dynamics.MIN_RENORMS, f"needs {dynamics.MIN_RENORMS} renormalizations"),
@@ -222,8 +218,9 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, until: str = "lyapunov") -> _S
     run that stops at their stage; a full run keeps the graph, L1 and scalars.
     The stage reads pairs only, so its diagram comes from ``rips_diagram``,
     the complex cut at the enclosing radius. Every stage reached is timed
-    into ``seconds``, and ``sizes`` holds the cloud and FPS point counts, the
-    cut complex's simplex count and the graph's |V|, |E| and |T|.
+    into ``seconds``, and ``sizes`` holds the delay used (``tau``), the cloud
+    and FPS point counts, the cut complex's simplex count and the graph's
+    |V|, |E| and |T|. The cloud takes every tau-th embedded point.
     """
     if until not in STAGES:
         raise ValueError(f"unknown pipeline stage {until!r}; expected one of {STAGES}")
@@ -234,10 +231,11 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, until: str = "lyapunov") -> _S
             traj = dynamics.integrate(params, cfg.x0, cfg.dt, cfg.t_trans, cfg.t_total)
             series = traj.observable(cfg.observable)
             res.tau = cfg.tau or embedding.choose_tau(series, max_lag=min(100, len(series) // 5)).tau
+            res.sizes["tau"] = res.tau
 
         with _timed(res.seconds, "embedding"):
             emb = embedding.delay_embed(series, res.tau, cfg.m)
-            cloud = embedding.PointCloud(emb.points[:: cfg.cloud_stride or res.tau])
+            cloud = embedding.PointCloud(emb.points[:: res.tau])
             res.sizes["cloud_points"] = cloud.n
             if until == "cloud":
                 res.cloud = cloud
@@ -268,7 +266,6 @@ def _pipeline_stage(rho: float, cfg: SweepConfig, until: str = "lyapunov") -> _S
                 reps.angles[list(reps.indices)],
                 use_ring=cfg.use_ring,
                 eps_quantile=cfg.eps_quantile,
-                triangle_mode=cfg.triangle_mode,
                 ring_vertices=ring_v,
             )
             res.sizes.update(
@@ -383,9 +380,8 @@ def run_sweep(grid: list[float], cfg: SweepConfig) -> tuple[list[SweepRecord], d
         cfg = replace(cfg, tau=first.tau)
     stages = pool_map(_stage_job, [(rho, cfg) for rho in grid])
 
-    alpha = cfg.alpha_scale
-    if alpha is None:  # one calibration for the whole sweep
-        alpha = spectro.calibrated_alpha([st.l1 for st in stages if st.l1 is not None], cfg.dt_corr, cfg.mode)
+    # one calibration for the whole sweep
+    alpha = spectro.calibrated_alpha([st.l1 for st in stages if st.l1 is not None], cfg.dt_corr, cfg.mode)
 
     records: list[SweepRecord] = []
     e0_list: list[float] = []

@@ -21,7 +21,6 @@ from .persistence import Filtration
 from .serialize import write_csv
 
 Edge = tuple[int, int]
-TRIANGLE_MODES = ("none", "all_3_cliques")
 
 
 @dataclass(frozen=True)
@@ -145,15 +144,9 @@ def build_edges(
     return tuple(ordered), tuple(edge_prov[e] for e in ordered)
 
 
-def enumerate_triangles(
-    edges: tuple[Edge, ...], mode: str = "all_3_cliques"
-) -> tuple[tuple[int, int, int], ...]:
-    """mode 'none' gives a pure graph (B2 = 0); 'all_3_cliques' fills every
-    vertex triple whose three edges are present."""
-    if mode == "none":
-        return ()
-    if mode not in TRIANGLE_MODES:
-        raise ValueError(f"mode must be one of {TRIANGLE_MODES}")
+def enumerate_triangles(edges: tuple[Edge, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The graph's 3-cliques: every vertex triple whose three edges are
+    present, so the graph's complex is its clique complex."""
     n = 1 + max((v for e in edges for v in e), default=-1)
     return tuple(cliques(n, edges, 3))
 
@@ -185,11 +178,10 @@ def build_graph(
     angles: np.ndarray | None = None,
     use_ring: bool = True,
     eps_quantile: float = 0.3,
-    triangle_mode: str = "all_3_cliques",
     ring_vertices: np.ndarray | None = None,
 ) -> TopoGraph:
     edges, prov = build_edges(coords, angles, use_ring, eps_quantile, ring_vertices)
-    tris = enumerate_triangles(edges, triangle_mode)
+    tris = enumerate_triangles(edges)
     B1, B2 = incidence_matrices(len(coords), edges, tris)
     return TopoGraph(
         coords=np.asarray(coords, dtype=float),

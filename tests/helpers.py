@@ -81,6 +81,25 @@ def complex_laplacian_oracle(cx: dict[int, list[tuple[int, ...]]], p: int) -> np
     return laplacian_k(down, boundary_oracle(cx.get(p + 1, []), simp_p))
 
 
+def complex_at(filt: Filtration, eps: float) -> dict[int, list[tuple[int, ...]]]:
+    """Simplices of each dimension present at radius eps (a prefix of each
+    table), in lexicographic order."""
+    return {
+        d: sorted(map(tuple, cells[: np.searchsorted(radii, eps, side="right")].tolist()))
+        for d, (cells, radii) in enumerate(zip(filt.cells, filt.radii))
+    }
+
+
+def reference_complex_at(simplices, eps: float) -> dict[int, list[tuple[int, ...]]]:
+    """The complex at radius eps by scanning every simplex and sorting: the
+    oracle ``complex_at`` is checked against."""
+    out = {0: [], 1: [], 2: []}
+    for verts, r in simplices:
+        if r <= eps:
+            out[len(verts) - 1].append(verts)
+    return {k: sorted(v) for k, v in out.items()}
+
+
 def face_tables_oracle(cells) -> list[tuple[tuple[int | None, ...], ...]]:
     """Face tables of cells given as sorted vertex tuples by dimension, found
     through a dict of vertex tuples: entry i of row j of table d is the row in
@@ -148,11 +167,12 @@ def sq_distances_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff**2).sum(axis=-1)
 
 
-def graph_from_edges(n_vertices: int, edges, triangle_mode: str = "all_3_cliques") -> TopoGraph:
+def graph_from_edges(n_vertices: int, edges, pure: bool = False) -> TopoGraph:
     """Graph on abstract vertices from an explicit edge list (coords default
-    to a unit circle layout), for hand-made fixtures."""
+    to a unit circle layout), for hand-made fixtures: the clique complex of
+    the edges, or with ``pure`` the graph alone (no triangles, B2 = 0)."""
     edges = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
-    tris = enumerate_triangles(edges, triangle_mode)
+    tris = () if pure else enumerate_triangles(edges)
     B1, B2 = incidence_matrices(n_vertices, edges, tris)
     theta = 2 * np.pi * np.arange(n_vertices) / max(n_vertices, 1)
     coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)

@@ -65,7 +65,7 @@ def _random_connected_graph(rng, n):
         edges = [p for p, m in zip(pairs, mask) if m]
         if len(edges) < n - 1:
             continue
-        g = graph_from_edges(n, edges, triangle_mode="none")
+        g = graph_from_edges(n, edges, pure=True)
         if np.linalg.matrix_rank(g.B1.astype(float)) == n - 1:
             return g
 
@@ -86,7 +86,7 @@ def test_03_hodge_algebra():
         # projector algebra on random connected graphs
         for _ in range(20):
             g = _random_connected_graph(rng, int(rng.integers(4, 8)))
-            tris = topograph.enumerate_triangles(g.edges, "all_3_cliques")
+            tris = topograph.enumerate_triangles(g.edges)
             B1, B2 = topograph.incidence_matrices(g.n_vertices, g.edges, tris)
             P_grad, P_harm, P_curl = hodge_projectors(B1, B2 if tris else None)
             n_e = len(g.edges)
@@ -243,7 +243,7 @@ def test_08_compiler_correctness_and_cost():
                 break
         edges = tuple(sorted(set(mst) | {closure}))
         assert len(edges) == 7  # unicyclic: seven system qubits on the edge register
-        g7 = graph_from_edges(7, edges, triangle_mode="none")
+        g7 = graph_from_edges(7, edges, pure=True)
         l1 = laplacian_k(g7.B1, None)
         stats = baseline_qpe_cost(onehot_hamiltonian(l1), phase_bits=6)
         assert stats.ratio >= 50

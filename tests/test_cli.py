@@ -72,13 +72,11 @@ BAD_SWEEP_VALUES = {
     "m": "1",
     "tau": "0",
     "observable": "w",
-    "triangle_mode": "bogus",
     "eps_quantile": "2",
     "m_samples": "4",
     "k": "abc",
     "x0": "(1, 1)",
     "dt_corr": "-1",
-    "alpha_scale": "-1",
     "knn_k": "0",
 }
 
@@ -93,6 +91,18 @@ def test_cli_exit_code_2_on_bad_sweep_value(tmp_path, capsys, monkeypatch, key):
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "36:38:1"]) == 2
     assert f"config error: sweep.{key} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# settings the chain derives (the cloud stride is tau, alpha is calibrated)
+# or cannot honour (the SUSY check certifies the clique complex's L1 only)
+@pytest.mark.parametrize("key", ["alpha_scale", "cloud_stride", "triangle_mode"])
+def test_deleted_sweep_key_is_unknown(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sweep.{key} = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "graph", "--rho", "40"]) == 2
+    assert f"unknown key sweep.{key}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -165,7 +175,7 @@ def test_cli_exit_code_2_on_bad_subcommand_option(tmp_path, capsys, monkeypatch,
 def test_susy_on_a_graph_too_large_to_check_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     from helpers import graph_from_edges
 
-    graph = graph_from_edges(11, [(i, i + 1) for i in range(10)], triangle_mode="none")
+    graph = graph_from_edges(11, [(i, i + 1) for i in range(10)], pure=True)
     monkeypatch.setattr(sweep, "_pipeline_stage", lambda rho, cfg, until: sweep._StageResult(rho=rho, graph=graph))
     assert cli.main(["--out", str(tmp_path / "out"), "susy", "--rho", "40"]) == 1
     assert capsys.readouterr().err == "error: dense equivalence check limited to n <= 10\n"
@@ -252,7 +262,10 @@ def test_sweep_writes_and_resumes(tmp_path, capsys):
         assert set(entry["seconds"]) == {
             "dynamics", "embedding", "persistence", "selection", "graph", "lyapunov", "spectro"
         }
-        assert set(entry["sizes"]) == {"cloud_points", "fps_points", "simplices", "vertices", "edges", "triangles"}
+        assert set(entry["sizes"]) == {
+            "tau", "cloud_points", "fps_points", "simplices", "vertices", "edges", "triangles"
+        }
+        assert entry["sizes"]["tau"] == 15  # the default delay
     # a sub-grid is a different run: alpha and the correlations span the grid
     rc = cli.main(["--config", str(cfg), "--out", str(out), "sweep", "--grid", "39"])
     assert rc == 0
@@ -455,6 +468,10 @@ def test_a_sweep_chooses_the_delay_once_on_its_first_point(tmp_path, monkeypatch
     )
     for f in ("sweep_smoothed.csv", "sweep_correlations.json"):
         assert (chosen / f).read_bytes() == (pinned / f).read_bytes()
+    # the manifest says which delay every rho used
+    for out in (chosen, pinned):
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert [entry["sizes"]["tau"] for entry in stages] == [choices[0]] * 3
 
 
 def test_a_sweep_whose_first_flow_diverges_writes_no_records(tmp_path, capsys):
@@ -550,7 +567,7 @@ def test_grid_parsing_rejects_malformed(spec):
 
 def test_run_counts_accept_integral_values(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("run.seed = 3.0\nrun.shots = 7\n")
+    cfg.write_text("run.seed = 3.0\nrun.mode = hadamard\nrun.shots = 7\n")
     loaded = cli.load_config(str(cfg))
     assert (loaded.seed, loaded.sweep.shots) == (3, 7)
 
@@ -567,6 +584,36 @@ def test_probe_section_parsed_and_rejected(tmp_path):
         bad.write_text(f"probe.{text}\n")
         with pytest.raises(ConfigError, match=f"^probe.{text.split()[0]} = "):
             cli.load_config(str(bad))
+
+
+# a setting the chosen readout ignores exits 2 at load, before any stage runs
+@pytest.mark.parametrize(
+    "argv, cfg_text, message",
+    [
+        ([], "run.shots = 7\n", "sweep.shots = 7: only run.mode = hadamard"),
+        (["--shots", "7"], "", "sweep.shots = 7: only run.mode = hadamard"),
+        ([], "probe.alpha_bias = 0.5\n", "probe.alpha_bias = 0.5: only probe.kind = dicke_weighted"),
+        ([], "probe.beta_bias = 0.5\n", "probe.beta_bias = 0.5: only probe.kind = dicke_weighted"),
+        ([], "probe.dephase_samples = 3\n", "probe.dephase_samples = 3: only probe.kind = dicke_weighted"),
+        (
+            ["--mode", "hadamard"],
+            "probe.kind = dicke_weighted\nprobe.dephase_samples = 3\n",
+            "probe.dephase_samples = 3: only run.mode = exact",
+        ),
+    ],
+    ids=["shots-exact", "shots-flag-exact", "alpha-bias-edge", "beta-bias-edge", "dephase-edge", "dephase-hadamard"],
+)
+def test_ignored_readout_setting_exits_2(tmp_path, capsys, monkeypatch, argv, cfg_text, message):
+    def reached(*args, **kwargs):
+        raise AssertionError("dynamics.integrate reached")
+
+    monkeypatch.setattr(dynamics, "integrate", reached)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)] + argv + ["qpe", "--rho", "40"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_probe_eta_is_an_unknown_key(tmp_path):

@@ -26,6 +26,7 @@ from topospec.susy import clique_laplacian
 from topospec.topograph import incidence_matrices
 from helpers import (
     boundary_oracle,
+    complex_at,
     complex_laplacian_oracle,
     graph_from_edges,
     hodge_projectors,
@@ -187,7 +188,7 @@ def test_filtration_clique_and_incidence_laplacians_agree(pts, pick):
     filt = rips_filtration(cloud, eps_max=3.0)  # above the diameter, 2 sqrt(2)
     radii = filt.critical_radii()
     eps = float(radii[pick % len(radii)])
-    g = graph_from_edges(len(cloud), filt.complex_at(eps)[1])
+    g = graph_from_edges(len(cloud), complex_at(filt, eps)[1])
     L, simp = laplacian_at(filt, eps, 1)
     assert simp == list(g.edges)
     assert np.array_equal(L, clique_laplacian(g, 1))
@@ -201,7 +202,7 @@ def test_filtration_clique_and_incidence_laplacians_agree(pts, pick):
 
 def oracle_laplacian_at(filt, eps, p):
     """Dense L_p rebuilt from the sorted simplex lists of the complex at eps."""
-    cx = filt.complex_at(eps)
+    cx = complex_at(filt, eps)
     return complex_laplacian_oracle(cx, p), cx[p]
 
 
@@ -231,7 +232,7 @@ def oracle_empirical_lipschitz(filt, b, d, p) -> float:
 def oracle_d_p_max(filt, eps, p) -> tuple[int, int]:
     """(max cofacet count over (p-1)-simplices, faces per p-simplex), with
     each face of each p-simplex counted."""
-    cx = filt.complex_at(eps)
+    cx = complex_at(filt, eps)
     simp_p = cx[p]
     faces = (p + 1) if simp_p else 0
     counts = Counter(s[:i] + s[i + 1 :] for i in range(p + 1) for s in simp_p)

@@ -20,7 +20,7 @@ from topospec.persistence import (
     rips_filtration,
 )
 from topospec.sweep import SweepConfig, _pipeline_stage
-from helpers import face_tables_oracle, persistence_oracle
+from helpers import complex_at, face_tables_oracle, persistence_oracle, reference_complex_at
 
 
 def brute_betti(points: np.ndarray, eps: float, dim: int) -> int:
@@ -104,15 +104,6 @@ def reference_simplices(points: np.ndarray, eps_max: float):
     return tuple(sorted(simplices, key=lambda sr: (sr[1], len(sr[0]), sr[0])))
 
 
-def reference_complex_at(simplices, eps: float) -> dict[int, list[tuple[int, ...]]]:
-    """The complex at radius eps by scanning every simplex and sorting."""
-    out = {0: [], 1: [], 2: []}
-    for verts, r in simplices:
-        if r <= eps:
-            out[len(verts) - 1].append(verts)
-    return {k: sorted(v) for k, v in out.items()}
-
-
 def _cloud(kind: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 10))
@@ -132,7 +123,7 @@ def test_persistence_and_complexes_match_the_global_order_reference(kind, seed, 
     assert filt.simplices == reference_simplices(pts, eps_max)
     assert compute_persistence(filt).pairs == reference_persistence(filt.simplices)
     for eps in filt.critical_radii():
-        assert filt.complex_at(eps) == reference_complex_at(filt.simplices, eps)
+        assert complex_at(filt, eps) == reference_complex_at(filt.simplices, eps)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "grid"])
@@ -340,7 +331,7 @@ def test_unit_square_filtration(unit_square):
 def test_five_point_counts():
     pts = FIVE_POINT_CLOUD
     filt = rips_filtration(pts, eps_max=2.0)
-    cx = filt.complex_at(0.8)
+    cx = complex_at(filt, 0.8)
     assert (len(cx[0]), len(cx[1]), len(cx[2])) == (5, 4, 0)
     diag = compute_persistence(filt)
     assert diag.betti(0, 0.8) == 2  # square component + isolated apex

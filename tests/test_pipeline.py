@@ -202,7 +202,7 @@ def test_expected_stage_errors_are_recorded_with_their_message(tmp_path, monkeyp
     (entry,) = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert entry["error"] == "SelectionInfeasibleError: no candidate satisfies 2 < nu < 7"
     assert set(entry["seconds"]) == {"dynamics", "embedding", "persistence", "selection"}
-    assert set(entry["sizes"]) == {"cloud_points", "fps_points", "simplices"}
+    assert set(entry["sizes"]) == {"tau", "cloud_points", "fps_points", "simplices"}
 
 
 def test_find_fivepoint_script_runs():

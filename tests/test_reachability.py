@@ -1,6 +1,7 @@
-"""Regrowth guard: every top-level function, class and constant of the
+"""Regrowth guards: every top-level function, class and constant of the
 package is reached from the program (src/, scripts/ or perfbench/), not only
-from tests. Dunder names such as ``__all__`` are exempt.
+from tests, and every config field is read by the package. Dunder names such
+as ``__all__`` are exempt.
 
 A name counts as referenced when some top-level statement other than its own
 definition mentions it: as a variable, an attribute, an imported name, or a
@@ -12,7 +13,11 @@ from __future__ import annotations
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from topospec.probe import ProbeSpec
+from topospec.sweep import SweepConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "topospec"
@@ -99,3 +104,25 @@ def test_allowlist_names_exist():
         for name in _defined(stmt)
     }
     assert set(ALLOWED) <= defined
+
+
+def _attributes_read(node: ast.AST) -> set[str]:
+    """Attribute names loaded under node, outside any ``__post_init__``,
+    where a config only checks its own fields."""
+    names: set[str] = set()
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.FunctionDef) and sub.name == "__post_init__":
+            continue
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        names |= _attributes_read(sub)
+    return names
+
+
+def test_every_config_field_is_read_by_the_package():
+    # a settable key that no stage reads is an option the program ignores
+    reads = set().union(*(_attributes_read(ast.parse(p.read_text())) for p in sorted(PACKAGE.glob("*.py"))))
+    unread = [
+        f"{cls.__name__}.{f.name}" for cls in (SweepConfig, ProbeSpec) for f in fields(cls) if f.name not in reads
+    ]
+    assert unread == []

@@ -87,11 +87,13 @@ GOLDEN = {
         "qpe_spectrum_rho28.0.csv": "3cde7b4c3bd75e5cdd6eda6947bc06f6a9cde65658ff5dab9c70ae4bd88347bb",
     },
     # re-pinned for the fused step: max |dC| 5.3e-14 over the three rho, which
-    # moves only the last digits of h_spec (and its smoothed column)
+    # moves only the last digits of h_spec (and its smoothed column); the
+    # records re-pinned again when the config lost alpha_scale, cloud_stride
+    # and triangle_mode, which moved only their config_digest column
     "sweep_hadamard": {
         "manifest.json": "3794419db91a37370f103b9531f59cc1a06ecdc4318687c2fd66615dedd3e461",
         "sweep_correlations.json": "81111c6615a620acb381a8bde598b7af039e8aa9e940de046f83fcbedbeeb12f",
-        "sweep_records.csv": "dbed4a8fda4d530c3316b7f73ae94f5379d0fbf110945af459388f471eaa6253",
+        "sweep_records.csv": "f586b00ae8e2057aab29d51ebaf959ccc27b0a3249c6a2b1392b7c7066658a52",
         "sweep_smoothed.csv": "d1174a09f21e5e8d0254c2c8dc74bf867a964cedff48f359d1f364e37abd2feb",
     },
 }

@@ -166,7 +166,7 @@ def test_topo_ring_angle_separation():
 
 def test_topo_k1_returns_max_weight():
     pts = ring_cloud(60, seed=5)
-    cfg = SweepConfig(k=2, r=0.5)  # k_topo = 1
+    cfg = SweepConfig(k=3, r=0.5)  # k_topo = 1
     weights = density_weights(pts, 2.0)
     angles = circular_coordinates(pts)
     got = select_topological(pts, np.arange(60), weights, angles, cfg)
@@ -367,9 +367,11 @@ def _greedy_inputs(kind: str, seed: int, zero_weights: bool = False):
     pts = _oracle_cloud(kind, seed)
     n = len(pts)
     k = int(rng.integers(2, min(n, 20) + 1))
+    k_topo = int(rng.integers(1, k))  # in [1, k - 1]
+    k = max(k, 3)  # a config's least k; the greedy stage reads only k_topo
     cfg = SweepConfig(
         k=k,
-        r=(int(rng.integers(1, k)) + 0.5) / k,  # k_topo in [1, k - 1]
+        r=(k_topo + 0.5) / k,
         alpha_sel=float(rng.choice([1.5, 2.0, 3.7])),
         knn_k=int(rng.integers(1, 7)),
         bins=int(rng.integers(4, 20)),

@@ -454,7 +454,7 @@ def test_estimate_counts_multiplicity_two():
     # two disjoint 4-cycles: kernel dimension 2, one merged zero line whose
     # strength fraction resolves the multiplicity
     edges8 = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
-    g = graph_from_edges(8, edges8, triangle_mode="none")
+    g = graph_from_edges(8, edges8, pure=True)
     l1 = laplacian_k(g.B1, None)
     assert spectrum(l1).beta_k == 2
     ser = correlator_exact(l1, np.eye(8), 0.25, 256)

@@ -28,7 +28,7 @@ def random_connected_graph(rng, n):
         edges = [p for p, m in zip(pairs, mask) if m]
         if len(edges) < n - 1:
             continue
-        g = graph_from_edges(n, edges, triangle_mode="none")
+        g = graph_from_edges(n, edges, pure=True)
         if np.linalg.matrix_rank(g.B1.astype(float)) == n - 1:
             return g
 
@@ -170,7 +170,7 @@ def test_term_count_quadratic():
     counts = {}
     for n in (4, 6, 8, 10):
         edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-        g = graph_from_edges(n, edges, triangle_mode="none")
+        g = graph_from_edges(n, edges, pure=True)
         counts[n] = len(susy_hamiltonian(g).terms)
     cs = [counts[n] / n**2 for n in counts]
     assert max(cs) <= 2.5 * min(cs)
@@ -202,7 +202,7 @@ def test_dense_guard():
     from topospec.errors import ResourceLimitError
     import pytest
 
-    g = graph_from_edges(14, [(i, i + 1) for i in range(13)], triangle_mode="none")
+    g = graph_from_edges(14, [(i, i + 1) for i in range(13)], pure=True)
     ham = susy_hamiltonian(g)  # symbolic assembly stays cheap at n = 14
     assert ham.n == 14
     with pytest.raises(ResourceLimitError):
@@ -213,7 +213,7 @@ def test_block_equivalence_rejects_more_than_ten_vertices():
     from topospec.errors import ResourceLimitError
     import pytest
 
-    g = graph_from_edges(11, [(i, i + 1) for i in range(10)], triangle_mode="none")
+    g = graph_from_edges(11, [(i, i + 1) for i in range(10)], pure=True)
     with pytest.raises(ResourceLimitError, match=r"^dense equivalence check limited to n <= 10$"):
         verify_block_equivalence(g, k_max=3)
 

@@ -489,7 +489,7 @@ def test_pooled_sweep_is_bitwise_the_serial_loop(monkeypatch):
     # each record carries its own telemetry, from whichever process ran it;
     # the failed row has its L1, so it is read out too
     for rec in pooled:
-        assert list(rec.sizes) == ["cloud_points", "fps_points", "simplices", "vertices", "edges", "triangles"]
+        assert list(rec.sizes) == ["tau", "cloud_points", "fps_points", "simplices", "vertices", "edges", "triangles"]
         assert list(rec.seconds) == [
             "dynamics", "embedding", "persistence", "selection", "graph", "lyapunov", "spectro"
         ]
@@ -522,9 +522,9 @@ def test_sweep_worker_errors_propagate_and_no_worker_outlives_the_call(monkeypat
         ("t_trans", {"t_trans": -1.0}),
         ("t_total", {"t_total": 20.0}),
         ("x0", {"x0": (1.0, math.nan, 1.0)}),
-        ("cloud_stride", {"cloud_stride": 0}),
+        ("k", {"k": 2}),  # the graph stage needs 3 vertices
         ("n_fps", {"n_fps": 1}),
-        ("k", {"k": 1}),  # floor(1 * 0.6) = 0 topological representatives
+        ("k", {"k": 3, "r": 0.2}),  # floor(3 * 0.2) = 0 topological representatives
         ("alpha_sel", {"alpha_sel": 1.0}),
         ("bins", {"bins": 3}),
         ("lambdas", {"lambdas": (1.0, -1.0, 0.5, 2.0)}),
@@ -545,7 +545,7 @@ def test_sweep_config_rejects_bad_values(key, kwargs):
 
 
 def test_sweep_config_reads_tuples_as_floats():
-    cfg = SweepConfig(x0=(1, 2, 3), lambdas=(1, 1, 0.5, 2), tau=None, alpha_scale=None)
+    cfg = SweepConfig(x0=(1, 2, 3), lambdas=(1, 1, 0.5, 2), tau=None)
     assert cfg.x0 == (1.0, 2.0, 3.0) and all(type(v) is float for v in cfg.x0 + cfg.lambdas)
     assert cfg.digest() == SweepConfig(x0=(1.0, 2.0, 3.0), tau=None).digest()
 

@@ -27,7 +27,7 @@ def test_eps_layer_closes_short_triangle():
 def test_collinear_points_stay_connected():
     coords = np.stack([np.arange(5.0), np.zeros(5)], axis=1)
     edges, _ = build_edges(coords, angles=None, use_ring=False, eps_quantile=0.3)
-    g = graph_from_edges(5, edges, triangle_mode="none")
+    g = graph_from_edges(5, edges, pure=True)
     assert g.cycle_rank >= 0
     # connectivity: union-find via the incidence rank
     assert np.linalg.matrix_rank(g.B1.astype(float)) == 4
@@ -54,10 +54,9 @@ def test_no_duplicate_edges_and_provenance_priority():
 
 def test_enumerate_triangles_modes():
     square = ((0, 1), (1, 2), (2, 3), (0, 3))
-    assert enumerate_triangles(square, "none") == ()
-    assert enumerate_triangles(square, "all_3_cliques") == ()
+    assert enumerate_triangles(square) == ()
     k4 = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-    assert len(enumerate_triangles(k4, "all_3_cliques")) == 4
+    assert len(enumerate_triangles(k4)) == 4
 
 
 def test_five_point_cloud_single_triangle_at_09():
@@ -66,7 +65,7 @@ def test_five_point_cloud_single_triangle_at_09():
     edges = tuple(
         (i, j) for i in range(5) for j in range(i + 1, 5) if d[i, j] <= 0.9
     )
-    tris = enumerate_triangles(edges, "all_3_cliques")
+    tris = enumerate_triangles(edges)
     assert len(edges) == 6
     assert len(tris) == 1
 

@@ -64,7 +64,7 @@ def test_correlation_report_patch_reaches_the_call_in_run_sweep(tracer, monkeypa
     monkeypatch.setattr(sweep, "_pipeline_stage", failed)
     tracer._rebind(real, spy)
     try:
-        sweep.run_sweep([36.0, 37.0, 38.0], SweepConfig(alpha_scale=1.0))
+        sweep.run_sweep([36.0, 37.0, 38.0], SweepConfig())
     finally:
         tracer._rebind(spy, real)
     assert sweep.correlation_report is real
