@@ -221,17 +221,31 @@ def _run_is_complete(out: Path, digest: str, grid: list[float]) -> bool:
     )
 
 
-def _hardware_correlation(records, hardware_csv: str) -> dict:
+def _read_hardware_csv(path: str) -> dict[float, float]:
+    """rho -> gap from imported hardware values: a header line, then
+    ``rho,gap`` rows; a row with fewer cells or an empty gap is skipped. A
+    missing file or a non-numeric cell is a ConfigError naming the file and
+    line."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"--hardware-csv {path}: {exc.strerror}") from None
+    hw: dict[float, float] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) >= 2 and parts[1].strip():
+            try:
+                hw[float(parts[0])] = float(parts[1])
+            except ValueError:
+                raise ConfigError(f"--hardware-csv {path}, line {lineno}: not a number: {line!r}") from None
+    return hw
+
+
+def _hardware_correlation(records, hw: dict[float, float]) -> dict:
     """Join imported hardware gap values on rho and correlate with the
     classical persistence and the simulator gap (import slot only; there is
     no execution path to a device). As in ``correlation_report``, a constant
     column gives None, not NaN."""
-    hw: dict[float, float] = {}
-    lines = Path(hardware_csv).read_text().splitlines()
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) >= 2 and parts[1].strip():
-            hw[float(parts[0])] = float(parts[1])
     joined = [
         (r.ell_max_h1, r.delta1_susy_sim, hw[r.rho])
         for r in records
@@ -249,6 +263,7 @@ def _hardware_correlation(records, hardware_csv: str) -> dict:
 
 def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None) -> int:
     out = cfg.out
+    hw = _read_hardware_csv(hardware_csv) if hardware_csv else None
     if not grid:
         print("warning: empty grid, nothing to do")
         write_csv(out / "sweep_records.csv", sweep.SweepRecord.header(), [])
@@ -269,8 +284,8 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None
             for i in range(len(records))
         ],
     )
-    if hardware_csv:
-        report = {**report, "hardware": _hardware_correlation(records, hardware_csv)}
+    if hw is not None:
+        report = {**report, "hardware": _hardware_correlation(records, hw)}
     write_json(out / "sweep_correlations.json", report)
     # where each rho's time went, how big its layers were, and why it failed
     stages = [
@@ -401,7 +416,7 @@ def cmd_graph(cfg: RunConfig, stage: sweep._StageResult) -> int:
     graph.incidence_to_csv(out / f"b1_rho{rho}.csv", out / f"b2_rho{rho}.csv")
     print(
         f"rho={rho}: |V|={graph.n_vertices}, |E|={len(graph.edges)}, "
-        f"|T|={len(graph.triangles)}, beta1={graph.cycle_rank}"
+        f"|T|={len(graph.triangles)}, beta1={spectrum(stage.l1).beta_k}"
     )
     return 0
 

@@ -1,5 +1,6 @@
-"""Probe states: uniform edge superposition, W/Dicke layers, topology-weighted
-Dicke mixing, and randomized-phase dephasing for mixed-state emulation."""
+"""Probe states: uniform edge superposition and its one-hot W state,
+topology-weighted Dicke mixing, and randomized-phase dephasing for
+mixed-state emulation."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, TopospecError, typed
-from .qcompile import Circuit, Gate, simulate
 from .topograph import TopoGraph
 
 
@@ -78,43 +78,14 @@ def dicke_state(n: int, weights: np.ndarray) -> np.ndarray:
     return psi / nrm
 
 
-def _ry(theta: float, q: int) -> list[Gate]:
-    """RY from the fixed gate set: RZ(pi/2) RX(theta) RZ(-pi/2)."""
-    return [
-        Gate("RZ", target=q, theta=-math.pi / 2),
-        Gate("RX", target=q, theta=theta),
-        Gate("RZ", target=q, theta=math.pi / 2),
-    ]
-
-
-def _cry(theta: float, control: int, target: int) -> list[Gate]:
-    """Controlled-RY via the two-CNOT decomposition."""
-    gates = _ry(theta / 2, target)
-    gates.append(Gate("CNOT", target=target, controls=((control, 1),)))
-    gates += _ry(-theta / 2, target)
-    gates.append(Gate("CNOT", target=target, controls=((control, 1),)))
-    return gates
-
-
-def w_state_circuit(n: int) -> Circuit:
-    """Linear-depth preparation of the single-excitation Dicke state from
-    |10...0>: a chain of controlled rotations splitting the amplitude evenly,
-    each followed by a CNOT that moves the excitation marker."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    gates: list[Gate] = [Gate("X", target=0)]
-    for i in range(n - 1):
-        theta = 2 * math.acos(1.0 / math.sqrt(n - i))
-        gates += _cry(theta, control=i, target=i + 1)
-        gates.append(Gate("CNOT", target=i, controls=((i + 1, 1),)))
-    return Circuit(n_qubits=n, gates=tuple(gates))
-
-
 def w_state_vector(n: int) -> np.ndarray:
-    circ = w_state_circuit(n)
-    init = np.zeros(1 << n, dtype=complex)
-    init[0] = 1.0
-    return simulate(circ, init)
+    """The uniform edge state written on the one-hot register of n qubits:
+    amplitude 1/sqrt(n) at each basis index 1 << q and exactly 0 elsewhere,
+    so it lies in the one-excitation sector. As for the Dicke state, exact
+    amplitude initialization stands in for a preparation circuit."""
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[1 << np.arange(n)] = uniform_edge_state(n)
+    return psi
 
 
 def dephased_probes(psi: np.ndarray, samples: int, seed: int = 0) -> np.ndarray:

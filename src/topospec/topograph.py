@@ -36,11 +36,6 @@ class TopoGraph:
     def n_vertices(self) -> int:
         return len(self.coords)
 
-    @property
-    def cycle_rank(self) -> int:
-        """beta1 of the 1-skeleton: |E| - |V| + 1 for a connected graph."""
-        return len(self.edges) - self.n_vertices + 1
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {i: set() for i in range(self.n_vertices)}
         for a, b in self.edges:

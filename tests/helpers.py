@@ -12,7 +12,7 @@ import numpy as np
 from topospec.errors import ResourceLimitError
 from topospec.hodge import HodgeSpectrum, laplacian_k
 from topospec.persistence import Filtration
-from topospec.qcompile import Circuit, _mask_bits, _pattern_key, controlled_evolution, simulate
+from topospec.qcompile import Circuit, Gate, _mask_bits, _pattern_key, controlled_evolution, simulate
 from topospec.spectro import CorrelatorSeries
 from topospec.susy import PauliTerm
 from topospec.topograph import TopoGraph, enumerate_triangles, incidence_matrices
@@ -30,6 +30,40 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
         e[j] = 1.0
         U[:, j] = simulate(circ, e)
     return U
+
+
+def _ry(theta: float, q: int) -> list[Gate]:
+    """RY from the fixed gate set: RZ(pi/2) RX(theta) RZ(-pi/2)."""
+    return [
+        Gate("RZ", target=q, theta=-math.pi / 2),
+        Gate("RX", target=q, theta=theta),
+        Gate("RZ", target=q, theta=math.pi / 2),
+    ]
+
+
+def _cry(theta: float, control: int, target: int) -> list[Gate]:
+    """Controlled-RY via the two-CNOT decomposition."""
+    gates = _ry(theta / 2, target)
+    gates.append(Gate("CNOT", target=target, controls=((control, 1),)))
+    gates += _ry(-theta / 2, target)
+    gates.append(Gate("CNOT", target=target, controls=((control, 1),)))
+    return gates
+
+
+def w_state_circuit(n: int) -> Circuit:
+    """Linear-depth preparation of the single-excitation Dicke state from
+    |0...0>: an X on qubit 0, then a chain of controlled rotations splitting
+    the amplitude evenly, each followed by a CNOT that moves the excitation
+    marker. Simulated, it is the oracle probe.w_state_vector's exact
+    amplitudes are checked against."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    gates: list[Gate] = [Gate("X", target=0)]
+    for i in range(n - 1):
+        theta = 2 * math.acos(1.0 / math.sqrt(n - i))
+        gates += _cry(theta, control=i, target=i + 1)
+        gates.append(Gate("CNOT", target=i, controls=((i + 1, 1),)))
+    return Circuit(n_qubits=n, gates=tuple(gates))
 
 
 def hodge_projectors(

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from topospec import cli, dynamics, sweep
 from topospec.errors import ConfigError, IntegrationDivergedError
+from topospec.hodge import laplacian_k, spectrum
 from topospec.sweep import SweepConfig
 
 # keys a config file may not set: the readout mode and shots come only from
@@ -383,6 +385,18 @@ def test_stage_commands_produce_artifacts(tmp_path):
     assert est["beta1_hat"] >= 1
 
 
+def test_graph_prints_the_beta1_of_the_clique_complex(tmp_path, capsys):
+    # beta1 is the kernel dimension of the clique-complex L1 that qpe, sweep
+    # and the SUSY check read; at rho 40 the cycle rank |E| - |V| + 1 of the
+    # 1-skeleton is 4, as three of its cycles bound triangles
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "graph", "--rho", "40"]) == 0
+    assert capsys.readouterr().out == "rho=40.0: |V|=7, |E|=10, |T|=3, beta1=1\n"
+    B1, B2 = (np.loadtxt(out / f"{b}_rho40.0.csv", delimiter=",", skiprows=1, ndmin=2) for b in ("b1", "b2"))
+    assert spectrum(laplacian_k(B1, B2)).beta_k == 1
+    assert B1.shape[1] - B1.shape[0] + 1 == 4
+
+
 PIPELINE_COMMANDS = ("embed", "ph", "select", "graph", "susy", "qpe", "compile-report")
 
 
@@ -647,6 +661,30 @@ def test_sweep_hardware_import_slot(tmp_path):
     report = json.loads((out / "sweep_correlations.json").read_text())
     assert report["hardware"]["n_joined"] == 3
     assert "pearson_h1_hw" in report["hardware"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rho,gap\n38,0.5\n39,n/a\n40,0.7\n", r"hw\.csv, line 3: not a number: '39,n/a'"),
+        (None, r"hw\.csv: No such file or directory"),
+    ],
+    ids=["non-numeric-cell", "missing-file"],
+)
+def test_sweep_rejects_a_bad_hardware_csv_before_any_stage_runs(tmp_path, capsys, monkeypatch, text, message):
+    def no_sweep(grid, cfg):
+        raise AssertionError("the sweep ran before the hardware CSV was read")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    hw = tmp_path / "hw.csv"
+    if text is not None:
+        hw.write_text(text)
+    out = tmp_path / "out"
+    rc = cli.main(["--out", str(out), "sweep", "--grid", "38:40:1", "--hardware-csv", str(hw)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --hardware-csv ") and re.search(message, err)
+    assert not out.exists() or not any(out.rglob("*"))
 
 
 def _reject_constant(token):

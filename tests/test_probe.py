@@ -13,9 +13,10 @@ from topospec.probe import (
     uniform_edge_state,
     w_state_vector,
 )
+from topospec.qcompile import simulate
 from topospec.spectro import correlator_exact
 from topospec.topograph import build_graph
-from helpers import graph_from_edges
+from helpers import graph_from_edges, w_state_circuit
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
@@ -75,12 +76,24 @@ def test_dicke_state_populations():
 
 
 def test_w_state_n1_is_x():
-    from topospec.probe import w_state_circuit
-
     circ = w_state_circuit(1)
     assert [g.kind for g in circ.gates] == ["X"]
     v = w_state_vector(1)
     assert np.allclose(np.abs(v), [0.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_w_state_is_the_one_hot_uniform_edge_state(n):
+    # exactly the uniform edge amplitudes at indices 1 << q, exactly 0 elsewhere
+    one_hot = np.zeros(1 << n, dtype=complex)
+    for q, a in enumerate(uniform_edge_state(n)):
+        one_hot[1 << q] = a
+    v = w_state_vector(n)
+    assert np.array_equal(v, one_hot)
+    # the RY/CRY/CNOT preparation chain from |0...0> reaches it up to rounding
+    init = np.zeros(1 << n, dtype=complex)
+    init[0] = 1.0
+    assert np.abs(v - simulate(w_state_circuit(n), init)).max() <= 1e-15
 
 
 def test_w_state_n2_bell_split():

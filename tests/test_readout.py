@@ -52,17 +52,23 @@ GOLDEN = {
         "fivepoint_spectrum_eps1.0.csv": "8eec8bd4420e0dcfd61aa915cbf7ab3eec63e3e6ae1feb011dd4c0a652e39cc3",
     },
     # re-pinned when the Hadamard step began running as fused blocks: max |dC|
-    # 4.2e-14 against the gate-by-gate loop (test below)
+    # 4.2e-14 against the gate-by-gate loop (test below); re-pinned again when
+    # the W probe became the exact one-hot uniform edge state in place of its
+    # simulated preparation circuit: max |dC| 5.6e-16, the probe CSV loses the
+    # ~1e-17 amplitudes outside the one-excitation sector, and only the last
+    # digit of gap_hat moves
     "hadamard_shots0": {
-        "qpe_correlator_rho28.0.csv": "613e4c0425039f3f7a72fb0220b1af541b77040018490a7b1c8d8587a51c9ebd",
-        "qpe_estimate_rho28.0.json": "41397f780d85c5f665297b00b143132a1bd731ba76419dede634510ba66ffbc0",
-        "qpe_probe_rho28.0.csv": "7a1efc1218bb9a4fd5abf2a56b2a8f1ec3dd13e79491ab92ffd6d8c925d4582f",
-        "qpe_spectrum_rho28.0.csv": "b0a1718df518f43c3b3ab441f572042c2401673463c369253de6bfa07a6b761a",
+        "qpe_correlator_rho28.0.csv": "acd228b59eedc5831ec3c0460ad2a272db75836727915d7b3af9af2b7678349e",
+        "qpe_estimate_rho28.0.json": "afc9364e45f766bd3803a3e0b417045967e71ce06fb5aac1ec1b405c3444f0fe",
+        "qpe_probe_rho28.0.csv": "b76bcef7d9dbcc26d27900bfa567df7e157e09743a0c718907a431086cc32c51",
+        "qpe_spectrum_rho28.0.csv": "f04378feeb272e676d859cd08d3205b1411a0b17d7fb5ce116a5cecb00c284b9",
     },
+    # re-pinned for the exact W probe: only the probe CSV changed, the draws
+    # and so the correlator are byte-identical
     "hadamard_shots200": {
         "qpe_correlator_rho28.0.csv": "16312f597f1cc18fdd09f01d7f63cb1282cbffaf453e83cd01c419702f390bf7",
         "qpe_estimate_rho28.0.json": "ac19c9753f9cc3d8020cbac2c43c752bb5c6b3d36ab8d98902636cd16539a5d0",
-        "qpe_probe_rho28.0.csv": "7a1efc1218bb9a4fd5abf2a56b2a8f1ec3dd13e79491ab92ffd6d8c925d4582f",
+        "qpe_probe_rho28.0.csv": "b76bcef7d9dbcc26d27900bfa567df7e157e09743a0c718907a431086cc32c51",
         "qpe_spectrum_rho28.0.csv": "b9b1a36a8f429bf1d20ca0c88af50306ec9984667371f4918ea547d35f0a65bc",
     },
     "dicke_exact": {
@@ -89,12 +95,14 @@ GOLDEN = {
     # re-pinned for the fused step: max |dC| 5.3e-14 over the three rho, which
     # moves only the last digits of h_spec (and its smoothed column); the
     # records re-pinned again when the config lost alpha_scale, cloud_stride
-    # and triangle_mode, which moved only their config_digest column
+    # and triangle_mode, which moved only their config_digest column; and
+    # again for the exact W probe: max |dC| 1.5e-15, which moves only the
+    # last digits of h_spec (and its smoothed column)
     "sweep_hadamard": {
         "manifest.json": "3794419db91a37370f103b9531f59cc1a06ecdc4318687c2fd66615dedd3e461",
         "sweep_correlations.json": "81111c6615a620acb381a8bde598b7af039e8aa9e940de046f83fcbedbeeb12f",
-        "sweep_records.csv": "f586b00ae8e2057aab29d51ebaf959ccc27b0a3249c6a2b1392b7c7066658a52",
-        "sweep_smoothed.csv": "d1174a09f21e5e8d0254c2c8dc74bf867a964cedff48f359d1f364e37abd2feb",
+        "sweep_records.csv": "a8cf452864ae7b81e737850c34c6f6cdde7b61216957c88feb72908b31985f5c",
+        "sweep_smoothed.csv": "9d02f5259cfc404313a8a1a7a3c150e5c456020039dcd9c864114d9b62d04566",
     },
 }
 
@@ -169,6 +177,18 @@ def test_pinned_hadamard_qpe_runs_read_what_the_unfused_loop_reads(tmp_path, mon
         assert (fused / name_csv).read_bytes() == (unfused / name_csv).read_bytes()
     else:
         assert np.abs(_correlator_csv(fused) - _correlator_csv(unfused)).max() <= 1e-12
+
+
+def test_hadamard_qpe_probe_is_exactly_in_the_one_excitation_sector(tmp_path):
+    # the probe CSV holds the 2^E system amplitudes; only the E one-hot rows
+    # 1 << q are nonzero, each the uniform edge amplitude 1/sqrt(E)
+    argv, extra = RUNS["hadamard_shots0"]
+    rows = np.loadtxt(run_cli(tmp_path, argv, extra) / "qpe_probe_rho28.0.csv", delimiter=",", skiprows=1)
+    n_edges = int(math.log2(len(rows)))
+    assert len(rows) == 1 << n_edges and n_edges == 9
+    nonzero = rows[rows[:, 1:].any(axis=1)]
+    assert nonzero[:, 0].tolist() == [1 << q for q in range(n_edges)]
+    assert np.array_equal(nonzero[:, 1], uniform_edge_state(n_edges)) and not nonzero[:, 2].any()
 
 
 def test_hadamard_sweep_records_its_circuit_sizes():

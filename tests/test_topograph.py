@@ -28,7 +28,7 @@ def test_collinear_points_stay_connected():
     coords = np.stack([np.arange(5.0), np.zeros(5)], axis=1)
     edges, _ = build_edges(coords, angles=None, use_ring=False, eps_quantile=0.3)
     g = graph_from_edges(5, edges, pure=True)
-    assert g.cycle_rank >= 0
+    assert len(g.edges) - g.n_vertices + 1 >= 0  # cycle rank
     # connectivity: union-find via the incidence rank
     assert np.linalg.matrix_rank(g.B1.astype(float)) == 4
 
@@ -111,9 +111,9 @@ def test_random_clouds_connected_oriented(seed):
     assert np.linalg.matrix_rank(g.B1.astype(float)) == n - 1
     # dd = 0 exactly in integer arithmetic
     assert g.B2.size == 0 or np.all(g.B1 @ g.B2 == 0)
-    # Euler consistency on the 1-skeleton
-    assert g.cycle_rank == len(g.edges) - n + 1
-    assert g.cycle_rank >= 0
+    # Euler consistency on the 1-skeleton: the cycle rank |E| - |V| + 1
+    assert g.n_vertices == n
+    assert len(g.edges) - n + 1 >= 0
     # the MST alone spans every vertex, also under tied distances (a lattice)
     # and duplicate points: quantile 0 keeps no eps pair, and there is no ring
     lattice = rng.integers(0, 3, size=(n, 2)).astype(float)
@@ -138,7 +138,7 @@ def test_lorenz_representatives_have_a_cycle(lorenz_cloud):
     coords = reps.coords(lorenz_cloud)
     angles = circular_coordinates(coords)
     g = build_graph(coords, angles, use_ring=True)
-    assert g.cycle_rank >= 1
+    assert len(g.edges) - g.n_vertices + 1 >= 1  # cycle rank
 
 
 def test_graph_json_and_csv_export(tmp_path):
