@@ -15,6 +15,7 @@ MI_FLAT_REL = 0.02  # MI moves below this fraction of the curve range are flat
 MI_FLOOR = 0.05  # lag-1 mutual information below which a series has no usable dependence
 PAIRWISE_LANES = 8  # numpy's pairwise sum: partial sums it keeps in a block
 PAIRWISE_BLOCK = 128  # numpy's pairwise sum: longest run summed without splitting
+BLOCK_ROWS = 128  # rows of an N x N pass held at once: about 1 MB at N = 998
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,9 +75,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class PointCloud:
     """N x m matrix of embedded points; the metric is Euclidean throughout.
 
-    The pairwise geometry is computed on first use and shared by every
-    consumer of the same cloud. Exactly two N x N float64 matrices are
-    cached, d2 and the distances (16 MB at N = 998); no stage allocates an
+    The squared pairwise distances d2 are computed on first use and shared by
+    every consumer of the same cloud: the one N x N float64 matrix a cloud
+    caches (8 MB at N = 998). Passes over it read blocks of ``row_blocks``,
+    taking their square roots one block at a time; no stage allocates an
     N x N x m array.
     """
 
@@ -103,20 +105,35 @@ class PointCloud:
         """The cloud itself, so its geometry is shared, or a new cloud over an array."""
         return cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)
 
+    def row_blocks(self) -> list[slice]:
+        """Consecutive slices of at most BLOCK_ROWS rows, covering the cloud in order."""
+        return [slice(i, min(i + BLOCK_ROWS, self.n)) for i in range(0, self.n, BLOCK_ROWS)]
+
     @cached_property
     def d2(self) -> np.ndarray:
-        """Squared pairwise distances, computed once per cloud (read-only)."""
-        return _read_only(sq_distances(self.points, self.points))
+        """Squared pairwise distances, computed once per cloud (read-only).
 
-    @cached_property
-    def _dist(self) -> np.ndarray:
-        return _read_only(np.sqrt(self.d2))
+        Filled one row block at a time; every entry is its own column sum, so
+        the matrix is bit for bit ``sq_distances(points, points)``, and exactly
+        symmetric. A cloud of one block is one allocation.
+        """
+        pts = self.points
+        if self.n <= BLOCK_ROWS:
+            return _read_only(sq_distances(pts, pts))
+        d2 = np.empty((self.n, self.n))
+        for rows in self.row_blocks():
+            d2[rows] = sq_distances(pts[rows], pts)
+        return _read_only(d2)
 
-    def distances(self) -> np.ndarray:
-        return self._dist
+    def distances(self, rows=slice(None)) -> np.ndarray:
+        """Euclidean distances from the points of ``rows`` (any row index of
+        d2: a slice, a list or one row) to every point, computed afresh from
+        d2, not cached."""
+        return np.sqrt(self.d2[rows])
 
     def diameter(self) -> float:
-        return float(self.distances().max())
+        # sqrt is monotone and correctly rounded: this is the largest distance
+        return float(np.sqrt(self.d2.max()))
 
     def to_csv(self, path) -> None:
         write_csv(path, tuple(f"c{i}" for i in range(self.dim)), self.points)

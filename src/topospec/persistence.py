@@ -166,13 +166,13 @@ def rips_diagram(cloud: PointCloud | np.ndarray, sizes: dict[str, int] | None = 
     ``sizes["simplices"]`` receives the cut complex's simplex count.
     """
     cloud = PointCloud.of(cloud)
-    dist = cloud.distances()
-    eps_max = max(float(dist.max(axis=1).min()), 1e-12)
+    # sqrt is monotone and correctly rounded: the root of d2's min-max is the distances' one
+    eps_max = max(float(np.sqrt(cloud.d2.max(axis=1).min())), 1e-12)
     filt = rips_filtration(cloud, eps_max=eps_max)
     if sizes is not None:
         sizes["simplices"] = sum(map(len, filt.cells))
     pairs = compute_persistence(filt).pairs
-    ell = dist[np.triu_indices(cloud.n, 1)]
+    ell = np.sqrt(cloud.d2[np.triu_indices(cloud.n, 1)])
     longer = tuple((1, x, x) for x in ell[ell > eps_max].tolist())
     return PersistenceDiagram(pairs=tuple(sorted(pairs + longer)))
 

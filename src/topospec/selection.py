@@ -63,23 +63,31 @@ def density_weights(cloud: PointCloud | np.ndarray, alpha: float) -> np.ndarray:
     """Gaussian-kernel density with bandwidth at the 10th percentile of
     pairwise distances; weights are rho^(alpha-1), normalized to sum 1.
 
-    Beside the cloud's cached matrices this holds one N x N array: the
-    kernel is negated and exponentiated in place (-(d2/c) is -d2/c exactly),
-    and the quantile may reorder its copy of the upper triangle, since a
-    quantile depends only on the values."""
+    Beside the cloud's d2 the bandwidth holds the N(N-1)/2 distances of the
+    upper triangle, and the kernel row sums one row block: the block is
+    negated and exponentiated in place (-(d2/c) is -d2/c exactly)."""
     cloud = PointCloud.of(cloud)
     n, m = cloud.points.shape
     if n < 2:
         raise ValueError("need at least 2 points")
-    h = float(np.quantile(cloud.distances()[np.triu(np.ones((n, n), bool), 1)], 0.10, overwrite_input=True))
+    h = _bandwidth(cloud.d2)
     if h == 0.0:
         raise DegenerateBandwidthError("10th-percentile bandwidth is zero")
-    kernel = cloud.d2 / (2 * h * h)
-    np.negative(kernel, out=kernel)
-    np.exp(kernel, out=kernel)
-    rho = kernel.sum(axis=1) / (n * h**m)
-    w = rho ** (alpha - 1.0)
+    rho = np.empty(n)
+    for rows in cloud.row_blocks():
+        kernel = cloud.d2[rows] / (2 * h * h)
+        np.negative(kernel, out=kernel)
+        np.exp(kernel, out=kernel)
+        rho[rows] = kernel.sum(axis=1)
+    w = (rho / (n * h**m)) ** (alpha - 1.0)
     return w / w.sum()
+
+
+def _bandwidth(d2: np.ndarray) -> float:
+    """10th percentile of the distances i < j, from one copy of them that the
+    quantile may reorder, since a quantile depends only on the values."""
+    upper = np.concatenate([d2[i, i + 1 :] for i in range(len(d2))])
+    return float(np.quantile(np.sqrt(upper, out=upper), 0.10, overwrite_input=True))
 
 
 def candidate_set(
@@ -98,7 +106,8 @@ def candidate_set(
         return np.arange(n), True
     b, d = max(finite, key=lambda bd: bd[1] - bd[0])
     r_mid = 0.5 * (b + d)
-    nu = (cloud.distances() < r_mid).sum(axis=1) - 1  # exclude self
+    nu = np.concatenate([(cloud.distances(rows) < r_mid).sum(axis=1) for rows in cloud.row_blocks()])
+    nu -= 1  # exclude self
     n_min = int(0.02 * n)
     n_max = max(n_min + 5, int(0.10 * n))
     keep = np.where((nu > n_min) & (nu < n_max))[0]
@@ -124,7 +133,8 @@ def renyi_entropy(p: np.ndarray, alpha: float) -> float:
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of dist, ordered
     by (distance, index): the first k columns of a stable argsort, ties at the
-    k-th distance included, without sorting whole rows."""
+    k-th distance included, without sorting whole rows. Each row stands
+    alone, so dist may be any block of rows."""
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
     rows, cols = np.nonzero(dist <= kth[:, None])  # row-major, so cols ascend within a row
     order = np.lexsort((dist[rows, cols], rows))
@@ -145,12 +155,12 @@ def knn_graph(cloud: PointCloud | np.ndarray, knn_k: int) -> tuple[np.ndarray, n
     link is to point 0, and point 1 is isolated.
     """
     cloud = PointCloud.of(cloud)
-    n, dist = cloud.n, cloud.distances()
-    nn = _nearest(dist, min(knn_k + 1, n))[:, 1:]
+    n, k = cloud.n, min(knn_k + 1, cloud.n)
+    nn = np.concatenate([_nearest(cloud.distances(rows), k) for rows in cloud.row_blocks()])[:, 1:]
     src = np.repeat(np.arange(n), nn.shape[1])
     a = np.concatenate([src, nn.ravel()])
     b = np.concatenate([nn.ravel(), src])
-    keep = dist[a, b] > 0
+    keep = cloud.d2[a, b] > 0
     edges = np.unique(a[keep] * n + b[keep])  # sorted by (a, b), each edge once per direction
     a, b = edges // n, edges % n
     degree = np.bincount(a, minlength=n)
@@ -158,7 +168,7 @@ def knn_graph(cloud: PointCloud | np.ndarray, knn_k: int) -> tuple[np.ndarray, n
     w = np.full(nbr.shape, np.inf)
     slot = np.arange(len(a)) - (np.cumsum(degree) - degree)[a]
     nbr[a, slot] = b
-    w[a, slot] = dist[a, b]
+    w[a, slot] = np.sqrt(cloud.d2[a, b])
     return nbr, w
 
 
@@ -272,20 +282,22 @@ def select_global(
     k_global: int,
 ) -> list[int]:
     """Iteratively add argmax of w_j * (1 + d_min(x_j)) with d_min recomputed
-    against the growing selected set; ties break toward the lowest index."""
+    against the growing selected set; ties break toward the lowest index.
+
+    The distances to a selected point are its row of d2, which is its column,
+    since d2 is exactly symmetric."""
     selected = list(already)
     out: list[int] = []
     if k_global == 0:
         return out
     cloud = PointCloud.of(cloud)
-    n, dist = cloud.n, cloud.distances()
-    d_min = dist[:, selected].min(axis=1) if selected else np.full(n, np.inf)
+    d_min = cloud.distances(selected).min(axis=0) if selected else np.full(cloud.n, np.inf)
     for _ in range(k_global):
         score = weights * (1.0 + d_min)
         score[selected + out] = -np.inf
         j = int(score.argmax())  # argmax returns the first (lowest) index on ties
         out.append(j)
-        d_min = np.minimum(d_min, dist[:, j])
+        d_min = np.minimum(d_min, cloud.distances(j))
     return out
 
 

@@ -236,7 +236,7 @@ def correlator_hadamard(
             fused_step_gates=len(step.gates),
             trotter_substeps=n_sub,
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if shots > 0 else None  # building one imports numpy.random
     sysdim = 1 << ham.n
     state = np.zeros(1 << n_total, dtype=complex)
     # ancilla in |+>, work qubit |0>: index = ancilla * 2 sysdim + work * sysdim + system
@@ -268,12 +268,17 @@ def correlator_hadamard(
 
 def periodogram(series: CorrelatorSeries) -> tuple[np.ndarray, np.ndarray]:
     """Hann-tapered power on the canonical grid omega_l = 2 pi l / (M dt)."""
-    m = series.m
+    return _periodogram(series.values, series.dt)
+
+
+def _periodogram(values: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``periodogram`` of every row of values (time on the last axis), one
+    ifft over the rows."""
+    m = values.shape[-1]
     if m < 8:
         raise ValueError("need at least 8 samples")
-    w = hann_window(m)
-    spec = np.fft.ifft(w * series.values) * m  # sum_m w C exp(+i omega t)
-    omegas = 2 * math.pi * np.arange(m) / (m * series.dt)
+    spec = np.fft.ifft(hann_window(m) * values, axis=-1) * m  # sum_m w C exp(+i omega t)
+    omegas = 2 * math.pi * np.arange(m) / (m * dt)
     return omegas, np.abs(spec) ** 2
 
 
@@ -291,26 +296,33 @@ def refine_peaks(omegas: np.ndarray, power: np.ndarray, dt: float) -> RefinedPea
     A flat spectrum (zero MAD) falls back to mean + 3 std, noted in the
     result.
     """
+    (lines,), thr, flat = _refine_rows(omegas, power[None], dt)
+    return RefinedPeaks(lines=tuple(lines), threshold=float(thr[0]), flat_spectrum=bool(flat[0]))
+
+
+def _refine_rows(
+    omegas: np.ndarray, power: np.ndarray, dt: float
+) -> tuple[list[list[tuple[float, float]]], np.ndarray, np.ndarray]:
+    """``refine_peaks`` on every row of power at once: the sorted lines of
+    each row, and the rows' thresholds and flat flags. The thresholds and the
+    peak mask are computed over all rows together; only the peaks found are
+    refined, one at a time."""
     amp = np.sqrt(power)
     nyq = math.pi / dt
     lo, hi = PEAK_BAND[0] * nyq, PEAK_BAND[1] * nyq
     in_band = (omegas >= lo) & (omegas <= hi)
-    med = float(np.median(amp[in_band]))
-    mad = float(np.median(np.abs(amp[in_band] - med)))
+    band = amp[:, in_band]
+    med = np.median(band, axis=1)
+    mad = np.median(np.abs(band - med[:, None]), axis=1)
     flat = mad == 0.0
-    if flat:
-        thr = float(amp[in_band].mean() + 3 * amp[in_band].std())
-    else:
-        thr = med + 1.4826 * PEAK_K_SIGMA * mad
+    thr = np.where(flat, band.mean(axis=1) + 3 * band.std(axis=1), med + 1.4826 * PEAK_K_SIGMA * mad)
 
-    lines: list[tuple[float, float]] = []
+    mid = amp[:, 1:-1]
+    peak = in_band[1:-1] & ~((mid < thr[:, None]) | (mid < amp[:, :-2]) | (mid <= amp[:, 2:]))
+    lines: list[list[tuple[float, float]]] = [[] for _ in amp]
     dw = omegas[1] - omegas[0]
-    for i in range(1, len(omegas) - 1):
-        if not in_band[i]:
-            continue
-        a0, am, ap = amp[i], amp[i - 1], amp[i + 1]
-        if a0 < thr or a0 < am or a0 <= ap:
-            continue
+    for r, i in zip(*np.nonzero(peak)):
+        a0, am, ap = amp[r, i + 1], amp[r, i], amp[r, i + 2]
         # three-point parabola on log magnitude: the raw-amplitude variant
         # biases off-grid Hann peaks by up to ~0.05 bins, log stays ~3x lower
         if am > 0 and ap > 0:
@@ -321,9 +333,10 @@ def refine_peaks(omegas: np.ndarray, power: np.ndarray, dt: float) -> RefinedPea
         delta = 0.5 * (lm - lp) / denom if denom != 0 else 0.0
         amp_denom = am - 2 * a0 + ap
         a_hat = a0 - (am - ap) ** 2 / (8 * amp_denom) if amp_denom != 0 else a0
-        lines.append((float(omegas[i] + delta * dw), float(a_hat)))
-    lines.sort()
-    return RefinedPeaks(lines=tuple(lines), threshold=thr, flat_spectrum=flat)
+        lines[r].append((float(omegas[i + 1] + delta * dw), float(a_hat)))
+    for row in lines:
+        row.sort()
+    return lines, thr, flat
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +425,19 @@ def zero_mode_test(
 
 
 def _bootstrap_gap_ci(series: CorrelatorSeries, guard: float) -> tuple[float, float] | None:
-    """Percentile interval for the FFT gap from a circular block bootstrap."""
+    """Percentile interval for the FFT gap from a circular block bootstrap:
+    the block starts of each resample are drawn in turn, then every resample's
+    periodogram and peaks are found together."""
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     m = series.m
     block = max(2, min(BOOTSTRAP_BLOCK, m // 2))
     n_blocks = math.ceil(m / block)
+    starts = np.array([rng.integers(0, m, size=n_blocks) for _ in range(BOOTSTRAP_RESAMPLES)])
+    idx = (starts[:, :, None] + np.arange(block)).reshape(BOOTSTRAP_RESAMPLES, -1)[:, :m] % m
+    om, pw = _periodogram(series.values[idx], series.dt)
     gaps = []
-    for _ in range(BOOTSTRAP_RESAMPLES):
-        starts = rng.integers(0, m, size=n_blocks)
-        idx = np.concatenate([np.arange(s, s + block) % m for s in starts])[:m]
-        boot = CorrelatorSeries(series.dt, series.values[idx], series.shots, series.alpha_scale)
-        om, pw = periodogram(boot)
-        peaks = refine_peaks(om, pw, boot.dt)
-        cand = [w for w, _ in peaks.lines if w > guard]
+    for lines in _refine_rows(om, pw, series.dt)[0]:
+        cand = [w for w, _ in lines if w > guard]
         if cand:
             gaps.append(min(cand))
     if len(gaps) < max(10, BOOTSTRAP_RESAMPLES // 10):

@@ -9,11 +9,14 @@ import math
 
 import numpy as np
 
-from topospec.errors import ResourceLimitError
+from topospec import spectro
+from topospec.embedding import PointCloud
+from topospec.errors import DegenerateBandwidthError, ResourceLimitError, SelectionInfeasibleError
 from topospec.hodge import HodgeSpectrum, laplacian_k
 from topospec.persistence import Filtration
 from topospec.qcompile import Circuit, Gate, _mask_bits, _pattern_key, controlled_evolution, simulate
-from topospec.spectro import CorrelatorSeries
+from topospec.selection import _nearest
+from topospec.spectro import CorrelatorSeries, RefinedPeaks, periodogram
 from topospec.susy import PauliTerm
 from topospec.topograph import TopoGraph, enumerate_triangles, incidence_matrices
 
@@ -199,6 +202,135 @@ def sq_distances_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is checked against bit for bit."""
     diff = a[:, None, :] - b[None, :, :]
     return (diff**2).sum(axis=-1)
+
+
+# The N x N passes of selection over whole matrices: the row-block passes
+# must reproduce them bit for bit.
+
+
+def density_weights_oracle(cloud, alpha: float) -> np.ndarray:
+    """Density weights from the whole kernel matrix at once, its squared
+    distances from the broadcast formula."""
+    pts = PointCloud.of(cloud).points
+    n, m = pts.shape
+    d2 = sq_distances_broadcast(pts, pts)
+    h = float(np.quantile(np.sqrt(d2[np.triu_indices(n, k=1)]), 0.10))
+    if h == 0.0:
+        raise DegenerateBandwidthError("10th-percentile bandwidth is zero")
+    rho = np.exp(-d2 / (2 * h * h)).sum(axis=1) / (n * h**m)
+    w = rho ** (alpha - 1.0)
+    return w / w.sum()
+
+
+def candidate_set_oracle(cloud, diag) -> tuple[np.ndarray, bool]:
+    """Loop candidates from neighbour counts over the whole distance matrix."""
+    cloud = PointCloud.of(cloud)
+    n = cloud.n
+    finite = diag.in_dim(1, finite_only=True)
+    if not finite:
+        return np.arange(n), True
+    b, d = max(finite, key=lambda bd: bd[1] - bd[0])
+    nu = (np.sqrt(cloud.d2) < 0.5 * (b + d)).sum(axis=1) - 1
+    n_min = int(0.02 * n)
+    n_max = max(n_min + 5, int(0.10 * n))
+    keep = np.where((nu > n_min) & (nu < n_max))[0]
+    if len(keep) == 0:
+        raise SelectionInfeasibleError(f"no candidate satisfies {n_min} < nu < {n_max}")
+    return keep, False
+
+
+def knn_graph_oracle(cloud, knn_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The padded kNN table, neighbours and edge lengths read from the whole
+    distance matrix."""
+    cloud = PointCloud.of(cloud)
+    n, dist = cloud.n, np.sqrt(cloud.d2)
+    nn = _nearest(dist, min(knn_k + 1, n))[:, 1:]
+    src = np.repeat(np.arange(n), nn.shape[1])
+    a = np.concatenate([src, nn.ravel()])
+    b = np.concatenate([nn.ravel(), src])
+    keep = dist[a, b] > 0
+    edges = np.unique(a[keep] * n + b[keep])
+    a, b = edges // n, edges % n
+    degree = np.bincount(a, minlength=n)
+    nbr = np.repeat(np.arange(n)[:, None], max(int(degree.max(initial=0)), 1), axis=1)
+    w = np.full(nbr.shape, np.inf)
+    slot = np.arange(len(a)) - (np.cumsum(degree) - degree)[a]
+    nbr[a, slot] = b
+    w[a, slot] = dist[a, b]
+    return nbr, w
+
+
+def select_global_oracle(cloud, weights: np.ndarray, already: list[int], k_global: int) -> list[int]:
+    """Global picks from the columns of the whole distance matrix."""
+    cloud = PointCloud.of(cloud)
+    selected, out = list(already), []
+    dist = np.sqrt(cloud.d2)
+    d_min = dist[:, selected].min(axis=1) if selected else np.full(cloud.n, np.inf)
+    for _ in range(k_global):
+        score = weights * (1.0 + d_min)
+        score[selected + out] = -np.inf
+        j = int(score.argmax())
+        out.append(j)
+        d_min = np.minimum(d_min, dist[:, j])
+    return out
+
+
+def refine_peaks_oracle(omegas: np.ndarray, power: np.ndarray, dt: float) -> RefinedPeaks:
+    """Peak refinement by a scan of one spectrum bin by bin in Python: the
+    oracle of spectro.refine_peaks and its row-wise mask."""
+    amp = np.sqrt(power)
+    nyq = math.pi / dt
+    lo, hi = spectro.PEAK_BAND[0] * nyq, spectro.PEAK_BAND[1] * nyq
+    in_band = (omegas >= lo) & (omegas <= hi)
+    med = float(np.median(amp[in_band]))
+    mad = float(np.median(np.abs(amp[in_band] - med)))
+    flat = mad == 0.0
+    if flat:
+        thr = float(amp[in_band].mean() + 3 * amp[in_band].std())
+    else:
+        thr = med + 1.4826 * spectro.PEAK_K_SIGMA * mad
+    lines: list[tuple[float, float]] = []
+    dw = omegas[1] - omegas[0]
+    for i in range(1, len(omegas) - 1):
+        if not in_band[i]:
+            continue
+        a0, am, ap = amp[i], amp[i - 1], amp[i + 1]
+        if a0 < thr or a0 < am or a0 <= ap:
+            continue
+        if am > 0 and ap > 0:
+            lm, l0, lp = math.log(am), math.log(a0), math.log(ap)
+        else:
+            lm, l0, lp = am, a0, ap
+        denom = lm - 2 * l0 + lp
+        delta = 0.5 * (lm - lp) / denom if denom != 0 else 0.0
+        amp_denom = am - 2 * a0 + ap
+        a_hat = a0 - (am - ap) ** 2 / (8 * amp_denom) if amp_denom != 0 else a0
+        lines.append((float(omegas[i] + delta * dw), float(a_hat)))
+    lines.sort()
+    return RefinedPeaks(lines=tuple(lines), threshold=thr, flat_spectrum=flat)
+
+
+def bootstrap_gap_ci_oracle(series: CorrelatorSeries, guard: float) -> tuple[float, float] | None:
+    """The circular block bootstrap one resample at a time, each with its own
+    periodogram and ``refine_peaks_oracle``: the oracle of
+    spectro._bootstrap_gap_ci's batched resamples."""
+    rng = np.random.default_rng(spectro.BOOTSTRAP_SEED)
+    m = series.m
+    block = max(2, min(spectro.BOOTSTRAP_BLOCK, m // 2))
+    n_blocks = math.ceil(m / block)
+    gaps = []
+    for _ in range(spectro.BOOTSTRAP_RESAMPLES):
+        starts = rng.integers(0, m, size=n_blocks)
+        idx = np.concatenate([np.arange(s, s + block) % m for s in starts])[:m]
+        boot = CorrelatorSeries(series.dt, series.values[idx], series.shots, series.alpha_scale)
+        om, pw = periodogram(boot)
+        cand = [w for w, _ in refine_peaks_oracle(om, pw, boot.dt).lines if w > guard]
+        if cand:
+            gaps.append(min(cand))
+    if len(gaps) < max(10, spectro.BOOTSTRAP_RESAMPLES // 10):
+        return None
+    lo, hi = np.percentile(gaps, [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def graph_from_edges(n_vertices: int, edges, pure: bool = False) -> TopoGraph:

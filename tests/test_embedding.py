@@ -77,6 +77,27 @@ def test_sq_distances_is_the_broadcast_sum_bit_for_bit(m, rows, seed):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("block", (1, 2, 3, embedding.BLOCK_ROWS))
+@given(n=st.integers(1, 10), m=st.integers(1, 10), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_row_blocks_fill_d2_bit_for_bit(block, n, m, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-4, 4, size=m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "BLOCK_ROWS", block)
+        cloud = embedding.PointCloud(pts)
+        blocks = cloud.row_blocks()
+        d2 = cloud.d2
+    assert all(0 < r.stop - r.start <= block for r in blocks)
+    assert np.array_equal(np.concatenate([np.arange(n)[r] for r in blocks]), np.arange(n))
+    assert np.array_equal(d2.view(np.uint64), sq_distances_broadcast(pts, pts).view(np.uint64))
+    assert np.array_equal(d2, d2.T) and not d2.flags.writeable
+    dist = cloud.distances()
+    assert np.array_equal(dist, np.sqrt(d2)) and cloud.distances() is not dist
+    assert cloud.diameter() == dist.max()
+    assert np.array_equal(cloud.distances(slice(1, 3)), dist[1:3])
+
+
 def test_tau_sinusoid_quarter_period():
     # brute-force MI over all lags has its first basin centered near P/4
     period = 40

@@ -121,10 +121,11 @@ def test_runner_stops_after_the_requested_stage():
         _pipeline_stage(28.0, FAST, until="spectro")
 
 
-def test_graph_run_holds_at_most_four_cloud_matrices():
+def test_graph_run_holds_at_most_two_cloud_matrices():
     # the default rho-40 cloud's pairwise geometry is the run's largest state:
-    # the cloud caches d2 and the distances, and a stage may hold two more
-    # N x N float64 arrays beside them, never an N x N x m difference
+    # the cloud caches d2 alone, and a stage reads it by row blocks, holding at
+    # most one more N x N float64 array beside it (the density bandwidth's
+    # upper triangle is half of one), never an N x N x m difference
     cfg = SweepConfig()
     n = _pipeline_stage(40.0, cfg, until="graph").sizes["cloud_points"]  # warms lazy imports
     tracemalloc.start()
@@ -135,7 +136,7 @@ def test_graph_run_holds_at_most_four_cloud_matrices():
         tracemalloc.stop()
     assert stage.failed_stage is None and stage.sizes["cloud_points"] == n
     matrix = 8 * n * n
-    assert peak <= 4 * matrix, f"allocation peak {peak / 1e6:.1f} MB is {peak / matrix:.2f} N x N matrices"
+    assert peak <= 2 * matrix, f"allocation peak {peak / 1e6:.1f} MB is {peak / matrix:.2f} N x N matrices"
 
 
 def test_stage_commands_never_compute_lyapunov(tmp_path, monkeypatch):

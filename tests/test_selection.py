@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from topospec import selection
+from topospec import embedding, selection
 from topospec.embedding import PointCloud
 from topospec.errors import DegenerateBandwidthError, SelectionInfeasibleError
 from topospec.persistence import (
@@ -26,7 +26,13 @@ from topospec.selection import (
     select_topological,
 )
 from topospec.sweep import SweepConfig
-from helpers import sq_distances_broadcast
+from helpers import (
+    candidate_set_oracle,
+    density_weights_oracle,
+    knn_graph_oracle,
+    select_global_oracle,
+    sq_distances_broadcast,
+)
 
 
 def ring_cloud(n=200, radius=1.0, seed=0, noise=0.02):
@@ -266,10 +272,10 @@ def test_topo_needs_as_many_candidates_as_picks():
         select_topological(pts, np.array([5, 1, 9]), np.full(40, 1 / 40), circular_coordinates(pts), cfg)
 
 
-# Reference implementations: the kNN graph, the Dijkstra pass, the density
-# weights and the greedy loop of the selection stage as they were built on
-# scipy.sparse and a per-candidate loop. The numpy table, the relaxation and
-# the gain arrays must reproduce them bit for bit.
+# Reference implementations: the kNN graph, the Dijkstra pass and the greedy
+# loop of the selection stage as they were built on scipy.sparse and a
+# per-candidate loop. The numpy table, the relaxation and the gain arrays
+# must reproduce them bit for bit.
 
 
 def ref_knn_graph(pts, knn_k):
@@ -281,18 +287,6 @@ def ref_knn_graph(pts, knn_k):
     cols = nn.ravel()
     g = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
     return g.maximum(g.T)
-
-
-def ref_density_weights(pts, alpha):
-    pts = PointCloud.of(pts).points
-    n, m = pts.shape
-    d2 = sq_distances_broadcast(pts, pts)
-    h = float(np.quantile(np.sqrt(d2[np.triu_indices(n, k=1)]), 0.10))
-    if h == 0.0:
-        raise DegenerateBandwidthError("10th-percentile bandwidth is zero")
-    rho = np.exp(-d2 / (2 * h * h)).sum(axis=1) / (n * h**m)
-    w = rho ** (alpha - 1.0)
-    return w / w.sum()
 
 
 def ref_select_topological(pts, candidates, weights, angles, cfg, gains=None):
@@ -478,10 +472,10 @@ def test_greedy_picks_match_the_loop(kind, seed, zero_weights):
 def test_density_weights_match_the_reference(kind, seed, alpha):
     cloud = PointCloud(_oracle_cloud(kind, seed))
     upper = np.triu_indices(cloud.n, k=1)
-    # the bandwidth read from the cached distances is the recomputed one
-    assert np.quantile(cloud.distances()[upper], 0.10) == np.quantile(np.sqrt(cloud.d2[upper]), 0.10)
+    # the bandwidth from the rows' upper parts is the one from the triangle's indices
+    assert selection._bandwidth(cloud.d2) == np.quantile(np.sqrt(cloud.d2[upper]), 0.10)
     try:
-        expect = ref_density_weights(cloud, alpha)
+        expect = density_weights_oracle(cloud, alpha)
     except DegenerateBandwidthError:
         # enough copies put the 10th-percentile distance at zero: both refuse
         with pytest.raises(DegenerateBandwidthError):
@@ -514,3 +508,50 @@ def test_default_clouds_keep_their_topological_picks():
         angles = circular_coordinates(cloud.points, cand)
         got = select_topological(cloud, cand, weights, angles, cfg)
         assert got == ref_select_topological(cloud, cand, weights, angles, cfg)
+
+
+def _block_cloud(seed: int, n: int) -> np.ndarray:
+    """n points, on a small grid (tied distances) or uniform, with copies of
+    some of them shuffled in (zero-length links, ties at the k-th distance)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 3, size=(n, 2)).astype(float) if seed % 2 else rng.uniform(0, 1, size=(n, 3))
+    pts = np.vstack([pts, pts[rng.integers(0, n, int(rng.integers(0, n // 2 + 2)))]])
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("block", (1, 2, 3))
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8), knn_k=st.integers(1, 5), alpha=st.sampled_from([1.5, 2.0]))
+@settings(max_examples=40, deadline=None)
+def test_row_block_passes_match_the_full_matrix_oracles(block, seed, n, knn_k, alpha):
+    pts = _block_cloud(seed, n)
+    rng = np.random.default_rng(seed + 1)
+    upper = np.sqrt(sq_distances_broadcast(pts, pts)[np.triu_indices(len(pts), 1)])
+    r = float(rng.choice(upper))  # the loop's mid-scale on a distance: ties at the cut
+    diag = PersistenceDiagram(pairs=((1, 0.0, 2 * r),))
+    weights = rng.uniform(0.5, 1.5, len(pts))
+    already = [int(i) for i in rng.choice(len(pts), int(rng.integers(0, 3)), replace=False)]
+    k_global = int(rng.integers(0, len(pts) - len(already) + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "BLOCK_ROWS", block)
+        cloud = PointCloud(pts)
+        try:
+            expect = density_weights_oracle(cloud, alpha)
+        except DegenerateBandwidthError:
+            with pytest.raises(DegenerateBandwidthError):
+                density_weights(cloud, alpha)
+        else:
+            assert np.array_equal(density_weights(cloud, alpha).view(np.uint64), expect.view(np.uint64))
+        try:
+            expect = candidate_set_oracle(cloud, diag)
+        except SelectionInfeasibleError:
+            with pytest.raises(SelectionInfeasibleError):
+                candidate_set(cloud, diag)
+        else:
+            got = candidate_set(cloud, diag)
+            assert np.array_equal(got[0], expect[0]) and got[1] == expect[1]
+        nbr, w = knn_graph(cloud, knn_k)
+        ref_nbr, ref_w = knn_graph_oracle(cloud, knn_k)
+        assert np.array_equal(nbr, ref_nbr) and np.array_equal(w.view(np.uint64), ref_w.view(np.uint64))
+        assert select_global(cloud, weights, already, k_global) == select_global_oracle(
+            cloud, weights, already, k_global
+        )

@@ -25,7 +25,7 @@ from topospec.spectro import (
     zero_mode_test,
 )
 from topospec.susy import onehot_hamiltonian
-from helpers import graph_from_edges
+from helpers import bootstrap_gap_ci_oracle, graph_from_edges, refine_peaks_oracle
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 L1_C4 = laplacian_k(C4.B1, None)
@@ -496,6 +496,35 @@ def test_bootstrap_ci_contains_gap():
     assert est.gap_ci is not None
     lo, hi = est.gap_ci
     assert lo <= est.gap_hat * 1.05 and hi >= est.gap_hat * 0.95
+
+
+def _peaky_series(seed: int, m: int) -> CorrelatorSeries:
+    """A few lines in noise, or a flat series when seed % 5 == 0."""
+    rng = np.random.default_rng(seed)
+    if seed % 5 == 0:
+        return CorrelatorSeries(dt=0.25, values=np.ones(m))
+    freqs = rng.uniform(0, 10, int(rng.integers(1, 4)))
+    return synthetic_series(freqs, rng.uniform(0.2, 1.0, len(freqs)), m=m, noise=float(rng.uniform(0, 0.5)), seed=seed)
+
+
+@given(seed=st.integers(0, 10_000), m=st.integers(8, 300))
+@settings(max_examples=60, deadline=None)
+def test_refine_peaks_is_the_bin_by_bin_scan(seed, m):
+    om, pw = periodogram(_peaky_series(seed, m))
+    if seed % 3 == 0:  # zero bins beside peaks take the raw-amplitude parabola
+        pw[np.random.default_rng(seed).integers(0, m, m // 4)] = 0.0
+    elif seed % 3 == 1:  # a plateau at the top: the peak is its right end
+        top = int(pw[1 : m // 3].argmax()) + 1
+        pw[top + 1] = pw[top]
+    assert refine_peaks(om, pw, 0.25) == refine_peaks_oracle(om, pw, 0.25)
+
+
+@given(seed=st.integers(0, 10_000), m=st.integers(12, 300))
+@settings(max_examples=30, deadline=None)
+def test_bootstrap_ci_is_the_per_resample_loop(seed, m):
+    series = _peaky_series(seed, m)
+    guard = spectro.GUARD_BINS * series.delta_omega
+    assert spectro._bootstrap_gap_ci(series, guard) == bootstrap_gap_ci_oracle(series, guard)
 
 
 def test_correlator_magnitude_invariant():
