@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, dynamics, persistence, probe, spectro, sweep
 from .errors import ConfigError, TopospecError
 from .fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RADII
-from .hodge import BoundReport, FiltrationLaplacians, spectrum, verify_gap_persistence_bound
+from .hodge import BOUND_MAX_POINTS, BoundReport, FiltrationLaplacians, spectrum, verify_gap_persistence_bound
 from .qcompile import baseline_qpe_cost
 from .serialize import digest_text, write_csv, write_json
 from .susy import onehot_hamiltonian, susy_hamiltonian, verify_block_equivalence
@@ -270,7 +270,8 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], hardware_csv: str | None = None
         write_json(out / "sweep_correlations.json", {"n_pairs": 0})
         return 0
     digest = cfg.digest()
-    if _run_is_complete(out, digest, grid):
+    # a hardware CSV adds a block to the report, so a run given one is never skipped
+    if hw is None and _run_is_complete(out, digest, grid):
         print("sweep already complete for this config digest; skipping")
         return 0
     records, report = run_sweep(grid, cfg.sweep)
@@ -498,10 +499,9 @@ def _float_grid(spec_str: str) -> list[float]:
     return vals
 
 
-# numeric subcommand options, checked before any stage runs; the bound
-# checker is limited to clouds of <= 12 points
+# numeric subcommand options, checked before any stage runs
 _OPTION_RULES = {
-    "points": ("in 1..12", lambda v: 1 <= v <= 12),
+    "points": (f"in 1..{BOUND_MAX_POINTS}", lambda v: 1 <= v <= BOUND_MAX_POINTS),
     "clouds": (">= 1", lambda v: v >= 1),
     "phase_bits": (">= 1", lambda v: v >= 1),
     "eta": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),

@@ -1,4 +1,4 @@
-"""Boundary matrices, clique lists, Hodge Laplacians, spectra, and the
+"""Boundary matrices, Hodge Laplacians, spectra, and the
 gap-persistence bound checker.
 
 Every complex is a ``persistence.Filtration`` (a graph or clique complex is
@@ -21,7 +21,6 @@ the bound checker solves every birth Laplacian of its clouds that way.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,19 +97,8 @@ def spectrum(L: np.ndarray) -> HodgeSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# cliques and the boundaries of a filtration; the one sign rule
+# the boundaries of a filtration; the one sign rule
 # ---------------------------------------------------------------------------
-
-
-def cliques(n_vertices: int, edges, size: int) -> list[tuple[int, ...]]:
-    """Vertex sets of the size-cliques of a graph whose edges are (i, j) pairs
-    with i < j, in lexicographic order."""
-    es = set(edges)
-    return [
-        c
-        for c in itertools.combinations(range(n_vertices), size)
-        if all(pair in es for pair in itertools.combinations(c, 2))
-    ]
 
 
 class FiltrationLaplacians:
@@ -188,6 +176,9 @@ def laplacian_at(filt: Filtration, eps: float, p: int) -> tuple[np.ndarray, list
 # ---------------------------------------------------------------------------
 
 
+BOUND_MAX_POINTS = 12  # the largest cloud the bound checker takes
+
+
 @dataclass(frozen=True)
 class BoundReport:
     cloud: int  # position of the cloud in the list checked
@@ -251,8 +242,8 @@ def verify_gap_persistence_bound(
 
     seconds = {} if seconds is None else seconds
     clouds = [PointCloud.of(cloud) for cloud in clouds]
-    if any(cloud.n > 12 for cloud in clouds):
-        raise ValueError("bound checker is limited to clouds of <= 12 points")
+    if any(cloud.n > BOUND_MAX_POINTS for cloud in clouds):
+        raise ValueError(f"bound checker is limited to clouds of <= {BOUND_MAX_POINTS} points")
     with _timed(seconds, "filtration"):
         filts = [rips_filtration(cloud) for cloud in clouds]
         diags = [compute_persistence(filt) for filt in filts]

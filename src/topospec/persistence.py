@@ -116,6 +116,53 @@ class PersistenceDiagram:
         write_csv(path, ("dim", "birth", "death"), rows)
 
 
+def upper_adjacency(n_vertices: int, edges) -> np.ndarray:
+    """The strict upper-triangular boolean adjacency of a graph: True at each
+    edge (i, j) with i < j; any other pair is ignored."""
+    near = np.zeros((n_vertices, n_vertices), dtype=bool)
+    near[tuple(np.asarray(edges, dtype=np.intp).reshape(-1, 2).T)] = True
+    return np.triu(near, 1)
+
+
+def cliques(near: np.ndarray, k: int) -> list[np.ndarray]:
+    """The vertex tables of the 1..k-cliques of the graph with strict
+    upper-triangular adjacency ``near``: table s - 1 holds the s-cliques as
+    ascending intp rows in lexicographic order. Each (s-1)-clique is extended
+    by the vertices after it adjacent to all its members, the AND of their
+    rows of ``near`` taken one member at a time."""
+    if k < 1:
+        raise ValueError(f"clique size {k} is below 1")
+    cols = [np.arange(len(near), dtype=np.intp)]  # the current table, one array per member
+    tables = [cols[0][:, None]]
+    for _ in range(k - 1):
+        common = near[cols[0]]
+        for member in cols[1:]:
+            common &= near[member]
+        rows, v = np.nonzero(common)
+        cols = [c[rows] for c in cols] + [v]
+        tables.append(np.stack(cols, axis=1))
+    return tables
+
+
+def component_merges(edges: np.ndarray, n_vertices: int) -> list[tuple[int, int]]:
+    """Union-find over an (m, 2) table of vertex rows in row order: each row
+    that joins two components, with the younger (larger) of their roots,
+    which becomes a child of the elder (the elder rule). Every root is its
+    component's smallest row; the rows not returned close cycles."""
+    root = list(range(n_vertices))
+    merges = []
+    for e, (u, v) in enumerate(np.asarray(edges).tolist()):
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            young = max(u, v)
+            root[young] = min(u, v)
+            merges.append((e, young))
+    return merges
+
+
 def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None) -> Filtration:
     """Vertices at radius 0, edges at their length, triangles at their longest
     edge (the 2-skeleton, all that degree-1 persistence needs), up to eps_max.
@@ -126,10 +173,9 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
     bound, validate-fivepoint, scripts/find_fivepoint.py) use this default; a
     reader of pairs alone takes ``rips_diagram``.
 
-    The edges i < j within eps_max come out of ``nonzero`` in lexicographic
-    order, and so do the triangles i < j < k, found as the vertices k > j
-    within eps_max of both ends of such an edge; a stable sort by radius then
-    keeps lexicographic order within a radius.
+    The edges i < j within eps_max and the triangles i < j < k among them
+    come out of ``cliques`` in lexicographic order; a stable sort by radius
+    then keeps lexicographic order within a radius.
     """
     cloud = PointCloud.of(cloud)
     if eps_max is None:
@@ -137,14 +183,12 @@ def rips_filtration(cloud: PointCloud | np.ndarray, eps_max: float | None = None
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
     dist = cloud.distances()
-    near = np.triu(dist <= eps_max, 1)
-    i, j = np.nonzero(near)
-    e, k = np.nonzero(near[i] & near[j])
-    tri_r = np.maximum(np.maximum(dist[i[e], j[e]], dist[i[e], k]), dist[j[e], k])
+    _, edges, tris = cliques(np.triu(dist <= eps_max, 1), 3)
+    (i, j), (a, b, c) = edges.T, tris.T
     tables = (
         (np.arange(cloud.n), np.zeros(cloud.n)),
-        (np.stack([i, j], axis=1), dist[i, j]),
-        (np.stack([i[e], j[e], k], axis=1), tri_r),
+        (edges, dist[i, j]),
+        (tris, np.maximum(np.maximum(dist[a, b], dist[a, c]), dist[b, c])),
     )
     cells, radii = [], []
     for verts, r in tables:
@@ -182,9 +226,9 @@ def compute_persistence(filt: Filtration) -> PersistenceDiagram:
     included, and its essential classes in those degrees; dimensions above 2
     are ignored.
 
-    Degree 0: union-find over the edges in table order. An edge that joins
-    two components kills the younger root, the one with the later vertex row
-    (the elder rule); every root is its component's oldest vertex.
+    Degree 0: ``component_merges`` over the edges in table order. An edge
+    that joins two components kills the younger root, the one with the later
+    vertex row (the elder rule); every root is its component's oldest vertex.
 
     Degree 1: the coboundary column of each edge lists its triangles; its
     pivot is the oldest. Columns are reduced youngest edge first, and the
@@ -198,22 +242,11 @@ def compute_persistence(filt: Filtration) -> PersistenceDiagram:
     radii = [r.tolist() for r in filt.radii[:3]]
     # each edge as the rows of its two vertices
     edges = filt.faces[1] if len(filt.cells) > 1 else np.zeros((0, 2), dtype=np.intp)
-    pairs: list[tuple[int, float, float]] = []
-    # a vertex row's root; each root is its component's smallest row
-    root = list(range(len(filt.cells[0])))
-    open_edges = []  # edges that joined no two components
-    for e, (u, v) in enumerate(edges.tolist()):
-        while root[u] != u:
-            root[u] = u = root[root[u]]
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        if u == v:
-            open_edges.append(e)
-            continue
-        old, young = min(u, v), max(u, v)
-        root[young] = old
-        pairs.append((0, radii[0][young], radii[1][e]))
-    pairs += [(0, radii[0][v], math.inf) for v, r in enumerate(root) if r == v]
+    merges = dict(component_merges(edges, len(radii[0])))  # edge row -> the younger root it kills
+    pairs = [(0, radii[0][young], radii[1][e]) for e, young in merges.items()]
+    dead = set(merges.values())
+    pairs += [(0, r, math.inf) for v, r in enumerate(radii[0]) if v not in dead]
+    open_edges = [e for e in range(len(edges)) if e not in merges]  # edges that joined no two components
 
     paired: dict[int, int] = {}  # triangle row -> the edge row whose column has it as pivot
     if len(filt.cells) > 2 and len(filt.cells[2]):

@@ -97,6 +97,7 @@ _SINGLE = {
 }
 
 
+MAX_QUBITS = 16  # the dense statevector budget of ``simulate``
 FUSE_WIDTH = 5  # widest run of gates that ``fuse`` turns into one U block
 # columns per U-block matrix product: a 32 x 32 block times 32 columns stays
 # below OpenBLAS's threshold for threading a product (65536 multiply-adds);
@@ -117,7 +118,7 @@ def _half(n: int, q: int, bit: int, controls=()) -> tuple:
 
 
 def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the gate list to a dense amplitude vector (<= 16 qubits), or to
+    """Apply the gate list to a dense amplitude vector (<= MAX_QUBITS), or to
     each row of a batch of them.
 
     Qubit q is bit q of the amplitude index, and the state's last axis holds
@@ -129,8 +130,8 @@ def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
     target halves, and a fused U block multiplies its matrix into its
     qubits' axes.
     """
-    if circ.n_qubits > 16:
-        raise ResourceLimitError(f"{circ.n_qubits} qubits exceed the dense budget of 16")
+    if circ.n_qubits > MAX_QUBITS:
+        raise ResourceLimitError(f"{circ.n_qubits} qubits exceed the dense budget of {MAX_QUBITS}")
     n = circ.n_qubits
     if np.shape(state)[-1:] != (1 << n,):
         raise ValueError("state dimension does not match qubit count")

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import AliasingConfigError, ResourceLimitError
 from .probe import dephased_probes, diagonal_ensemble_weights, uniform_edge_state, w_state_vector
-from .qcompile import controlled_evolution, fuse, simulate
+from .hodge import spectra, spectrum
+from .qcompile import MAX_QUBITS, controlled_evolution, fuse, simulate
 from .serialize import write_csv
 from .susy import PauliHamiltonian, onehot_hamiltonian
 
@@ -89,10 +90,6 @@ def minimal_alpha(bound: float, dt: float, band: float = 1.0) -> float:
     return float(bound) * dt / (band * math.pi)
 
 
-def _spectral_norm(hmat: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(hmat)).max())
-
-
 def _placed_alpha(bound: float, dt: float) -> float:
     """The one alpha placement: the norm bound, floored at 1, at ALIAS_BAND of Nyquist."""
     return max(minimal_alpha(max(bound, 1.0), dt, ALIAS_BAND), 1e-12)
@@ -106,7 +103,7 @@ def calibrated_alpha(l1s, dt: float, mode: str = "exact") -> float:
     if mode == "hadamard":
         bounds = [onehot_hamiltonian(l1).gershgorin_bound() for l1 in l1s]
     else:
-        bounds = [_spectral_norm(l1) for l1 in l1s]
+        bounds = [float(np.abs(spec.eigenvalues).max()) for spec in spectra(l1s)]
     return _placed_alpha(max(bounds, default=1.0), dt)
 
 
@@ -162,7 +159,7 @@ def state_readout(
     if mode != "exact":
         raise ValueError(f"unknown readout mode {mode!r}; expected one of {READOUT_MODES}")
     hmat = ham.dense()
-    alpha = _placed_alpha(_spectral_norm(hmat), dt)
+    alpha = _placed_alpha(float(np.abs(spectrum(hmat).eigenvalues).max()), dt)
     probes = dephased_probes(psi, dephase_samples, seed) if dephase_samples > 0 else psi
     return correlator_exact(hmat, probes, dt, m, alpha)
 
@@ -221,7 +218,7 @@ def correlator_hadamard(
     if m < 2 or not dt > 0:
         raise ValueError(f"the Hadamard readout needs m >= 2 samples and dt > 0, got m = {m}, dt = {dt}")
     n_total = ham.n + 2
-    if n_total > 16:
+    if n_total > MAX_QUBITS:
         raise ResourceLimitError(f"{n_total} qubits exceed the simulation budget")
     bound = ham.gershgorin_bound()
     if bound / alpha * dt >= math.pi:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .topograph import TopoGraph
-from .hodge import FiltrationLaplacians, cliques
-from .persistence import Filtration
+from .hodge import FiltrationLaplacians, spectrum
+from .persistence import Filtration, upper_adjacency
 
 ALPHABET = "IXZzo+-"
 COEFF_TOL = 1e-12  # coefficients at or below this drop out; z/o pairs this close merge
@@ -199,14 +199,15 @@ def supercharge(graph: TopoGraph) -> list[PauliTerm]:
     n = graph.n_vertices
     if n > 14:
         raise ValueError("desk-scale supercharge limited to n <= 14")
-    adj = graph.adjacency()
+    upper = upper_adjacency(n, graph.edges)
+    near = upper | upper.T
     terms: list[PauliTerm] = []
     for i in range(n):
         letters = []
         for q in range(n):
             if q == i:
                 letters.append("+")
-            elif q not in adj[i]:
+            elif not near[i, q]:
                 letters.append("z")  # complement projector; absorbs the JW Z
             elif q < i:
                 letters.append("Z")  # JW string on excited-side neighbors
@@ -297,15 +298,15 @@ def sector_block(dense: np.ndarray, k: int, graph: TopoGraph) -> np.ndarray:
     lexicographically."""
     if k > graph.n_vertices:
         raise ValueError("excitation count exceeds qubit count")
-    idx = [sum(1 << q for q in s) for s in cliques(graph.n_vertices, graph.edges, k)]
-    return dense[np.ix_(idx, idx)] if idx else np.zeros((0, 0))
+    idx = (1 << graph.cliques(k)[k - 1]).sum(axis=1)
+    return dense[np.ix_(idx, idx)] if len(idx) else np.zeros((0, 0))
 
 
 def clique_laplacian(graph: TopoGraph, k: int) -> np.ndarray:
     """Hodge Laplacian L_k of the clique complex of the graph, read off the
     boundaries of its cliques of up to k + 2 vertices as a zero-radius
     Filtration: the reference the SUSY sector blocks are checked against."""
-    cells = tuple(cliques(graph.n_vertices, graph.edges, size) for size in range(1, k + 3))
+    cells = graph.cliques(k + 2)
     filt = Filtration(cells=cells, radii=tuple(np.zeros(len(c)) for c in cells))
     return FiltrationLaplacians(filt).laplacian(0.0, k)[0]
 
@@ -338,9 +339,7 @@ def verify_block_equivalence(graph: TopoGraph, k_max: int, tol: float = 1e-9) ->
         if blk.size == 0:
             devs[k] = 0.0
             continue
-        dev = float(
-            np.abs(np.linalg.eigvalsh(blk) - np.linalg.eigvalsh(L)).max()
-        )
+        dev = float(np.abs(spectrum(blk).eigenvalues - spectrum(L).eigenvalues).max())
         devs[k] = dev
         ok &= dev <= tol
     return EquivalenceReport(hamiltonian=H, max_deviation=devs, passed=ok, tolerance=tol)

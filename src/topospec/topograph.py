@@ -8,16 +8,14 @@ entries are exact integers.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import PointCloud
-from .hodge import FiltrationLaplacians, cliques
-from .persistence import Filtration
+from .hodge import FiltrationLaplacians
+from .persistence import Filtration, cliques, component_merges, rips_filtration, upper_adjacency
 from .serialize import write_csv
 
 Edge = tuple[int, int]
@@ -36,12 +34,9 @@ class TopoGraph:
     def n_vertices(self) -> int:
         return len(self.coords)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(self.n_vertices)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+    def cliques(self, k: int) -> list[np.ndarray]:
+        """The vertex tables of the graph's 1..k-cliques (``persistence.cliques``)."""
+        return cliques(upper_adjacency(self.n_vertices, self.edges), k)
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_vertices, dtype=int)
@@ -68,28 +63,6 @@ class TopoGraph:
         write_csv(b2_path, tuple(f"t{k}" for k in range(len(self.triangles))), self.B2)
 
 
-def _find(parent: list[int], a: int) -> int:
-    """Root of a in the union-find forest parent, halving the path on the way."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
-def _mst_edges(dist: np.ndarray) -> list[Edge]:
-    """Kruskal with deterministic tie-break by (length, i, j): each pair in
-    turn, kept when it merges two trees."""
-    n = len(dist)
-    parent = list(range(n))
-    out: list[Edge] = []
-    for _, a, b in sorted((float(dist[i, j]), i, j) for i, j in itertools.combinations(range(n), 2)):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-            out.append((a, b))
-    return out
-
-
 def build_edges(
     coords: np.ndarray,
     angles: np.ndarray | None = None,
@@ -97,27 +70,29 @@ def build_edges(
     eps_quantile: float = 0.3,
     ring_vertices: np.ndarray | None = None,
 ) -> tuple[tuple[Edge, ...], tuple[str, ...]]:
-    """Union of MST (Kruskal over every pair spans all vertices), epsilon-graph
-    and optional ring closure.
+    """Union of MST (which spans all vertices), epsilon-graph and optional
+    ring closure.
 
-    The ring connects ring_vertices (default: all vertices) in angle-sorted
-    order with wrap-around. Duplicate edges keep the provenance of the first
-    layer that produced them (mst, eps, ring in that priority).
+    Every pair is an edge of the full Rips filtration of the coordinates, in
+    (length, i, j) order: the MST is the pairs that ``component_merges``
+    finds joining two components, and the epsilon layer the pairs shorter
+    than the eps_quantile of their lengths. The ring connects ring_vertices
+    (default: all vertices) in angle-sorted order with wrap-around. Duplicate
+    edges keep the provenance of the first layer that produced them (mst,
+    eps, ring in that priority).
     """
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    dist = PointCloud(coords).distances()
+    filt = rips_filtration(coords)
+    pairs, lengths = filt.cells[1], filt.radii[1]
+    every = list(map(tuple, pairs.tolist()))
 
     layers: list[tuple[str, list[Edge]]] = []
-    layers.append(("mst", _mst_edges(dist)))
-
-    pair_d = dist[np.triu_indices(n, k=1)]
-    eps = float(np.quantile(pair_d, eps_quantile))
-    layers.append(
-        ("eps", [(i, j) for i, j in itertools.combinations(range(n), 2) if dist[i, j] < eps])
-    )
+    layers.append(("mst", [every[e] for e, _ in component_merges(pairs, n)]))
+    eps = float(np.quantile(lengths, eps_quantile))
+    layers.append(("eps", [every[e] for e in np.flatnonzero(lengths < eps).tolist()]))
 
     if use_ring and angles is not None:
         ring_idx = np.arange(n) if ring_vertices is None else np.asarray(ring_vertices, dtype=int)
@@ -143,7 +118,7 @@ def enumerate_triangles(edges: tuple[Edge, ...]) -> tuple[tuple[int, int, int], 
     """The graph's 3-cliques: every vertex triple whose three edges are
     present, so the graph's complex is its clique complex."""
     n = 1 + max((v for e in edges for v in e), default=-1)
-    return tuple(cliques(n, edges, 3))
+    return tuple(map(tuple, cliques(upper_adjacency(n, edges), 3)[2].tolist()))
 
 
 def incidence_matrices(

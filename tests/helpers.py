@@ -333,6 +333,47 @@ def bootstrap_gap_ci_oracle(series: CorrelatorSeries, guard: float) -> tuple[flo
     return float(lo), float(hi)
 
 
+def cliques_oracle(n_vertices: int, edges, size: int) -> list[tuple[int, ...]]:
+    """Vertex sets of the size-cliques of a graph whose edges are (i, j)
+    pairs with i < j, in lexicographic order: every vertex subset tested
+    pair by pair, the reference ``persistence.cliques`` is checked against."""
+    es = set(edges)
+    return [
+        c
+        for c in itertools.combinations(range(n_vertices), size)
+        if all(pair in es for pair in itertools.combinations(c, 2))
+    ]
+
+
+def mst_eps_edges_oracle(coords: np.ndarray, eps_quantile: float) -> tuple[tuple, tuple]:
+    """``build_edges`` without a ring, from its own distance matrix: Kruskal
+    over every pair sorted by (length, i, j), kept when it merges two trees,
+    then the pairs shorter than the eps_quantile of all pair lengths; an edge
+    of both layers keeps provenance mst."""
+    dist = PointCloud(np.asarray(coords, dtype=float)).distances()
+    n = len(dist)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    prov = {}
+    for _, a, b in sorted((float(dist[i, j]), i, j) for i, j in itertools.combinations(range(n), 2)):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            prov[(a, b)] = "mst"
+    eps = float(np.quantile(dist[np.triu_indices(n, k=1)], eps_quantile))
+    for i, j in itertools.combinations(range(n), 2):
+        if dist[i, j] < eps:
+            prov.setdefault((i, j), "eps")
+    ordered = sorted(prov)
+    return tuple(ordered), tuple(prov[e] for e in ordered)
+
+
 def graph_from_edges(n_vertices: int, edges, pure: bool = False) -> TopoGraph:
     """Graph on abstract vertices from an explicit edge list (coords default
     to a unit circle layout), for hand-made fixtures: the clique complex of

@@ -663,6 +663,23 @@ def test_sweep_hardware_import_slot(tmp_path):
     assert "pearson_h1_hw" in report["hardware"]
 
 
+def test_sweep_rerun_with_a_hardware_csv_is_not_skipped(tmp_path, capsys):
+    # a complete run in the same directory must not swallow the hardware block
+    cfg = write_fast_config(tmp_path)
+    out = tmp_path / "out"
+    hw = tmp_path / "hw.csv"
+    hw.write_text("rho,gap\n38,0.5\n39,0.9\n40,0.7\n")
+    args = ["--config", str(cfg), "--out", str(out), "sweep", "--grid", "38:40:1"]
+    assert cli.main(args) == 0
+    first = (out / "sweep_records.csv").read_bytes()
+    assert "hardware" not in json.loads((out / "sweep_correlations.json").read_text())
+    capsys.readouterr()
+    assert cli.main(args + ["--hardware-csv", str(hw)]) == 0
+    assert "skipping" not in capsys.readouterr().out
+    assert json.loads((out / "sweep_correlations.json").read_text())["hardware"]["n_joined"] == 3
+    assert (out / "sweep_records.csv").read_bytes() == first
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topospec import cli, hodge, persistence
@@ -14,13 +14,15 @@ from topospec.fixtures import FIVE_POINT_BETTI1, FIVE_POINT_CLOUD, FIVE_POINT_RA
 from topospec.persistence import (
     Filtration,
     circular_coordinates,
+    cliques,
     compute_persistence,
     max_h1_persistence,
     rips_diagram,
     rips_filtration,
+    upper_adjacency,
 )
 from topospec.sweep import SweepConfig, _pipeline_stage
-from helpers import complex_at, face_tables_oracle, persistence_oracle, reference_complex_at
+from helpers import cliques_oracle, complex_at, face_tables_oracle, persistence_oracle, reference_complex_at
 
 
 def brute_betti(points: np.ndarray, eps: float, dim: int) -> int:
@@ -289,6 +291,39 @@ def test_face_tables_are_the_dict_tables(case):
     _, filt = case
     oracle = face_tables_oracle([list(map(tuple, c.tolist())) for c in filt.cells])
     assert [f.tolist() for f in filt.faces] == [list(map(list, table)) for table in oracle]
+
+
+@st.composite
+def edge_sets(draw):
+    """(n_vertices, edges): a random subset of the pairs i < j of 0-10 vertices."""
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+@given(graph=edge_sets(), k=st.integers(1, 4))
+@example(graph=(0, []), k=4)
+@example(graph=(10, []), k=4)
+@example(graph=(10, list(itertools.combinations(range(10), 2))), k=4)
+@settings(max_examples=150, deadline=None)
+def test_cliques_are_the_itertools_oracle(graph, k):
+    n, edges = graph
+    tables = cliques(upper_adjacency(n, edges), k)
+    assert len(tables) == k
+    for size, table in enumerate(tables, start=1):
+        assert table.dtype == np.intp and table.shape[1] == size
+        assert list(map(tuple, table.tolist())) == cliques_oracle(n, edges, size)
+
+
+def test_upper_adjacency_ignores_pairs_out_of_order():
+    assert upper_adjacency(3, [(1, 0), (2, 2), (1, 2)]).tolist() == [
+        [False, False, False],
+        [False, False, True],
+        [False, False, False],
+    ]
+    with pytest.raises(ValueError, match="clique size 0"):
+        cliques(upper_adjacency(3, []), 0)
 
 
 def test_vertices_and_edges_leave_every_cycle_edge_essential():

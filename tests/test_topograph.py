@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topospec.fixtures import FIVE_POINT_CLOUD
@@ -11,7 +11,7 @@ from topospec.topograph import (
     enumerate_triangles,
     incidence_matrices,
 )
-from helpers import graph_from_edges
+from helpers import graph_from_edges, mst_eps_edges_oracle
 
 
 def test_eps_layer_closes_short_triangle():
@@ -22,6 +22,27 @@ def test_eps_layer_closes_short_triangle():
     tri_edges = {(0, 1), (0, 2), (1, 2)}
     assert tri_edges <= set(edges)
     assert set(prov) <= {"mst", "eps"}
+
+
+# 3-11 points in 1-3 dimensions: floats, or a small integer grid, whose
+# lengths tie and whose points repeat
+POINT_SETS = st.integers(1, 3).flatmap(
+    lambda dim: st.one_of(
+        st.lists(st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * dim), min_size=3, max_size=11),
+        st.lists(st.tuples(*[st.integers(0, 2).map(float)] * dim), min_size=3, max_size=11),
+    )
+)
+QUANTILES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(pts=POINT_SETS, q=QUANTILES)
+@example(pts=[(0.0, 0.0)] * 4, q=0.0)
+@example(pts=[(0.0, 0.0)] * 4, q=1.0)
+@example(pts=[(0.0,), (1.0,), (1.0,), (2.0,), (0.0,)], q=1.0)
+@settings(max_examples=150, deadline=None)
+def test_build_edges_is_the_kruskal_oracle(pts, q):
+    coords = np.array(pts)
+    assert build_edges(coords, None, use_ring=False, eps_quantile=q) == mst_eps_edges_oracle(coords, q)
 
 
 def test_collinear_points_stay_connected():
