@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import orderstats
 from .embedding import PointCloud
 from .errors import DegenerateGeometryError
 from .serialize import write_csv
@@ -87,7 +88,7 @@ class Filtration:
         return tuple(sorted(every, key=lambda sr: (sr[1], len(sr[0]), sr[0])))
 
     def critical_radii(self) -> np.ndarray:
-        return np.unique(np.concatenate(self.radii))
+        return orderstats.unique(np.concatenate(self.radii))
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,9 @@ _SINGLE = {
 
 
 MAX_QUBITS = 16  # the dense statevector budget of ``simulate``
+# the most amplitudes a caller hands one batched ``simulate`` (16 MiB of
+# complex128), and the most entries of a matrix built from such batches
+MAX_BATCH_AMPLITUDES = 1 << 20
 FUSE_WIDTH = 5  # widest run of gates that ``fuse`` turns into one U block
 # columns per U-block matrix product: a 32 x 32 block times 32 columns stays
 # below OpenBLAS's threshold for threading a product (65536 multiply-adds);
@@ -323,105 +326,6 @@ def compile_term(term: PauliTerm, t: float, ancilla: int, work: int) -> list[Gat
 
 
 # ---------------------------------------------------------------------------
-# scheduling
-# ---------------------------------------------------------------------------
-
-
-def _mask_bits(term: PauliTerm) -> tuple[tuple[int, ...], int]:
-    """Predicate sites (sorted) and the polarity mask (bit 1 for 'o')."""
-    sites = tuple(sorted(_sites(term, "zo")))
-    mask = 0
-    for b, q in enumerate(sites):
-        if term.letters[q] == "o":
-            mask |= 1 << b
-    return sites, mask
-
-
-def _pattern_key(term: PauliTerm) -> tuple[str, int, tuple[int, ...]]:
-    blanked = "".join("." if c in "zo" else c for c in term.letters)
-    actives = [q for q, c in enumerate(term.letters) if c in "XZ+-"]
-    ref = max(actives) if actives else -1
-    sites, _ = _mask_bits(term)
-    return blanked, ref, sites
-
-
-def gray_sequence(bits: int) -> list[int]:
-    """Binary-reflected Gray order of all masks on the given bit count."""
-    return [i ^ (i >> 1) for i in range(1 << bits)]
-
-
-def _greedy_from(start: int, uniq: list[int]) -> list[int]:
-    order = [start]
-    remaining = set(uniq) - {start}
-    while remaining:
-        cur = order[-1]
-        nxt = min(remaining, key=lambda m: (bin(m ^ cur).count("1"), m))
-        order.append(nxt)
-        remaining.discard(nxt)
-    return order
-
-
-def _order_masks(masks: list[int], bits: int) -> list[int]:
-    """Exact Gray traversal when the masks fill the hypercube on their varying
-    bits; otherwise the cheapest greedy nearest-neighbor tour over all starts
-    (ties break toward the lexicographically smaller tour)."""
-    uniq = sorted(set(masks))
-    if len(uniq) == 1:
-        return uniq
-    varying = 0
-    for b in range(bits):
-        if len({(m >> b) & 1 for m in uniq}) > 1:
-            varying |= 1 << b
-    var_bits = [b for b in range(bits) if (varying >> b) & 1]
-    fixed = uniq[0] & ~varying
-    if len(uniq) == (1 << len(var_bits)):
-        order = []
-        for g in gray_sequence(len(var_bits)):
-            m = fixed
-            for pos, b in enumerate(var_bits):
-                if (g >> pos) & 1:
-                    m |= 1 << b
-            order.append(m)
-        return order
-    tours = [_greedy_from(s, uniq) for s in uniq]
-    return min(tours, key=lambda o: (_toggle_sum(o), tuple(o)))
-
-
-def _toggle_sum(order: list[int]) -> int:
-    return sum(bin(a ^ b).count("1") for a, b in zip(order, order[1:]))
-
-
-def schedule_gray(terms: list[PauliTerm]) -> list[PauliTerm]:
-    """The terms grouped by (letter pattern, reference qubit), each group's
-    control masks traversed in Gray order (exact on full hypercubes, greedy
-    nearest-neighbor otherwise, deterministic tie-breaks).
-
-    A group falls back to its input mask order when the heuristic traversal
-    would toggle more, so the schedule never costs more than the input order
-    in Hamming toggles between consecutive masks of a group (``_toggle_sum``).
-    """
-    groups: dict[tuple, list[PauliTerm]] = {}
-    for t in terms:
-        groups.setdefault(_pattern_key(t), []).append(t)
-    ordered: list[PauliTerm] = []
-    for key in sorted(groups, key=str):
-        group = groups[key]
-        sites = key[2]
-        by_mask: dict[int, list[PauliTerm]] = {}
-        input_masks: list[int] = []
-        for t in group:
-            _, m = _mask_bits(t)
-            by_mask.setdefault(m, []).append(t)
-            if m not in input_masks:
-                input_masks.append(m)
-        candidates = [_order_masks(sorted(by_mask), len(sites)), input_masks, sorted(by_mask)]
-        order = min(candidates, key=lambda o: (_toggle_sum(o), tuple(o)))
-        for m in order:
-            ordered += sorted(by_mask[m], key=lambda u: u.letters)
-    return ordered
-
-
-# ---------------------------------------------------------------------------
 # controlled evolution
 # ---------------------------------------------------------------------------
 
@@ -510,7 +414,7 @@ def controlled_evolution(
             f"per-step norm bound {norm_bound * abs(t) / steps:.3g} >= pi; "
             f"use steps >= {need} or increase alpha"
         )
-    units = schedule_gray(trotter_units(ham))
+    units = trotter_units(ham)
     dt = t / steps
     # every step is the same gate list, so one is compiled and repeated; second
     # order runs the terms forward and back, each over half the step

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import orderstats
 from .embedding import PointCloud
 from .errors import DegenerateBandwidthError, SelectionInfeasibleError
 from .persistence import PersistenceDiagram, circular_coordinates
@@ -87,7 +88,7 @@ def _bandwidth(d2: np.ndarray) -> float:
     """10th percentile of the distances i < j, from one copy of them that the
     quantile may reorder, since a quantile depends only on the values."""
     upper = np.concatenate([d2[i, i + 1 :] for i in range(len(d2))])
-    return float(np.quantile(np.sqrt(upper, out=upper), 0.10, overwrite_input=True))
+    return float(orderstats.quantile(np.sqrt(upper, out=upper), 0.10, overwrite_input=True))
 
 
 def candidate_set(
@@ -161,7 +162,7 @@ def knn_graph(cloud: PointCloud | np.ndarray, knn_k: int) -> tuple[np.ndarray, n
     a = np.concatenate([src, nn.ravel()])
     b = np.concatenate([nn.ravel(), src])
     keep = cloud.d2[a, b] > 0
-    edges = np.unique(a[keep] * n + b[keep])  # sorted by (a, b), each edge once per direction
+    edges = orderstats.unique(a[keep] * n + b[keep])  # sorted by (a, b), each edge once per direction
     a, b = edges // n, edges % n
     degree = np.bincount(a, minlength=n)
     nbr = np.repeat(np.arange(n)[:, None], max(int(degree.max(initial=0)), 1), axis=1)
@@ -249,7 +250,7 @@ def select_topological(
     index.
     """
     cloud = PointCloud.of(cloud)
-    cand = np.unique(np.asarray(candidates, dtype=np.intp))
+    cand = orderstats.unique(np.asarray(candidates, dtype=np.intp))
     if len(cand) < cfg.k_topo:
         raise SelectionInfeasibleError(f"{len(cand)} candidates for {cfg.k_topo} topological picks")
     bin_edges = np.linspace(0, 2 * np.pi, cfg.bins + 1)

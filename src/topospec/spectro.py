@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import orderstats
 from .errors import AliasingConfigError, ResourceLimitError
 from .probe import dephased_probes, diagonal_ensemble_weights, uniform_edge_state, w_state_vector
 from .hodge import spectra, spectrum
-from .qcompile import MAX_QUBITS, controlled_evolution, fuse, simulate
+from .qcompile import MAX_BATCH_AMPLITUDES, MAX_QUBITS, controlled_evolution, fuse, simulate
 from .serialize import write_csv
 from .susy import PauliHamiltonian, onehot_hamiltonian
 
@@ -200,20 +201,27 @@ def correlator_hadamard(
 ) -> CorrelatorSeries:
     """One-ancilla Hadamard-test readout of C(t) = <psi| exp(-i H t/alpha) |psi>.
 
-    The grid is t_k = k dt (k = 0..m-1, m >= 2, dt > 0). One controlled step of
-    length dt is compiled once, with ``steps`` Trotter sub-steps (default:
-    one per radian of the rescaled norm bound, ceil(bound dt)), and fused
-    into blocks of at most ``qcompile.FUSE_WIDTH`` qubits; the state
-    (|0>|psi> + |1>|psi>)/sqrt(2) is advanced by it m-1 times, so sample k
-    carries k * steps sub-steps, never fewer than ceil(bound t_k). At every
-    sample the ancilla coherence gives C = 2 <branch0|branch1>: Re C is the
-    X-basis and Im C the S-dagger/Y-basis readout. shots=0 returns exact
-    expectations, otherwise binomial samples of p0 = (1 + Re C)/2 and
-    (1 + Im C)/2, drawn in that order per sample.
+    The grid is t_k = k dt (k = 0..m-1, m >= 2, dt > 0). One controlled
+    Trotter sub-step of length dt/n is compiled and fused into blocks of at
+    most ``qcompile.FUSE_WIDTH`` qubits, with n = ``steps`` (default: one per
+    radian of the rescaled norm bound, ceil(bound dt)). The controlled step
+    keeps the register inside the probe's sector: either ancilla value, the
+    work qubit at |0>, and every system basis state of an excitation count
+    the probe touches. The sub-step is simulated once on each of those 2D
+    basis inputs, batched within ``qcompile.MAX_BATCH_AMPLITUDES``; an input
+    that leaves more than 1e-9 of amplitude outside the sector is a compiler
+    fault and raises. Its 2D x 2D sector matrix to the n-th power is the step
+    S of length dt, and (|0>|psi> + |1>|psi>)/sqrt(2) is advanced by m-1
+    products with S, so sample k carries k * n sub-steps, never fewer than
+    ceil(bound t_k). At every sample the ancilla coherence gives
+    C = 2 <branch0|branch1>: Re C is the X-basis and Im C the
+    S-dagger/Y-basis readout. shots=0 returns exact expectations, otherwise
+    binomial samples of p0 = (1 + Re C)/2 and (1 + Im C)/2, drawn in that
+    order per sample.
 
     When given, ``sizes`` receives the register's ``qubits``, the compiled
-    step's ``step_gates``, the fused step's ``fused_step_gates`` and its
-    ``trotter_substeps``.
+    sub-step's ``step_gates``, the fused sub-step's ``fused_step_gates`` and
+    the sub-step count ``trotter_substeps``.
     """
     if m < 2 or not dt > 0:
         raise ValueError(f"the Hadamard readout needs m >= 2 samples and dt > 0, got m = {m}, dt = {dt}")
@@ -224,33 +232,52 @@ def correlator_hadamard(
     if bound / alpha * dt >= math.pi:
         raise AliasingConfigError(f"Nyquist violation: need alpha >= {minimal_alpha(bound, dt):.6g}")
     n_sub = steps or max(1, math.ceil(bound / alpha * dt))
-    compiled = controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha)
-    step = fuse(compiled)
+    psi = np.asarray(psi_system, dtype=complex)
+    sysdim = 1 << ham.n
+    counts = np.bitwise_count(np.arange(sysdim))
+    touched = np.zeros(ham.n + 1, dtype=bool)
+    touched[counts[psi != 0]] = True
+    sector = np.flatnonzero(touched[counts])
+    d = len(sector)
+    if 4 * d * d > MAX_BATCH_AMPLITUDES:
+        raise ResourceLimitError(f"a sector of {d} basis states exceeds the sector-matrix budget")
+    compiled = controlled_evolution(ham, dt / n_sub, order=order, steps=1, alpha=alpha)
+    sub = fuse(compiled)
     if sizes is not None:
         sizes.update(
             qubits=n_total,
             step_gates=len(compiled.gates),
-            fused_step_gates=len(step.gates),
+            fused_step_gates=len(sub.gates),
             trotter_substeps=n_sub,
         )
     rng = np.random.default_rng(seed) if shots > 0 else None  # building one imports numpy.random
-    sysdim = 1 << ham.n
-    state = np.zeros(1 << n_total, dtype=complex)
-    # ancilla in |+>, work qubit |0>: index = ancilla * 2 sysdim + work * sysdim + system
-    branches = state.reshape(2, 2, sysdim)
-    branches[:, 0, :] = np.asarray(psi_system, dtype=complex) / math.sqrt(2)
+    # register index = ancilla * 2 sysdim + work * sysdim + system; sector
+    # input j is ancilla j // d, work qubit 0, system state sector[j % d]
+    inside = np.concatenate([sector, 2 * sysdim + sector])
+    s_sub = np.empty((2 * d, 2 * d), dtype=complex)
+    leak = work_leak = 0.0
+    batch = max(1, MAX_BATCH_AMPLITUDES >> n_total)
+    for lo in range(0, 2 * d, batch):
+        cols = inside[lo : lo + batch]
+        out = np.zeros((len(cols), 1 << n_total), dtype=complex)
+        out[np.arange(len(cols)), cols] = 1.0
+        out = simulate(sub, out)
+        s_sub[:, lo : lo + len(cols)] = out[:, inside].T
+        out[:, inside] = 0.0  # what is left has left the sector
+        leak = max(leak, float(np.linalg.norm(out, axis=1).max()))
+        work = out.reshape(len(cols), 2, 2, sysdim)[:, :, 1]
+        work_leak = max(work_leak, float(np.linalg.norm(work, axis=(1, 2)).max()))
+    if leak > 1e-9:
+        where = "the work qubit left |0>" if work_leak > 1e-9 else "amplitude left the probe's excitation sector"
+        raise RuntimeError(f"{where} (amplitude norm {leak:.3g}) in one controlled Trotter sub-step")
+    step = np.linalg.matrix_power(s_sub, n_sub)
+    state = np.concatenate([psi[sector], psi[sector]]) / math.sqrt(2)
     vals = np.zeros(m, dtype=complex)
     c = 1.0 + 0.0j  # t = 0 is exact
     for k in range(m):
         if k:
-            state = simulate(step, state)
-            branches = state.reshape(2, 2, sysdim)
-            leak = float(np.linalg.norm(branches[:, 1, :]))
-            if leak > 1e-9:
-                raise RuntimeError(
-                    f"work qubit left |0> (amplitude norm {leak:.3g}) after controlled step {k}"
-                )
-            c = 2 * np.vdot(branches[0, 0], branches[1, 0])
+            state = step @ state
+            c = 2 * np.vdot(state[:d], state[d:])
         ps = [min(max((1 + part) / 2, 0.0), 1.0) for part in (c.real, c.imag)]
         if shots > 0:
             ps = [rng.binomial(shots, p) / shots for p in ps]
@@ -309,8 +336,8 @@ def _refine_rows(
     lo, hi = PEAK_BAND[0] * nyq, PEAK_BAND[1] * nyq
     in_band = (omegas >= lo) & (omegas <= hi)
     band = amp[:, in_band]
-    med = np.median(band, axis=1)
-    mad = np.median(np.abs(band - med[:, None]), axis=1)
+    med = orderstats.median(band, axis=1)
+    mad = orderstats.median(np.abs(band - med[:, None]), axis=1)
     flat = mad == 0.0
     thr = np.where(flat, band.mean(axis=1) + 3 * band.std(axis=1), med + 1.4826 * PEAK_K_SIGMA * mad)
 
@@ -439,7 +466,7 @@ def _bootstrap_gap_ci(series: CorrelatorSeries, guard: float) -> tuple[float, fl
             gaps.append(min(cand))
     if len(gaps) < max(10, BOOTSTRAP_RESAMPLES // 10):
         return None
-    lo, hi = np.percentile(gaps, [2.5, 97.5])
+    lo, hi = orderstats.percentile(gaps, [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -484,7 +511,7 @@ def estimate(
     prony_gap = min((f for f in prony_freqs if f > guard), default=None)
     if prony_gap is not None:
         gap_candidates.append(prony_gap)
-    gap = float(np.median(gap_candidates)) if gap_candidates else None
+    gap = float(orderstats.median(gap_candidates)) if gap_candidates else None
 
     alpha = series.alpha_scale
     all_lines: list[SpectralLine] = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import dynamics, embedding, persistence, selection, spectro, topograph
+from . import dynamics, embedding, orderstats, persistence, selection, spectro, topograph
 from .errors import ConfigError, TopospecError, UndefinedEntropyError, typed
 from .hodge import kernel_tolerance, laplacian_k
 from .serialize import digest_text
@@ -482,7 +482,7 @@ def correlation_report(records: list[SweepRecord], seed: int = 0, n_perm: int = 
     out["pearson_p_perm"] = float((np.abs(perm_r) >= abs(r)).mean())
     out["spearman_p_perm"] = float((np.abs(perm_s) >= abs(rho_s)).mean())
     if len(boots):
-        lo, hi = np.percentile(boots, [2.5, 97.5])
+        lo, hi = orderstats.percentile(boots, [2.5, 97.5])
         out["pearson_ci"] = [float(lo), float(hi)]
     return out
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import orderstats
 from .hodge import FiltrationLaplacians
 from .persistence import Filtration, cliques, component_merges, rips_filtration, upper_adjacency
 from .serialize import write_csv
@@ -91,7 +92,7 @@ def build_edges(
 
     layers: list[tuple[str, list[Edge]]] = []
     layers.append(("mst", [every[e] for e, _ in component_merges(pairs, n)]))
-    eps = float(np.quantile(lengths, eps_quantile))
+    eps = float(orderstats.quantile(lengths, eps_quantile))
     layers.append(("eps", [every[e] for e in np.flatnonzero(lengths < eps).tolist()]))
 
     if use_ring and angles is not None:

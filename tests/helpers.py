@@ -14,10 +14,9 @@ from topospec.embedding import PointCloud
 from topospec.errors import DegenerateBandwidthError, ResourceLimitError, SelectionInfeasibleError
 from topospec.hodge import HodgeSpectrum, laplacian_k
 from topospec.persistence import Filtration
-from topospec.qcompile import Circuit, Gate, _mask_bits, _pattern_key, controlled_evolution, simulate
+from topospec.qcompile import Circuit, Gate, controlled_evolution, fuse, simulate
 from topospec.selection import _nearest
 from topospec.spectro import CorrelatorSeries, RefinedPeaks, periodogram
-from topospec.susy import PauliTerm
 from topospec.topograph import TopoGraph, enumerate_triangles, incidence_matrices
 
 
@@ -393,20 +392,6 @@ def graph_from_edges(n_vertices: int, edges, pure: bool = False) -> TopoGraph:
     )
 
 
-def toggle_count_for_order(terms: list[PauliTerm]) -> int:
-    """Hamming toggles between consecutive same-pattern terms in the given
-    order: the metric qcompile.schedule_gray's schedule is checked against."""
-    total = 0
-    prev: dict[tuple, int] = {}
-    for t in terms:
-        key = _pattern_key(t)
-        _, mask = _mask_bits(t)
-        if key in prev:
-            total += bin(prev[key] ^ mask).count("1")
-        prev = {key: mask}
-    return total
-
-
 def spectrum_oracle(L: np.ndarray) -> HodgeSpectrum:
     """One matrix, one ``eigvalsh`` call, kernel at 1e-8 * max(max|ev|, 1):
     the per-matrix spectrum that hodge.spectra's stacked solves are checked
@@ -424,19 +409,38 @@ def spectrum_oracle(L: np.ndarray) -> HodgeSpectrum:
     return HodgeSpectrum(eigenvalues=ev, tau0=tau0, beta_k=beta, gap=gap)
 
 
+def correlator_hadamard_loop(
+    ham, psi_system, dt: float, m: int, shots: int = 0, order: int = 2, steps: int | None = None,
+    alpha: float = 1.0, seed: int = 0,
+) -> CorrelatorSeries:
+    """The fused Hadamard-test loop on the full register: the controlled step
+    of length dt, its n sub-steps compiled together and fused, run m-1 times
+    on the 2^(n+2)-amplitude state. The oracle of spectro.correlator_hadamard's
+    sector-matrix readout."""
+    n_sub = steps or max(1, math.ceil(ham.gershgorin_bound() / alpha * dt))
+    step = fuse(controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha))
+    return _full_register_loop(step, ham.n, psi_system, dt, m, shots, alpha, seed)
+
+
 def correlator_hadamard_unfused(
     ham, psi_system, dt: float, m: int, shots: int = 0, order: int = 2, alpha: float = 1.0, seed: int = 0
 ) -> CorrelatorSeries:
     """The Hadamard-test loop as it ran before gate fusion: the compiled step,
-    gate by gate, m-1 times on the full state, with the same sub-step count,
-    work-qubit check and draw order as spectro.correlator_hadamard, the
-    readout the fused one is checked against."""
-    n_total = ham.n + 2
+    gate by gate, m-1 times on the full state, with the same sub-step count
+    as ``correlator_hadamard_loop``, the second oracle of
+    spectro.correlator_hadamard."""
     n_sub = max(1, math.ceil(ham.gershgorin_bound() / alpha * dt))
     step = controlled_evolution(ham, dt, order=order, steps=n_sub, alpha=alpha)
+    return _full_register_loop(step, ham.n, psi_system, dt, m, shots, alpha, seed)
+
+
+def _full_register_loop(step: Circuit, n_system: int, psi_system, dt, m, shots, alpha, seed) -> CorrelatorSeries:
+    """(|0>|psi> + |1>|psi>)/sqrt(2) advanced by the step m-1 times, the work
+    qubit checked after each step, C = 2 <branch0|branch1>, and the shots
+    drawn as spectro.correlator_hadamard draws them."""
     rng = np.random.default_rng(seed)
-    sysdim = 1 << ham.n
-    state = np.zeros(1 << n_total, dtype=complex)
+    sysdim = 1 << n_system
+    state = np.zeros(4 * sysdim, dtype=complex)
     branches = state.reshape(2, 2, sysdim)
     branches[:, 0, :] = np.asarray(psi_system, dtype=complex) / math.sqrt(2)
     vals = np.zeros(m, dtype=complex)

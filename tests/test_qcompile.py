@@ -15,12 +15,10 @@ from topospec.qcompile import (
     compile_term,
     controlled_evolution,
     fuse,
-    gray_sequence,
-    schedule_gray,
     simulate,
 )
 from topospec.susy import PauliHamiltonian, PauliTerm, onehot_hamiltonian
-from helpers import circuit_unitary, graph_from_edges, toggle_count_for_order
+from helpers import circuit_unitary, graph_from_edges
 
 
 def random_pauli_ham(rng, n=3, n_terms=4):
@@ -112,46 +110,6 @@ def test_identity_term_noop_warns():
     with pytest.warns(UserWarning):
         gates = compile_term(PauliTerm(1.0, "III"), 1.0, ancilla=4, work=3)
     assert gates == []
-
-
-# ---------------------------------------------------------------------------
-# scheduling
-# ---------------------------------------------------------------------------
-
-
-def test_gray_sequence_fig_order():
-    seq = gray_sequence(3)
-    assert seq == [0, 1, 3, 2, 6, 7, 5, 4]
-
-
-def test_schedule_full_hypercube_masks():
-    terms = [PauliTerm(1.0, "X" + a + b) for a in "zo" for b in "zo"]
-    order = schedule_gray(terms)
-    masks = ["".join(t.letters[1:]) for t in order]
-    assert masks == ["zz", "oz", "oo", "zo"]  # Gray order over (q1, q2) bits
-    assert toggle_count_for_order(order) == 3
-
-
-def test_schedule_single_mask_no_toggles():
-    order = schedule_gray([PauliTerm(1.0, "Xz"), PauliTerm(2.0, "Xz")])
-    assert toggle_count_for_order(order) == 0
-
-
-@given(seed=st.integers(0, 2000))
-@settings(max_examples=40, deadline=None)
-def test_gray_never_worse_than_lexicographic_or_input(seed):
-    rng = np.random.default_rng(seed)
-    n_pred = 4
-    masks = rng.choice(2, size=(8, n_pred))
-    terms = []
-    for row in masks:
-        letters = "X" + "".join("o" if b else "z" for b in row)
-        terms.append(PauliTerm(1.0, letters))
-    uniq = list({t.letters: t for t in terms}.values())
-    lex = sorted(uniq, key=lambda t: t.letters)
-    scheduled = toggle_count_for_order(schedule_gray(uniq))
-    assert scheduled <= toggle_count_for_order(lex)
-    assert scheduled <= toggle_count_for_order(uniq)
 
 
 # ---------------------------------------------------------------------------

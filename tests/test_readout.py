@@ -19,7 +19,7 @@ from topospec.hodge import laplacian_k
 from topospec.probe import dicke_state, dicke_weights, uniform_edge_state, w_state_vector
 from topospec.susy import PauliHamiltonian, onehot_hamiltonian, susy_hamiltonian
 from topospec.sweep import _pipeline_stage, run_sweep
-from helpers import correlator_hadamard_unfused, graph_from_edges
+from helpers import correlator_hadamard_loop, correlator_hadamard_unfused, graph_from_edges
 from test_cli import write_fast_config
 from test_pipeline import FAST, ROOT, artifact_digests
 
@@ -56,12 +56,14 @@ GOLDEN = {
     # the W probe became the exact one-hot uniform edge state in place of its
     # simulated preparation circuit: max |dC| 5.6e-16, the probe CSV loses the
     # ~1e-17 amplitudes outside the one-excitation sector, and only the last
-    # digit of gap_hat moves
+    # digit of gap_hat moves; re-pinned when the readout became the sector
+    # matrix of one sub-step and the Trotter units lost the Gray schedule:
+    # max |dC| 1.0e-14, the same beta1_hat and gap_hat to 3e-15
     "hadamard_shots0": {
-        "qpe_correlator_rho28.0.csv": "acd228b59eedc5831ec3c0460ad2a272db75836727915d7b3af9af2b7678349e",
-        "qpe_estimate_rho28.0.json": "afc9364e45f766bd3803a3e0b417045967e71ce06fb5aac1ec1b405c3444f0fe",
+        "qpe_correlator_rho28.0.csv": "4a1fa8c91e2e7522b79316fd986eeed6fb65a658fa49f51514a855812ce0a6c0",
+        "qpe_estimate_rho28.0.json": "6a99f41a459e86b6b9cdcc06897b11e735e1a6c07d0a3e24e1da259f5d90ce31",
         "qpe_probe_rho28.0.csv": "b76bcef7d9dbcc26d27900bfa567df7e157e09743a0c718907a431086cc32c51",
-        "qpe_spectrum_rho28.0.csv": "f04378feeb272e676d859cd08d3205b1411a0b17d7fb5ce116a5cecb00c284b9",
+        "qpe_spectrum_rho28.0.csv": "48a848c0b81e66594a00dd2275b3ddcbb0f955451d92228be0790f07c2e46a3e",
     },
     # re-pinned for the exact W probe: only the probe CSV changed, the draws
     # and so the correlator are byte-identical
@@ -85,24 +87,30 @@ GOLDEN = {
         "qpe_probe_rho28.0.csv": "a211661064fb776ccd11cdb67896ad7e16ea266ef140ac93e4ab7ef002a61db9",
         "qpe_spectrum_rho28.0.csv": "c32510c1514f6ae98cc0a84ca2087a04c474a94baeec07a810c2491208216b90",
     },
-    # re-pinned for the fused step: max |dC| 6.7e-13
+    # re-pinned for the fused step: max |dC| 6.7e-13; re-pinned again for the
+    # sector-matrix readout (5.3e-13 of it) and the Trotter units in
+    # trotter_units order, without the Gray schedule: the SUSY register's
+    # units do not commute, so the new product order moves C by up to
+    # 2.0e-5; the same beta1_hat and no gap line either way
     "dicke_hadamard": {
-        "qpe_correlator_rho28.0.csv": "b1452c2a9ba0f3923294179580aa8570e751fc09415e2964f48c999dc76a7356",
-        "qpe_estimate_rho28.0.json": "5aa06e38440e9833bfd903d562e6e15de84e5f35938003caaca0faca1ac05def",
+        "qpe_correlator_rho28.0.csv": "4464a0a9f581f02dc547f111430eafb6eac817d0a6a1d35a211d3d87dc42835b",
+        "qpe_estimate_rho28.0.json": "6b1814e7237cd24bb844e49ec2a7a6ff48b6f3b252eff82c21ac853115e83804",
         "qpe_probe_rho28.0.csv": "a211661064fb776ccd11cdb67896ad7e16ea266ef140ac93e4ab7ef002a61db9",
-        "qpe_spectrum_rho28.0.csv": "3cde7b4c3bd75e5cdd6eda6947bc06f6a9cde65658ff5dab9c70ae4bd88347bb",
+        "qpe_spectrum_rho28.0.csv": "30eecb4d7f437b77022b379d0c1c5afcc8ccd112c3db4b8a24d3f4de355e85dc",
     },
     # re-pinned for the fused step: max |dC| 5.3e-14 over the three rho, which
     # moves only the last digits of h_spec (and its smoothed column); the
     # records re-pinned again when the config lost alpha_scale, cloud_stride
     # and triangle_mode, which moved only their config_digest column; and
     # again for the exact W probe: max |dC| 1.5e-15, which moves only the
-    # last digits of h_spec (and its smoothed column)
+    # last digits of h_spec (and its smoothed column); and again for the
+    # sector-matrix readout without the Gray schedule: max |dC| 2.3e-14, the
+    # same again
     "sweep_hadamard": {
         "manifest.json": "3794419db91a37370f103b9531f59cc1a06ecdc4318687c2fd66615dedd3e461",
         "sweep_correlations.json": "81111c6615a620acb381a8bde598b7af039e8aa9e940de046f83fcbedbeeb12f",
-        "sweep_records.csv": "a8cf452864ae7b81e737850c34c6f6cdde7b61216957c88feb72908b31985f5c",
-        "sweep_smoothed.csv": "9d02f5259cfc404313a8a1a7a3c150e5c456020039dcd9c864114d9b62d04566",
+        "sweep_records.csv": "f87a1cc4f118deabe3957fcd14d795af6e072b66eedbc7e1c6a0fe24874be993",
+        "sweep_smoothed.csv": "fd3963809a4ec8ad7fd0d1bbb2c6109f0d56f8d575dd9c6afc79ff382fe384aa",
     },
 }
 
@@ -131,11 +139,12 @@ def random_l1(rng, n=6):
 @settings(max_examples=24, deadline=None)
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["w_state", "dicke"]), shots=st.sampled_from([0, 0, 50]))
 def test_fused_hadamard_readout_is_the_unfused_loop(seed, kind, shots):
-    # the oracle is the gate-by-gate loop the fused step replaced: at shots 0
-    # the series agree to rounding, and with shots the binomial draws are the
-    # same wherever the drawn part of C is not zero; at p = 1/2 numpy's
-    # binomial switches to drawing n - B(n, 1 - p), so a part that is zero in
-    # exact arithmetic may draw differently on either side of its rounding
+    # the oracles are the full-register loops the sector matrix replaced, the
+    # fused one and the gate-by-gate one before it: at shots 0 the series
+    # agree to rounding, and with shots the binomial draws are the same
+    # wherever the drawn part of C is not zero; at p = 1/2 numpy's binomial
+    # switches to drawing n - B(n, 1 - p), so a part that is zero in exact
+    # arithmetic may draw differently on either side of its rounding
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 6))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6] or [(0, 1)]
@@ -149,15 +158,16 @@ def test_fused_hadamard_readout_is_the_unfused_loop(seed, kind, shots):
         psi = dicke_state(n, dicke_weights(g, 0.5, 0.25)).astype(complex)
     alpha = spectro._placed_alpha(ham.gershgorin_bound(), dt)
     fused = spectro.correlator_hadamard(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
-    ref = correlator_hadamard_unfused(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
-    if shots:
-        exact = correlator_hadamard_unfused(ham, psi, dt, m, alpha=alpha).values
-        for part in (np.real, np.imag):
-            settled = np.abs(part(exact)) > 1e-12
-            assert settled.sum() >= m // 2
-            assert np.array_equal(part(fused.values)[settled], part(ref.values)[settled])
-    else:
-        assert np.abs(fused.values - ref.values).max() <= 1e-12
+    for oracle in (correlator_hadamard_loop, correlator_hadamard_unfused):
+        ref = oracle(ham, psi, dt, m, shots=shots, alpha=alpha, seed=seed)
+        if shots:
+            exact = oracle(ham, psi, dt, m, alpha=alpha).values
+            for part in (np.real, np.imag):
+                settled = np.abs(part(exact)) > 1e-12
+                assert settled.sum() >= m // 2
+                assert np.array_equal(part(fused.values)[settled], part(ref.values)[settled])
+        else:
+            assert np.abs(fused.values - ref.values).max() <= 1e-12
 
 
 def _correlator_csv(out: Path) -> np.ndarray:

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topospec.errors import AliasingConfigError
+from topospec.errors import AliasingConfigError, ResourceLimitError
 from topospec.hodge import laplacian_at, laplacian_k, spectrum
 from topospec.persistence import rips_filtration
 from topospec.probe import dephased_probes, w_state_vector
@@ -228,6 +228,30 @@ def test_hadamard_raises_when_the_work_qubit_is_left_set(monkeypatch):
     ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
     with pytest.raises(RuntimeError, match="work qubit"):
         correlator_hadamard(ham, w_state_vector(2), 0.3, 4)
+
+
+def test_hadamard_raises_when_a_system_qubit_changes_the_excitation_count(monkeypatch):
+    # an X on a system qubit leaves the work qubit at |0> but moves the one-hot
+    # inputs out of the W probe's one-excitation sector
+    real = spectro.controlled_evolution
+
+    def leaky(ham, t, **kwargs):
+        circ = real(ham, t, **kwargs)
+        return Circuit(circ.n_qubits, circ.gates + (Gate("X", 0),))
+
+    monkeypatch.setattr(spectro, "controlled_evolution", leaky)
+    ham = onehot_hamiltonian(np.array([[0.0, 0.5], [0.5, 0.8]]))
+    with pytest.raises(RuntimeError, match="excitation sector"):
+        correlator_hadamard(ham, w_state_vector(2), 0.3, 4)
+
+
+def test_hadamard_refuses_a_sector_matrix_beyond_the_budget():
+    # a probe on every excitation count of 10 qubits spans all 1024 basis
+    # states: a 2048 x 2048 sector matrix, over MAX_BATCH_AMPLITUDES entries
+    ham = onehot_hamiltonian(np.diag(np.linspace(0.1, 1.0, 10)))
+    psi = np.full(1 << 10, 1 / 32, dtype=complex)
+    with pytest.raises(ResourceLimitError, match="sector"):
+        correlator_hadamard(ham, psi, 0.3, 4)
 
 
 def test_shot_noise_matches_model():
